@@ -2,8 +2,10 @@
 //
 // Practical permutation indexes often store only each point's
 // `prefix_length` closest sites.  This sweep measures what truncation
-// costs: distinct-permutation count (information), index bits per
-// point, and 10-NN recall at a fixed verification fraction.  It
+// costs: distinct-permutation count (information), bits per point in
+// the paper's packed encoding (m ceil(lg k) for a prefix, ceil(lg k!)
+// for the full permutation), and 10-NN recall at a fixed verification
+// fraction.  It
 // complements the paper's storage analysis — the full permutation's
 // ceil(lg k!) bits are already small, and the Euclidean bound says most
 // of those bits are redundant anyway.
@@ -19,12 +21,15 @@
 #include "index/distperm_index.h"
 #include "index/linear_scan.h"
 #include "metric/lp.h"
+#include "util/bitpack.h"
 #include "util/flags.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 
 using distperm::index::DistPermIndex;
 using distperm::index::LinearScanIndex;
+using distperm::index::SearchRequest;
+using distperm::index::SearchResponse;
 using distperm::metric::LpMetric;
 using distperm::metric::Metric;
 using distperm::metric::Vector;
@@ -67,10 +72,11 @@ int main(int argc, char** argv) {
     for (int q = 0; q < queries; ++q) {
       Vector query(4);
       for (auto& coord : query) coord = query_rng.NextDouble();
-      auto truth = reference.KnnQuery(query, 10);
-      index.ResetQueryCount();
-      auto result = index.KnnQuery(query, 10);
-      cost += index.query_distance_computations();
+      const auto request = SearchRequest<Vector>::Knn(query, 10);
+      auto truth = reference.Search(request).results;
+      SearchResponse response = index.Search(request);
+      const auto& result = response.results;
+      cost += response.stats.distance_computations;
       size_t hits = 0;
       for (const auto& t : truth) {
         for (const auto& r : result) {
@@ -86,9 +92,12 @@ int main(int argc, char** argv) {
     std::snprintf(recall_s, sizeof(recall_s), "%.3f", recall / queries);
     std::snprintf(cost_s, sizeof(cost_s), "%.1f",
                   static_cast<double>(cost) / queries);
+    const size_t model_bits =
+        m == sites ? distperm::util::BitsForFactorial(static_cast<int>(sites))
+                   : m * distperm::util::BitsFor(sites);
     table.AddRow({m == sites ? "full" : std::to_string(m),
                   std::to_string(index.DistinctPermutationCount()),
-                  std::to_string(index.IndexBits() / points), recall_s,
+                  std::to_string(model_bits), recall_s,
                   cost_s});
     std::cerr << "prefix " << m << " done\n";
   }

@@ -455,7 +455,9 @@ int main(int argc, char** argv) {
   // Exact ground truth for recall, from the unsharded linear scan.
   distperm::index::LinearScanIndex<Vector> scan(data, l2);
   std::vector<std::vector<distperm::index::SearchResult>> truth;
-  for (const auto& spec : batch) truth.push_back(scan.KnnQuery(spec.point, k));
+  for (const auto& spec : batch) {
+    truth.push_back(scan.Search(QuerySpec<Vector>::Knn(spec.point, k)).results);
+  }
 
   const size_t hardware = std::thread::hardware_concurrency();
   std::cout << "engine throughput: n=" << points << ", d=" << dim

@@ -49,7 +49,8 @@ using distperm::core::Permutation;
 using distperm::dataset::FlatVectorStore;
 using distperm::index::DistPermIndex;
 using distperm::index::LinearScanIndex;
-using distperm::index::QueryStats;
+using distperm::index::SearchRequest;
+using distperm::index::SearchResponse;
 using distperm::index::SearchResult;
 using distperm::metric::Metric;
 using distperm::metric::Vector;
@@ -257,20 +258,26 @@ ScanRow BenchLinearScan(size_t points, size_t dim, size_t queries, size_t k,
   double scalar_best = 1e300, flat_best = 1e300;
   for (size_t r = 0; r < reps; ++r) {
     double t0 = Now();
-    for (const Vector& q : query_points) scalar_scan.KnnQuery(q, k);
+    for (const Vector& q : query_points) {
+      scalar_scan.Search(SearchRequest<Vector>::Knn(q, k));
+    }
     scalar_best = std::min(scalar_best, Now() - t0);
     t0 = Now();
-    for (const Vector& q : query_points) flat_scan.KnnQuery(q, k);
+    for (const Vector& q : query_points) {
+      flat_scan.Search(SearchRequest<Vector>::Knn(q, k));
+    }
     flat_best = std::min(flat_best, Now() - t0);
   }
   for (const Vector& q : query_points) {
-    QueryStats scalar_stats, flat_stats;
-    auto expect = scalar_scan.KnnQuery(q, k, &scalar_stats);
-    auto got = flat_scan.KnnQuery(q, k, &flat_stats);
+    const auto request = SearchRequest<Vector>::Knn(q, k);
+    SearchResponse by_scalar = scalar_scan.Search(request);
+    SearchResponse by_flat = flat_scan.Search(request);
+    const auto& expect = by_scalar.results;
+    const auto& got = by_flat.results;
     row.counts_match =
         row.counts_match &&
-        scalar_stats.distance_computations == points &&
-        flat_stats.distance_computations == points;
+        by_scalar.stats.distance_computations == points &&
+        by_flat.stats.distance_computations == points;
     for (size_t i = 0; i < expect.size() && row.results_match; ++i) {
       // Ids must agree; distances agree to the documented kernel
       // tolerance (the 4-lane sum reassociates the scalar reference).
@@ -367,13 +374,16 @@ DistPermRow BenchDistPerm(size_t points, size_t dim, size_t sites,
     for (const Vector& q : query_points) NaiveDistPermKnn(index, stored, q, k);
     naive_best = std::min(naive_best, Now() - t0);
     t0 = Now();
-    for (const Vector& q : query_points) index.KnnQuery(q, k);
+    for (const Vector& q : query_points) {
+      index.Search(SearchRequest<Vector>::Knn(q, k));
+    }
     indexed_best = std::min(indexed_best, Now() - t0);
   }
   for (const Vector& q : query_points) {
-    row.results_match = row.results_match &&
-                        index.KnnQuery(q, k) ==
-                            NaiveDistPermKnn(index, stored, q, k);
+    row.results_match =
+        row.results_match &&
+        index.Search(SearchRequest<Vector>::Knn(q, k)).results ==
+            NaiveDistPermKnn(index, stored, q, k);
   }
   row.naive_ms = naive_best * 1e3;
   row.indexed_ms = indexed_best * 1e3;

@@ -25,6 +25,8 @@
 #include "util/table_printer.h"
 
 using distperm::index::SearchIndex;
+using distperm::index::SearchRequest;
+using distperm::index::SearchResponse;
 using distperm::index::SearchResult;
 using distperm::metric::LpMetric;
 using distperm::metric::Metric;
@@ -89,11 +91,12 @@ int main(int argc, char** argv) {
   for (int q = 0; q < queries; ++q) {
     Vector query(dim);
     for (auto& coord : query) coord = rng.NextDouble();
-    auto truth = reference.KnnQuery(query, knn);
+    const auto request = SearchRequest<Vector>::Knn(query, knn);
+    auto truth = reference.Search(request).results;
     for (size_t i = 0; i < indexes.size(); ++i) {
-      indexes[i]->ResetQueryCount();
-      auto result = indexes[i]->KnnQuery(query, knn);
-      cost[i] += indexes[i]->query_distance_computations();
+      SearchResponse response = indexes[i]->Search(request);
+      const auto& result = response.results;
+      cost[i] += response.stats.distance_computations;
       size_t hits = 0;
       for (const auto& t : truth) {
         for (const auto& r : result) {
@@ -124,8 +127,8 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::cout << "\nReading guide: AESA/iAESA use the fewest distances but "
                "store O(n^2); LAESA trades distances for O(nk) storage; "
-               "the permutation index stores only ceil(lg k!) bits per "
-               "point (the paper's storage result) at the cost of "
-               "approximate answers.\n";
+               "the permutation index stores one rank byte per site per "
+               "point (the paper shows ceil(lg k!) bits would do) at the "
+               "cost of approximate answers.\n";
   return 0;
 }

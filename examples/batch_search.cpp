@@ -107,9 +107,7 @@ int main(int argc, char** argv) {
   distperm::index::LinearScanIndex<Vector> scan(data, l2);
   std::vector<std::vector<distperm::index::SearchResult>> truth;
   for (const auto& request : batch) {
-    truth.push_back(request.mode == distperm::engine::QueryType::kKnn
-                        ? scan.KnnQuery(request.point, request.k)
-                        : scan.RangeQuery(request.point, request.radius));
+    truth.push_back(scan.Search(request).results);
   }
   double recall = distperm::engine::AverageRecall(out.results, truth);
   std::cout << "\nrecall vs exact linear scan: " << recall

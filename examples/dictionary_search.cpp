@@ -76,7 +76,8 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nnearest 5 dictionary words (exact, via linear scan):\n";
-  auto truth = indexes.front()->KnnQuery(query, 5);
+  const auto knn = distperm::index::SearchRequest<std::string>::Knn(query, 5);
+  auto truth = indexes.front()->Search(knn).results;
   for (const auto& hit : truth) {
     std::cout << "  " << words[hit.id] << "  (distance " << hit.distance
               << ")\n";
@@ -85,21 +86,22 @@ int main(int argc, char** argv) {
   std::cout << "\nmetric evaluations per index for the same query:\n";
   for (size_t i = 0; i < indexes.size(); ++i) {
     auto& index = *indexes[i];
-    index.ResetQueryCount();
-    auto hits = index.KnnQuery(query, 5);
+    distperm::index::SearchResponse response = index.Search(knn);
     size_t overlap = 0;
     for (const auto& t : truth) {
-      for (const auto& h : hits) overlap += h.id == t.id;
+      for (const auto& h : response.results) overlap += h.id == t.id;
     }
     std::cout << "  " << specs[i] << ": "
-              << index.query_distance_computations()
+              << response.stats.distance_computations
               << " distances, " << overlap << "/5 of the true neighbours, "
               << index.IndexBits() / (8 * words.size())
               << " bytes/word index overhead\n";
   }
   std::cout << "\nrange query: all words within edit distance 2 "
                "(vp-tree)\n";
-  auto nearby = indexes[2]->RangeQuery(query, 2.0);
+  const auto within_two =
+      distperm::index::SearchRequest<std::string>::Range(query, 2.0);
+  auto nearby = indexes[2]->Search(within_two).results;
   for (const auto& hit : nearby) {
     std::cout << "  " << words[hit.id] << " (" << hit.distance << ")\n";
   }

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   distperm::metric::Metric<Vector> l2(distperm::metric::LpMetric::L2());
 
   // 2. Build the permutation index: k random sites, one distance
-  //    permutation (ceil lg k! bits) stored per point.
+  //    permutation stored per point (one rank byte per site; the paper
+  //    shows ceil lg k! bits would do).
   distperm::index::DistPermIndex<Vector> index(data, l2, sites, &rng,
                                                /*fraction=*/0.1);
   std::cout << "built distperm index over " << points << " points, "
@@ -46,14 +47,15 @@ int main(int argc, char** argv) {
   //    permutations).
   Vector query(dim);
   for (auto& coord : query) coord = rng.NextDouble();
-  auto hits = index.KnnQuery(query, 5);
+  distperm::index::SearchResponse response =
+      index.Search(distperm::index::SearchRequest<Vector>::Knn(query, 5));
   std::cout << "\n5-NN of a random query (approximate):\n";
-  for (const auto& hit : hits) {
+  for (const auto& hit : response.results) {
     std::cout << "  point " << hit.id << " at distance " << hit.distance
               << "\n";
   }
   std::cout << "metric evaluations used: "
-            << index.query_distance_computations() << " (linear scan would "
+            << response.stats.distance_computations << " (linear scan would "
             << points << ")\n";
 
   // 4. The paper's question: how many distinct permutations occur?

@@ -4,7 +4,7 @@
 //
 // A generation snapshot is a storage::SnapshotWriter container with:
 //
-//   meta   format="generation.v1", point_kind, spec, seed, shard_count,
+//   meta   format="generation.v2", point_kind, spec, seed, shard_count,
 //          generation, point_count, index_state ("distperm"|"rebuild"),
 //          shard_sizes/shard_epochs (comma-joined per-shard layout and
 //          rebuild epochs; absent in pre-incremental snapshots, which
@@ -15,7 +15,8 @@
 //                 so the mmap'd bytes are exactly the in-memory layout
 //     "points"    (string stores)  concatenated PointCodec encodings
 //     "shard<N>"  (index_state=distperm) the N-th shard's exported
-//                 DistPermIndex state, bit-packed permutations included
+//                 DistPermIndex state: its sites and its n x k
+//                 inverted-rank table, one byte per (point, site)
 //
 // Restore is bit-identical either way: a "distperm" snapshot feeds the
 // exported state straight back through DistPermIndex's restore
@@ -28,7 +29,10 @@
 // The snapshot records the identity of the store it belongs to (spec,
 // seed, shard count, point kind); ReadGenerationSnapshot refuses a
 // mismatch instead of silently serving an index built with different
-// parameters.
+// parameters.  It also refuses a file of another format version, and a
+// distperm shard state that does not fit its shard, with a Status
+// rather than a CHECK failure: a replica reads snapshots that came over
+// the wire.
 
 #ifndef DISTPERM_ENGINE_GENERATION_STORE_H_
 #define DISTPERM_ENGINE_GENERATION_STORE_H_
@@ -176,6 +180,10 @@ util::Result<WalOp<P>> DecodeWalRecord(const std::string& payload) {
 
 // ------------------------------------------------------ generation snapshot
 
+/// The snapshot "format" meta.  Bumped whenever a section's layout
+/// changes, so a reader refuses an older file instead of misparsing it.
+inline constexpr char kGenerationFormat[] = "generation.v2";
+
 namespace internal {
 
 /// Bounds-checked reader over a snapshot section.
@@ -224,11 +232,11 @@ class SectionCursor {
   const uint8_t* end_;
 };
 
-/// Serialized DistPermIndex::PackedState (sites via PointCodec, bulk
-/// byte arrays length-prefixed).
+/// Serialized DistPermIndex::State (sites via PointCodec, the rank
+/// table length-prefixed).
 template <typename P>
 std::string EncodeDistPermState(
-    const typename index::DistPermIndex<P>::PackedState& state) {
+    const typename index::DistPermIndex<P>::State& state) {
   std::string out;
   storage::PutFixed32(&out, static_cast<uint32_t>(state.sites.size()));
   for (const P& site : state.sites) {
@@ -239,33 +247,55 @@ std::string EncodeDistPermState(
   storage::PutFixed64(&out, state.inv_ranks.size());
   out.append(reinterpret_cast<const char*>(state.inv_ranks.data()),
              state.inv_ranks.size());
-  storage::PutFixed64(&out, state.packed.size());
-  out.append(reinterpret_cast<const char*>(state.packed.data()),
-             state.packed.size());
-  storage::PutFixed64(&out, state.packed_bits);
   return out;
 }
 
+/// Parses a shard section.  Checks only that it parses; whether the
+/// state fits its shard is DistPermIndex::ValidateState's job.
 template <typename P>
 bool DecodeDistPermState(const uint8_t* data, uint64_t size,
-                         typename index::DistPermIndex<P>::PackedState* out) {
+                         typename index::DistPermIndex<P>::State* out) {
   SectionCursor cursor(data, size);
   uint32_t site_count = 0;
   if (!cursor.ReadFixed32(&site_count)) return false;
-  out->sites.resize(site_count);
+  // Sites are appended as they decode, so a corrupt count cannot size
+  // an allocation beyond what the section holds.
   for (uint32_t i = 0; i < site_count; ++i) {
-    if (!cursor.template ReadPoint<P>(&out->sites[i])) return false;
+    P site;
+    if (!cursor.template ReadPoint<P>(&site)) return false;
+    out->sites.push_back(std::move(site));
   }
-  uint64_t prefix = 0, inv_size = 0, packed_size = 0;
+  uint64_t prefix = 0, inv_size = 0;
   if (!cursor.ReadFixed64(&prefix)) return false;
   out->prefix = prefix;
   if (!cursor.ReadDouble(&out->fraction)) return false;
   if (!cursor.ReadFixed64(&inv_size)) return false;
   if (!cursor.ReadBytes(&out->inv_ranks, inv_size)) return false;
-  if (!cursor.ReadFixed64(&packed_size)) return false;
-  if (!cursor.ReadBytes(&out->packed, packed_size)) return false;
-  if (!cursor.ReadFixed64(&out->packed_bits)) return false;
   return cursor.remaining() == 0;
+}
+
+/// Every site of a vector store must have the snapshot's dimension: the
+/// flat L2 kernels read `dim` coordinates from each.  Strings have no
+/// dimension.
+inline util::Status CheckSiteDims(const storage::SnapshotReader& reader,
+                                  const std::vector<metric::Vector>& sites) {
+  auto dim_meta = reader.GetMeta("dim");
+  if (!dim_meta.ok()) return dim_meta.status();
+  const uint64_t dim = std::stoull(dim_meta.value());
+  for (const metric::Vector& site : sites) {
+    if (site.size() != dim) {
+      return util::Status::IoError("site of dimension " +
+                                   std::to_string(site.size()) +
+                                   " in a dim=" + std::to_string(dim) +
+                                   " snapshot");
+    }
+  }
+  return util::Status::OK();
+}
+
+inline util::Status CheckSiteDims(const storage::SnapshotReader&,
+                                  const std::vector<std::string>&) {
+  return util::Status::OK();
 }
 
 /// Adds the point payload of a generation to the snapshot.  The vector
@@ -402,7 +432,7 @@ util::Status WriteGenerationSnapshot(storage::Env* env,
                                      const Generation<P>& generation,
                                      bool atomic = true) {
   storage::SnapshotWriter writer;
-  writer.SetMeta("format", "generation.v1");
+  writer.SetMeta("format", kGenerationFormat);
   writer.SetMeta("point_kind", storage::PointCodec<P>::kName);
   writer.SetMeta("spec", generation.index_spec());
   writer.SetMeta("seed", std::to_string(generation.seed()));
@@ -440,7 +470,7 @@ util::Status WriteGenerationSnapshot(storage::Env* env,
       break;
     }
     shard_states.push_back(internal::EncodeDistPermState<P>(
-        distperm->ExportPackedState()));
+        distperm->ExportState()));
   }
   writer.SetMeta("index_state", all_distperm ? "distperm" : "rebuild");
   if (all_distperm) {
@@ -477,7 +507,7 @@ util::Result<std::shared_ptr<const Generation<P>>> ReadGenerationSnapshot(
     }
     return util::Status::OK();
   };
-  DP_RETURN_IF_ERROR(expect_meta("format", "generation.v1"));
+  DP_RETURN_IF_ERROR(expect_meta("format", kGenerationFormat));
   DP_RETURN_IF_ERROR(
       expect_meta("point_kind", storage::PointCodec<P>::kName));
   DP_RETURN_IF_ERROR(expect_meta("spec", index_spec));
@@ -536,17 +566,26 @@ util::Result<std::shared_ptr<const Generation<P>>> ReadGenerationSnapshot(
   if (state_meta.value() == "distperm") {
     // Pre-decode every shard's state, then hand each to the restore
     // constructor inside the (possibly parallel) sharded build.
-    std::vector<typename index::DistPermIndex<P>::PackedState> states(
+    std::vector<typename index::DistPermIndex<P>::State> states(
         shard_count);
     for (size_t s = 0; s < shard_count; ++s) {
+      const std::string where =
+          "snapshot " + path + ": shard " + std::to_string(s) + " state";
       auto section = reader.GetSection("shard" + std::to_string(s));
       if (!section.ok()) return section.status();
       if (!internal::DecodeDistPermState<P>(section.value().data,
                                             section.value().size,
                                             &states[s])) {
-        return util::Status::IoError("snapshot " + path + ": shard " +
-                                     std::to_string(s) +
-                                     " state is malformed");
+        return util::Status::IoError(where + " is malformed");
+      }
+      util::Status valid = index::DistPermIndex<P>::ValidateState(
+          states[s], shard_sizes[s]);
+      if (valid.ok()) {
+        valid = internal::CheckSiteDims(reader, states[s].sites);
+      }
+      if (!valid.ok()) {
+        return util::Status::IoError(where + " is inconsistent: " +
+                                     valid.message());
       }
     }
     ShardedDatabase<P> db = ShardedDatabase<P>::BuildSliced(

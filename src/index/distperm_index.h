@@ -2,15 +2,17 @@
 // "distperm" index the paper instruments for its Section 5 experiments.
 //
 // Per database point the index stores only the point's distance
-// permutation with respect to k sites (bit-packed: ceil(lg k!) bits), or
-// optionally just the prefix naming its `prefix_length` closest sites —
-// the truncated variant used in practice when k is large.  At query time
-// the query's own permutation is computed (k metric evaluations) and
+// permutation with respect to k sites, or optionally just the prefix
+// naming its `prefix_length` closest sites — the truncated variant used
+// in practice when k is large.  The permutation is kept inverted, as one
+// byte per site holding that site's rank (k bytes per point), because
+// that is the form the query-time footrule reads.  At query time the
+// query's own permutation is computed (k metric evaluations) and
 // candidates are verified in increasing Spearman-footrule order;
 // reviewing only a fraction f of the database gives the probabilistic
 // search of the original paper.  The index also reports the number of
 // distinct permutations it stores — the quantity this paper counts — and
-// its exact packed storage size.
+// the bytes its rank table occupies.
 
 #ifndef DISTPERM_INDEX_DISTPERM_INDEX_H_
 #define DISTPERM_INDEX_DISTPERM_INDEX_H_
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <string>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -29,8 +32,8 @@
 #include "index/index.h"
 #include "index/pivot_select.h"
 #include "index/query_scratch.h"
-#include "util/bitpack.h"
 #include "util/rng.h"
+#include "util/status.h"
 
 namespace distperm {
 namespace index {
@@ -73,7 +76,6 @@ class DistPermIndex : public SearchIndex<P> {
 
     inv_ranks_.assign(data_.size() * site_count, 0);
     std::vector<double> distances(site_count);
-    util::BitWriter writer;
     for (size_t i = 0; i < data_.size(); ++i) {
       for (size_t j = 0; j < site_count; ++j) {
         distances[j] =
@@ -86,7 +88,6 @@ class DistPermIndex : public SearchIndex<P> {
           prefix_ == site_count
               ? core::PermutationFromDistances(distances)
               : core::PermutationPrefixFromDistances(distances, prefix_);
-      PackPermutation(perm, &writer);
       // Invert once at build time: inv_ranks_[i*k + site] is the site's
       // rank in point i's permutation, or prefix_ for sites absent from
       // a truncated prefix.  Footrule at query time is then a single
@@ -97,8 +98,6 @@ class DistPermIndex : public SearchIndex<P> {
         ranks[perm[r]] = static_cast<uint8_t>(r);
       }
     }
-    packed_bits_ = writer.bit_count();
-    packed_ = writer.Finish();
   }
 
   /// Everything the index keeps besides the data itself — the exact
@@ -106,24 +105,58 @@ class DistPermIndex : public SearchIndex<P> {
   /// back through the restore constructor: a restored index answers
   /// bit-identically to the one that exported, because SearchImpl
   /// depends on nothing outside this state.
-  struct PackedState {
+  struct State {
     std::vector<P> sites;
     size_t prefix = 0;
     double fraction = 0.1;
     std::vector<uint8_t> inv_ranks;
-    std::vector<uint8_t> packed;
-    uint64_t packed_bits = 0;
   };
 
-  PackedState ExportPackedState() const {
-    PackedState state;
+  State ExportState() const {
+    State state;
     state.sites = sites_;
     state.prefix = prefix_;
     state.fraction = fraction();
     state.inv_ranks = inv_ranks_;
-    state.packed = packed_;
-    state.packed_bits = packed_bits_;
     return state;
+  }
+
+  /// Checks that `state` can back an index over `point_count` points:
+  /// 1..kMaxRank64Sites sites, a prefix in [1, k], a fraction in (0, 1],
+  /// point_count x k ranks, and no rank above the prefix.  For state
+  /// read from outside the program, which the restore constructor would
+  /// otherwise CHECK-fail on.  One pass over the rank table.
+  static util::Status ValidateState(const State& state, size_t point_count) {
+    const size_t k = state.sites.size();
+    if (k == 0 || k > core::kMaxRank64Sites) {
+      return util::Status::InvalidArgument(
+          "site count " + std::to_string(k) + " is outside 1.." +
+          std::to_string(core::kMaxRank64Sites));
+    }
+    if (state.prefix < 1 || state.prefix > k) {
+      return util::Status::InvalidArgument(
+          "prefix " + std::to_string(state.prefix) + " is outside [1, " +
+          std::to_string(k) + "]");
+    }
+    if (!(state.fraction > 0.0 && state.fraction <= 1.0)) {
+      return util::Status::InvalidArgument(
+          "fraction " + std::to_string(state.fraction) +
+          " is outside (0, 1]");
+    }
+    if (state.inv_ranks.size() != point_count * k) {
+      return util::Status::InvalidArgument(
+          std::to_string(state.inv_ranks.size()) + " ranks for " +
+          std::to_string(point_count) + " points x " + std::to_string(k) +
+          " sites");
+    }
+    uint8_t max_rank = 0;
+    for (uint8_t rank : state.inv_ranks) max_rank = std::max(max_rank, rank);
+    if (max_rank > state.prefix) {
+      return util::Status::InvalidArgument(
+          "rank " + std::to_string(max_rank) + " exceeds prefix " +
+          std::to_string(state.prefix));
+    }
+    return util::Status::OK();
   }
 
   /// Restores an index from previously exported state without paying
@@ -132,14 +165,12 @@ class DistPermIndex : public SearchIndex<P> {
   /// build_distance_computations() reports 0 for a restored index —
   /// restoration computes no distances.
   DistPermIndex(std::vector<P> data, metric::Metric<P> metric,
-                PackedState state)
+                State state)
       : SearchIndex<P>(std::move(data), std::move(metric)),
         flat_(data_, this->metric_),
         sites_(std::move(state.sites)),
         prefix_(state.prefix),
         inv_ranks_(std::move(state.inv_ranks)),
-        packed_(std::move(state.packed)),
-        packed_bits_(state.packed_bits),
         fraction_(state.fraction) {
     DP_CHECK(!sites_.empty() && sites_.size() <= core::kMaxRank64Sites);
     DP_CHECK(prefix_ >= 1 && prefix_ <= sites_.size());
@@ -154,41 +185,31 @@ class DistPermIndex : public SearchIndex<P> {
     return prefix_ == sites_.size() ? "distperm" : "distperm-prefix";
   }
 
-  /// Exact packed size of the stored permutations in bits.
-  uint64_t IndexBits() const override { return packed_bits_; }
+  /// Bits the rank table occupies: one byte per (point, site).
+  uint64_t IndexBits() const override { return 8 * inv_ranks_.size(); }
 
   /// Number of distinct (possibly truncated) permutations stored — the
-  /// paper's counted quantity.  Decoded from the packed buffer: the
-  /// bit-packed records and the inverted rank table are the only
-  /// permutation storage the index keeps.
+  /// paper's counted quantity.  A rank row determines its permutation
+  /// (prefix) and back, so distinct rows are distinct permutations.
   size_t DistinctPermutationCount() const {
-    std::unordered_set<uint64_t> seen;
+    const size_t k = sites_.size();
+    const char* rows = reinterpret_cast<const char*>(inv_ranks_.data());
+    std::unordered_set<std::string_view> seen;
     for (size_t i = 0; i < data_.size(); ++i) {
-      seen.insert(PrefixKey(DecodePackedPermutation(i)));
+      seen.emplace(rows + i * k, k);
     }
     return seen.size();
   }
 
-  /// The stored permutation (or prefix) of database point i.
+  /// The stored permutation (or prefix) of database point i, read back
+  /// from its rank row.
   core::Permutation StoredPermutation(size_t i) const {
-    return DecodePackedPermutation(i);
-  }
-
-  /// Decodes point i's permutation from the bit-packed buffer.  Records
-  /// are fixed-width, so the reader seeks straight to record i in O(1).
-  core::Permutation DecodePackedPermutation(size_t i) const {
-    util::BitReader reader(packed_);
-    if (prefix_ == sites_.size()) {
-      const int width =
-          util::BitsForFactorial(static_cast<int>(sites_.size()));
-      reader.Seek(i * static_cast<size_t>(width));
-      return core::UnrankPermutation(reader.Read(width), sites_.size());
-    }
-    const int width = util::BitsFor(sites_.size());
-    reader.Seek(i * prefix_ * static_cast<size_t>(width));
+    const uint8_t* ranks = &inv_ranks_[i * sites_.size()];
     core::Permutation perm(prefix_);
-    for (size_t r = 0; r < prefix_; ++r) {
-      perm[r] = static_cast<uint8_t>(reader.Read(width));
+    for (size_t site = 0; site < sites_.size(); ++site) {
+      if (ranks[site] < prefix_) {
+        perm[ranks[site]] = static_cast<uint8_t>(site);
+      }
     }
     return perm;
   }
@@ -218,26 +239,6 @@ class DistPermIndex : public SearchIndex<P> {
   }
 
  private:
-  void PackPermutation(const core::Permutation& perm,
-                       util::BitWriter* writer) const {
-    if (prefix_ == sites_.size()) {
-      // Full permutation: densest fixed-width code, ceil(lg k!) bits.
-      writer->Write(core::RankPermutation(perm),
-                    util::BitsForFactorial(static_cast<int>(perm.size())));
-      return;
-    }
-    // Prefix: one ceil(lg k)-bit field per entry.
-    const int width = util::BitsFor(sites_.size());
-    for (uint8_t site : perm) writer->Write(site, width);
-  }
-
-  uint64_t PrefixKey(const core::Permutation& perm) const {
-    if (prefix_ == sites_.size()) return core::RankPermutation(perm);
-    uint64_t key = 0;
-    for (uint8_t site : perm) key = key * sites_.size() + site;
-    return key;
-  }
-
   /// Points to verify on this call: `override_fraction` (a per-request
   /// SearchRequest::approx_candidate_fraction, validated to [0, 1])
   /// when non-zero, the index's configured default otherwise.
@@ -319,8 +320,6 @@ class DistPermIndex : public SearchIndex<P> {
   /// prefix.  Flat n x k layout, one cache-resident O(k) pass per
   /// (query, point) footrule.
   std::vector<uint8_t> inv_ranks_;
-  std::vector<uint8_t> packed_;
-  size_t packed_bits_ = 0;
   std::atomic<double> fraction_;
 };
 

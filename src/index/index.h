@@ -7,23 +7,21 @@
 // points by their position in that database.
 //
 // Queries are const and safe to issue from many threads at once: each
-// call accumulates its metric evaluations in a private QueryStats and
-// flushes them once into the index's atomic aggregate, so the per-call
-// numbers reproduce the paper's single-threaded cost model exactly no
-// matter how the calls are scheduled.
+// call accumulates its metric evaluations in a private QueryStats that
+// comes back in its SearchResponse, so the per-call numbers reproduce
+// the paper's single-threaded cost model exactly no matter how the
+// calls are scheduled.  Callers that want a total sum the responses.
 //
 // The query surface is one entry point: Search() takes an
 // index::SearchRequest (kNN / range / kNN-within-radius, plus optional
 // distance budget and candidate-fraction knobs — see search.h) and
 // returns an index::SearchResponse.  Implementations override the
-// single SearchImpl virtual; the legacy RangeQuery/KnnQuery calls are
-// thin shims over Search() kept for source compatibility.
+// single SearchImpl virtual.
 
 #ifndef DISTPERM_INDEX_INDEX_H_
 #define DISTPERM_INDEX_INDEX_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -39,8 +37,8 @@ namespace index {
 
 /// Abstract proximity index over points of type P.
 ///
-/// Thread-safety contract: after construction, Search (and the
-/// RangeQuery/KnnQuery shims) are const and may be called concurrently.
+/// Thread-safety contract: after construction, Search is const and may
+/// be called concurrently.
 /// Implementations must keep all per-query state on the stack or in the
 /// per-thread QueryScratch and charge metric evaluations to the
 /// SearchContext's QueryStats, never to index members.
@@ -64,8 +62,7 @@ class SearchIndex {
   /// (InvalidArgument on k = 0 in a kNN mode, negative or NaN radius,
   /// NaN query coordinates, out-of-range candidate fraction) — a
   /// rejected request costs zero metric evaluations.  The response's
-  /// stats cover exactly this call; they also feed the index-wide
-  /// aggregate read by query_distance_computations().
+  /// stats cover exactly this call.
   SearchResponse Search(const SearchRequest<P>& request) const {
     SearchResponse response;
     response.status = ValidateRequest(request);
@@ -84,28 +81,7 @@ class SearchIndex {
     SearchImpl(request, &context);
     response.results = context.TakeResults();
     response.truncated = context.truncated();
-    query_count_.fetch_add(response.stats.distance_computations,
-                           std::memory_order_relaxed);
     return response;
-  }
-
-  /// Legacy shim over Search(): all points within `radius` of `query`
-  /// (inclusive), sorted by (distance, id).  When `stats` is non-null
-  /// the call's metric evaluations are added to it.  Invalid input
-  /// (negative/NaN radius, NaN coordinates) returns an empty result;
-  /// call Search() directly for the util::Status.
-  std::vector<SearchResult> RangeQuery(const P& query, double radius,
-                                       QueryStats* stats = nullptr) const {
-    return ShimSearch(SearchRequest<P>::Range(query, radius), stats);
-  }
-
-  /// Legacy shim over Search(): the `k` nearest points (fewer if the
-  /// database is smaller), sorted by (distance, id); distance ties are
-  /// broken toward lower ids.  Stats and error behavior as for
-  /// RangeQuery.
-  std::vector<SearchResult> KnnQuery(const P& query, size_t k,
-                                     QueryStats* stats = nullptr) const {
-    return ShimSearch(SearchRequest<P>::Knn(query, k), stats);
   }
 
   /// Bits of auxiliary storage the index keeps beyond the raw data.
@@ -118,18 +94,8 @@ class SearchIndex {
   /// The metric.
   const metric::Metric<P>& metric() const { return metric_; }
 
-  /// Metric evaluations spent answering queries since ResetQueryCount(),
-  /// aggregated across all threads.
-  uint64_t query_distance_computations() const {
-    return query_count_.load(std::memory_order_relaxed);
-  }
   /// Metric evaluations spent building the index.
   uint64_t build_distance_computations() const { return build_count_; }
-  /// Zeroes the query aggregate (build count is immutable after
-  /// construction).
-  void ResetQueryCount() {
-    query_count_.store(0, std::memory_order_relaxed);
-  }
 
  protected:
   /// The one query implementation: const, reentrant, and required to
@@ -156,16 +122,6 @@ class SearchIndex {
   std::vector<P> data_;
   metric::Metric<P> metric_;
   uint64_t build_count_ = 0;
-
- private:
-  std::vector<SearchResult> ShimSearch(SearchRequest<P> request,
-                                       QueryStats* stats) const {
-    SearchResponse response = Search(request);
-    if (stats != nullptr) stats->Merge(response.stats);
-    return std::move(response.results);
-  }
-
-  mutable std::atomic<uint64_t> query_count_{0};
 };
 
 }  // namespace index

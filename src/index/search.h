@@ -11,8 +11,6 @@
 //
 // Adding a query scenario therefore means adding a field here — not a
 // new virtual pair on SearchIndex and a mirrored enum in the engine.
-// The legacy RangeQuery/KnnQuery entry points survive as thin shims
-// over Search() (see index.h).
 
 #ifndef DISTPERM_INDEX_SEARCH_H_
 #define DISTPERM_INDEX_SEARCH_H_

@@ -136,9 +136,7 @@ TEST(CooperativePruning, MergedResultsBitIdenticalToIndependent) {
     LinearScanIndex<Vector> scan(data, L2());
     std::vector<std::vector<SearchResult>> truth;
     for (const auto& spec : batch) {
-      truth.push_back(spec.mode == QueryType::kRange
-                          ? scan.RangeQuery(spec.point, spec.radius)
-                          : scan.KnnQuery(spec.point, spec.k));
+      truth.push_back(scan.Search(spec).results);
     }
 
     for (const std::string& spec : specs) {
@@ -186,8 +184,7 @@ TEST(CooperativePruning, StringsUnderLevenshtein) {
   auto out = engine.RunBatch(batch);
   ASSERT_TRUE(out.all_ok());
   for (size_t q = 0; q < batch.size(); ++q) {
-    EXPECT_EQ(out.results[q], scan.KnnQuery(batch[q].point, batch[q].k))
-        << q;
+    EXPECT_EQ(out.results[q], scan.Search(batch[q]).results) << q;
   }
 }
 
@@ -295,7 +292,8 @@ TEST(SplitBudget, TotalCostBoundedByTheBudgetItself) {
   EXPECT_EQ(out.per_query_distance_computations[3], n);
   EXPECT_FALSE(out.truncated[3]);
   LinearScanIndex<Vector> scan(data, L2());
-  EXPECT_EQ(out.results[3], scan.KnnQuery({0.4, 0.4}, 3));
+  EXPECT_EQ(out.results[3],
+            scan.Search(SearchRequest<Vector>::Knn({0.4, 0.4}, 3)).results);
 }
 
 // (data, spec, shard_count, seed) pins the database bit-for-bit: the
@@ -387,7 +385,8 @@ TEST(VectorizedBuild, AesaMatrixMatchesScalarMetricBuild) {
   for (int q = 0; q < 6; ++q) {
     Vector point(8);
     for (double& c : point) c = query_rng.NextDouble();
-    EXPECT_EQ(flat.KnnQuery(point, 5), scalar.KnnQuery(point, 5));
+    const auto request = SearchRequest<Vector>::Knn(point, 5);
+    EXPECT_EQ(flat.Search(request).results, scalar.Search(request).results);
   }
 }
 
@@ -407,7 +406,8 @@ TEST(InitialRadiusBound, ValidHintIsExactAndNeverCostsMore) {
   for (int q = 0; q < 12; ++q) {
     Vector point(6);
     for (double& c : point) c = rng.NextDouble();
-    const auto truth = scan.KnnQuery(point, 10);
+    const auto truth =
+        scan.Search(SearchRequest<Vector>::Knn(point, 10)).results;
     const double kth = truth.back().distance;
     for (const auto* index : indexes) {
       auto plain = index->Search(SearchRequest<Vector>::Knn(point, 10));

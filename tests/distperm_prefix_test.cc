@@ -78,12 +78,18 @@ TEST(DistPermPrefix, StoresPrefixesOnly) {
                               /*prefix_length=*/4);
   EXPECT_EQ(index.prefix_length(), 4u);
   EXPECT_EQ(index.name(), "distperm-prefix");
-  for (size_t i = 0; i < data.size(); i += 37) {
-    EXPECT_EQ(index.StoredPermutation(i).size(), 4u);
-    EXPECT_EQ(index.DecodePackedPermutation(i), index.StoredPermutation(i));
+  const metric::Metric<Vector> l2 = L2();
+  std::vector<double> distances(index.sites().size());
+  for (size_t i = 0; i < data.size(); ++i) {
+    for (size_t j = 0; j < distances.size(); ++j) {
+      distances[j] = l2(index.sites()[j], data[i]);
+    }
+    EXPECT_EQ(index.StoredPermutation(i),
+              core::PermutationPrefixFromDistances(distances, 4))
+        << i;
   }
-  // 4 entries * ceil(lg 10) = 4 bits each = 16 bits/point.
-  EXPECT_EQ(index.IndexBits(), 300u * 16u);
+  // The rank table keeps one byte per site, prefix or not.
+  EXPECT_EQ(index.IndexBits(), 8u * 300u * 10u);
 }
 
 TEST(DistPermPrefix, PrefixConsistentWithFullIndex) {
@@ -112,7 +118,9 @@ TEST(DistPermPrefix, ExactAtFullFraction) {
   LinearScanIndex<Vector> reference(data, L2());
   for (int q = 0; q < 8; ++q) {
     Vector query = {rng.NextDouble(), rng.NextDouble()};
-    EXPECT_EQ(index.KnnQuery(query, 5), reference.KnnQuery(query, 5));
+    const auto request = SearchRequest<Vector>::Knn(query, 5);
+    EXPECT_EQ(index.Search(request).results,
+              reference.Search(request).results);
   }
 }
 
@@ -126,17 +134,19 @@ TEST(DistPermPrefix, RecallDegradesGracefully) {
   size_t full_hits = 0, prefix_hits = 0, total = 0;
   for (int q = 0; q < 15; ++q) {
     Vector query = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
-    auto truth = reference.KnnQuery(query, 10);
-    auto a = full.KnnQuery(query, 10);
-    auto b = truncated.KnnQuery(query, 10);
+    const auto request = SearchRequest<Vector>::Knn(query, 10);
+    auto truth = reference.Search(request).results;
+    auto a = full.Search(request).results;
+    auto b = truncated.Search(request).results;
     for (const auto& t : truth) {
       ++total;
       for (const auto& r : a) full_hits += r.id == t.id;
       for (const auto& r : b) prefix_hits += r.id == t.id;
     }
   }
-  // The truncated index stores 4x less but must still beat random
-  // verification (which would land near fraction = 0.1 recall).
+  // The truncated index orders only each point's 4 closest sites but
+  // must still beat random verification (which would land near
+  // fraction = 0.1 recall).
   EXPECT_GT(static_cast<double>(prefix_hits) / total, 0.5);
   // And cannot beat the full-permutation ordering by much.
   EXPECT_LE(prefix_hits, full_hits + total / 10);

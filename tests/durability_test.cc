@@ -13,7 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -26,10 +29,13 @@
 #include "engine/query.h"
 #include "engine/query_engine.h"
 #include "engine/sharded_database.h"
+#include "index/distperm_index.h"
 #include "metric/lp.h"
 #include "metric/string_metrics.h"
 #include "obs/metrics.h"
+#include "storage/coding.h"
 #include "storage/env.h"
+#include "storage/snapshot.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -557,6 +563,174 @@ TEST(Durability, MetricsAreExact) {
     EXPECT_EQ(
         registry.GetHistogram("snapshot_write_seconds")->Snap().count(), 1u);
   }
+}
+
+// ------------------------------------------- snapshot state validation
+
+using DistPermState = index::DistPermIndex<Vector>::State;
+
+constexpr char kDistPermSpec[] = "distperm:k=6,fraction=0.5";
+constexpr size_t kDistPermShards = 2;
+constexpr uint64_t kDistPermSeed = 9;
+
+/// Turns each shard's exported state into its snapshot section.
+using SectionMaker = std::function<std::string(DistPermState)>;
+
+/// The section the writer would produce after `tamper` edits the state.
+SectionMaker Tampered(std::function<void(DistPermState*)> tamper) {
+  return [tamper](DistPermState state) {
+    tamper(&state);
+    return internal::EncodeDistPermState<Vector>(state);
+  };
+}
+
+/// Copies the distperm generation snapshot at `from` to `to` through
+/// SnapshotWriter, with `meta_overrides` applied and every shard
+/// section made by `make_section`.  The copy is CRC-valid, so only
+/// ReadGenerationSnapshot's own checks stand between a bad state and
+/// the restore constructor's CHECKs.
+util::Status RewriteSnapshot(
+    const Generation<Vector>& generation, const std::string& from,
+    const std::string& to,
+    const std::map<std::string, std::string>& meta_overrides,
+    const SectionMaker& make_section) {
+  storage::Env* env = storage::Env::Default();
+  auto reader = storage::SnapshotReader::Open(env, from);
+  if (!reader.ok()) return reader.status();
+  storage::SnapshotWriter writer;
+  for (const auto& [key, value] : reader.value().meta()) {
+    auto override_it = meta_overrides.find(key);
+    writer.SetMeta(key, override_it == meta_overrides.end()
+                            ? value
+                            : override_it->second);
+  }
+  auto vectors = reader.value().GetSection("vectors");
+  if (!vectors.ok()) return vectors.status();
+  writer.AddSection("vectors",
+                    std::string(reinterpret_cast<const char*>(
+                                    vectors.value().data),
+                                vectors.value().size));
+  for (size_t s = 0; s < kDistPermShards; ++s) {
+    const auto& shard = dynamic_cast<const index::DistPermIndex<Vector>&>(
+        generation.database().shard(s));
+    writer.AddSection("shard" + std::to_string(s),
+                      make_section(shard.ExportState()));
+  }
+  return writer.Write(env, to);
+}
+
+util::Status ReadBack(const std::string& path) {
+  return ReadGenerationSnapshot<Vector>(storage::Env::Default(), path, L2(),
+                                        kDistPermShards, kDistPermSpec,
+                                        kDistPermSeed, /*build_threads=*/1)
+      .status();
+}
+
+TEST(Durability, InconsistentDistPermStateIsRefusedNotFatal) {
+  const std::string dir = FreshStoreDir("bad_distperm_state");
+  util::Rng rng(14);
+  auto built = Generation<Vector>::Build(dataset::UniformCube(60, 3, &rng),
+                                         L2(), kDistPermShards,
+                                         kDistPermSpec, kDistPermSeed, 1);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const Generation<Vector>& generation = *built.value();
+  const std::string good = dir + "/good.snap";
+  ASSERT_TRUE(WriteGenerationSnapshot(storage::Env::Default(), good,
+                                      generation)
+                  .ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* what;
+    std::map<std::string, std::string> meta;
+    SectionMaker section;
+    const char* message;  // expected substring; nullptr = must load
+  };
+  const SectionMaker faithful = Tampered([](DistPermState*) {});
+  const std::vector<Case> cases = {
+      {"faithful copy", {}, faithful, nullptr},
+      {"shard_sizes disagree with the rank arrays",
+       {{"shard_sizes", "31,29"}},
+       faithful,
+       "ranks for"},
+      {"site count far beyond the section",
+       {},
+       [](DistPermState) {
+         std::string section;
+         storage::PutFixed32(&section, 0xffffffffu);
+         return section;
+       },
+       "malformed"},
+      {"rank above the prefix", {},
+       Tampered([](DistPermState* state) {
+         state->inv_ranks[7] = static_cast<uint8_t>(state->prefix + 1);
+       }),
+       "exceeds prefix"},
+      {"zero prefix", {},
+       Tampered([](DistPermState* state) { state->prefix = 0; }),
+       "prefix 0"},
+      {"prefix above the site count", {},
+       Tampered([](DistPermState* state) { state->prefix = 7; }),
+       "prefix 7"},
+      {"zero fraction", {},
+       Tampered([](DistPermState* state) { state->fraction = 0.0; }),
+       "fraction"},
+      {"NaN fraction", {},
+       Tampered([nan](DistPermState* state) { state->fraction = nan; }),
+       "fraction"},
+      {"no sites", {},
+       Tampered([](DistPermState* state) { state->sites.clear(); }),
+       "site count 0"},
+      {"more sites than a rank holds", {},
+       Tampered([](DistPermState* state) {
+         state->sites.resize(core::kMaxRank64Sites + 1,
+                             state->sites.front());
+       }),
+       "site count 21"},
+      {"site of the wrong dimension", {},
+       Tampered([](DistPermState* state) { state->sites[2].push_back(0.5); }),
+       "dimension"},
+  };
+  for (const Case& c : cases) {
+    const std::string path = dir + "/tampered.snap";
+    ASSERT_TRUE(RewriteSnapshot(generation, good, path, c.meta, c.section)
+                    .ok())
+        << c.what;
+    const util::Status status = ReadBack(path);
+    if (c.message == nullptr) {
+      EXPECT_TRUE(status.ok()) << c.what << ": " << status;
+      continue;
+    }
+    EXPECT_EQ(status.code(), util::StatusCode::kIoError)
+        << c.what << ": " << status;
+    EXPECT_NE(status.message().find(c.message), std::string::npos)
+        << c.what << ": " << status;
+  }
+}
+
+TEST(Durability, OlderSnapshotFormatIsRefused) {
+  const std::string dir = FreshStoreDir("old_format");
+  util::Rng rng(15);
+  auto built = Generation<Vector>::Build(dataset::UniformCube(40, 3, &rng),
+                                         L2(), kDistPermShards,
+                                         kDistPermSpec, kDistPermSeed, 1);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const std::string good = dir + "/good.snap";
+  ASSERT_TRUE(WriteGenerationSnapshot(storage::Env::Default(), good,
+                                      *built.value())
+                  .ok());
+  const std::string old = dir + "/old.snap";
+  ASSERT_TRUE(RewriteSnapshot(*built.value(), good, old,
+                              {{"format", "generation.v1"}},
+                              Tampered([](DistPermState*) {}))
+                  .ok());
+  const util::Status status = ReadBack(old);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("format is 'generation.v1'"),
+            std::string::npos)
+      << status;
+  EXPECT_NE(status.message().find(kGenerationFormat), std::string::npos)
+      << status;
 }
 
 }  // namespace

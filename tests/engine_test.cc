@@ -77,11 +77,7 @@ std::vector<std::vector<SearchResult>> SequentialTruth(
   LinearScanIndex<P> scan(data, metric);
   std::vector<std::vector<SearchResult>> truth;
   truth.reserve(batch.size());
-  for (const auto& spec : batch) {
-    truth.push_back(spec.mode == QueryType::kKnn
-                        ? scan.KnnQuery(spec.point, spec.k)
-                        : scan.RangeQuery(spec.point, spec.radius));
-  }
+  for (const auto& spec : batch) truth.push_back(scan.Search(spec).results);
   return truth;
 }
 
@@ -358,7 +354,8 @@ TEST(QueryEngine, EdgeCases) {
   ASSERT_EQ(out.results.size(), 1u);
   EXPECT_EQ(out.results[0].size(), data.size());
   LinearScanIndex<Vector> scan(data, L2());
-  EXPECT_EQ(out.results[0], scan.KnnQuery({0.5, 0.5}, 50));
+  EXPECT_EQ(out.results[0],
+            scan.Search(QuerySpec<Vector>::Knn({0.5, 0.5}, 50)).results);
 
   // Radius nothing matches.
   auto none = engine.RunBatch({QuerySpec<Vector>::Range({9.0, 9.0}, 0.01)});
@@ -366,8 +363,8 @@ TEST(QueryEngine, EdgeCases) {
 }
 
 // Direct concurrent queries against one shared index: the const API must
-// be safe without the engine, and the per-call stats must sum to the
-// index's atomic aggregate.
+// be safe without the engine, and each call's stats must equal what the
+// same query costs when run alone.
 TEST(SearchIndexConcurrency, SharedIndexServesManyThreads) {
   util::Rng rng(35);
   auto data = dataset::UniformCube(400, 3, &rng);
@@ -375,31 +372,34 @@ TEST(SearchIndexConcurrency, SharedIndexServesManyThreads) {
   const index::VpTreeIndex<Vector> shared(data, L2(), &tree_rng);
   LinearScanIndex<Vector> reference(data, L2());
 
-  std::vector<Vector> queries;
+  std::vector<QuerySpec<Vector>> queries;
   std::vector<std::vector<SearchResult>> truth;
+  std::vector<uint64_t> alone_cost;
   for (int q = 0; q < 32; ++q) {
     Vector point = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
-    truth.push_back(reference.KnnQuery(point, 6));
-    queries.push_back(std::move(point));
+    queries.push_back(QuerySpec<Vector>::Knn(std::move(point), 6));
+    truth.push_back(reference.Search(queries.back()).results);
+    alone_cost.push_back(
+        shared.Search(queries.back()).stats.distance_computations);
   }
 
-  ASSERT_EQ(shared.query_distance_computations(), 0u);
-  std::atomic<uint64_t> stats_total{0};
   std::atomic<size_t> mismatches{0};
+  std::atomic<size_t> cost_mismatches{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t]() {
       for (size_t q = t; q < queries.size(); q += 4) {
-        index::QueryStats stats;
-        auto result = shared.KnnQuery(queries[q], 6, &stats);
-        if (result != truth[q]) mismatches.fetch_add(1);
-        stats_total.fetch_add(stats.distance_computations);
+        index::SearchResponse response = shared.Search(queries[q]);
+        if (response.results != truth[q]) mismatches.fetch_add(1);
+        if (response.stats.distance_computations != alone_cost[q]) {
+          cost_mismatches.fetch_add(1);
+        }
       }
     });
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  EXPECT_EQ(shared.query_distance_computations(), stats_total.load());
+  EXPECT_EQ(cost_mismatches.load(), 0u);
 }
 
 // Invalid requests in a batch come back with per-query statuses
@@ -433,8 +433,10 @@ TEST(QueryEngine, PropagatesPerQueryStatuses) {
   }
   // Valid queries are unperturbed: exact answers, exact accounting.
   LinearScanIndex<Vector> scan(data, L2());
-  EXPECT_EQ(out.results[0], scan.KnnQuery({0.5, 0.5}, 4));
-  EXPECT_EQ(out.results[3], scan.RangeQuery({0.5, 0.5}, 0.2));
+  EXPECT_EQ(out.results[0],
+            scan.Search(QuerySpec<Vector>::Knn({0.5, 0.5}, 4)).results);
+  EXPECT_EQ(out.results[3],
+            scan.Search(QuerySpec<Vector>::Range({0.5, 0.5}, 0.2)).results);
   EXPECT_EQ(out.per_query_distance_computations[0], data.size());
   // Only executed queries appear in the latency summary.
   EXPECT_EQ(out.stats.latency.count, 2u);
@@ -669,7 +671,8 @@ TEST(QueryEngine, TraceRecordsCooperativeBoundTightening) {
   auto out = engine.RunBatch(
       {QuerySpec<Vector>::Knn(point, 5).WithShardScheduling(index::ShardScheduling::kCooperative).WithTrace()});
   ASSERT_TRUE(out.all_ok());
-  EXPECT_EQ(out.results[0], scan.KnnQuery(point, 5));
+  EXPECT_EQ(out.results[0],
+            scan.Search(QuerySpec<Vector>::Knn(point, 5)).results);
   const obs::SearchTrace& trace = out.traces[0];
   ASSERT_EQ(trace.spans.size(), 4u);
   EXPECT_EQ(trace.total_distance_computations(),

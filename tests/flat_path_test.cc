@@ -28,7 +28,8 @@ namespace {
 using index::DistPermIndex;
 using index::LaesaIndex;
 using index::LinearScanIndex;
-using index::QueryStats;
+using index::SearchRequest;
+using index::SearchResponse;
 using index::SearchResult;
 using metric::Metric;
 using metric::Vector;
@@ -68,19 +69,20 @@ TEST(FlatPath, LinearScanMatchesScalarPathBitExactly) {
       LinearScanIndex<Vector> flat(data, tagged);
       LinearScanIndex<Vector> scalar(data, Untagged(tagged));
       for (const Vector& q : queries) {
-        QueryStats flat_stats, scalar_stats;
-        EXPECT_EQ(flat.KnnQuery(q, 7, &flat_stats),
-                  scalar.KnnQuery(q, 7, &scalar_stats))
+        SearchResponse by_flat = flat.Search(SearchRequest<Vector>::Knn(q, 7));
+        SearchResponse by_scalar =
+            scalar.Search(SearchRequest<Vector>::Knn(q, 7));
+        EXPECT_EQ(by_flat.results, by_scalar.results)
             << tagged.name() << " dim " << dim;
-        EXPECT_EQ(flat_stats.distance_computations,
-                  scalar_stats.distance_computations);
+        EXPECT_EQ(by_flat.stats.distance_computations,
+                  by_scalar.stats.distance_computations);
         const double radius = tagged.name() == "angle" ? 0.4 : 0.8;
-        flat_stats = scalar_stats = QueryStats();
-        EXPECT_EQ(flat.RangeQuery(q, radius, &flat_stats),
-                  scalar.RangeQuery(q, radius, &scalar_stats))
+        by_flat = flat.Search(SearchRequest<Vector>::Range(q, radius));
+        by_scalar = scalar.Search(SearchRequest<Vector>::Range(q, radius));
+        EXPECT_EQ(by_flat.results, by_scalar.results)
             << tagged.name() << " dim " << dim;
-        EXPECT_EQ(flat_stats.distance_computations,
-                  scalar_stats.distance_computations);
+        EXPECT_EQ(by_flat.stats.distance_computations,
+                  by_scalar.stats.distance_computations);
       }
     }
   }
@@ -105,19 +107,20 @@ TEST(FlatPath, LaesaMatchesScalarPathBitExactly) {
         }
       }
       for (const Vector& q : queries) {
-        QueryStats flat_stats, scalar_stats;
-        EXPECT_EQ(flat.KnnQuery(q, 5, &flat_stats),
-                  scalar.KnnQuery(q, 5, &scalar_stats))
+        SearchResponse by_flat = flat.Search(SearchRequest<Vector>::Knn(q, 5));
+        SearchResponse by_scalar =
+            scalar.Search(SearchRequest<Vector>::Knn(q, 5));
+        EXPECT_EQ(by_flat.results, by_scalar.results)
             << tagged.name() << " dim " << dim;
-        EXPECT_EQ(flat_stats.distance_computations,
-                  scalar_stats.distance_computations)
+        EXPECT_EQ(by_flat.stats.distance_computations,
+                  by_scalar.stats.distance_computations)
             << tagged.name() << " dim " << dim;
         const double radius = tagged.name() == "angle" ? 0.3 : 0.6;
-        flat_stats = scalar_stats = QueryStats();
-        EXPECT_EQ(flat.RangeQuery(q, radius, &flat_stats),
-                  scalar.RangeQuery(q, radius, &scalar_stats));
-        EXPECT_EQ(flat_stats.distance_computations,
-                  scalar_stats.distance_computations);
+        by_flat = flat.Search(SearchRequest<Vector>::Range(q, radius));
+        by_scalar = scalar.Search(SearchRequest<Vector>::Range(q, radius));
+        EXPECT_EQ(by_flat.results, by_scalar.results);
+        EXPECT_EQ(by_flat.stats.distance_computations,
+                  by_scalar.stats.distance_computations);
       }
     }
   }
@@ -140,12 +143,13 @@ TEST(FlatPath, DistPermMatchesScalarPathBitExactly) {
         ASSERT_EQ(flat.StoredPermutation(i), scalar.StoredPermutation(i));
       }
       for (const Vector& q : queries) {
-        QueryStats flat_stats, scalar_stats;
-        EXPECT_EQ(flat.KnnQuery(q, 5, &flat_stats),
-                  scalar.KnnQuery(q, 5, &scalar_stats))
+        SearchResponse by_flat = flat.Search(SearchRequest<Vector>::Knn(q, 5));
+        SearchResponse by_scalar =
+            scalar.Search(SearchRequest<Vector>::Knn(q, 5));
+        EXPECT_EQ(by_flat.results, by_scalar.results)
             << tagged.name() << " prefix " << prefix;
-        EXPECT_EQ(flat_stats.distance_computations,
-                  scalar_stats.distance_computations);
+        EXPECT_EQ(by_flat.stats.distance_computations,
+                  by_scalar.stats.distance_computations);
       }
     }
   }
@@ -204,8 +208,8 @@ TEST(FlatPath, DistPermPartialSelectionMatchesSeedOrdering) {
       // The verified candidate set and order are observable through a
       // range query with infinite radius: it returns exactly the
       // verified ids with their true distances.
-      auto results = index.RangeQuery(
-          q, std::numeric_limits<double>::infinity());
+      auto results = index.Search(index::SearchRequest<Vector>::Range(
+          q, std::numeric_limits<double>::infinity())).results;
       std::vector<uint32_t> expect = SeedCandidateOrder(index, q, budget);
       ASSERT_EQ(results.size(), expect.size());
       std::vector<uint32_t> got;
@@ -234,11 +238,11 @@ TEST(FlatPath, SparseDocumentSpacesStillUseScalarPath) {
   Metric<metric::SparseVector> angle{metric::AngleMetric()};
   EXPECT_EQ(angle.vector_kernel(), metric::VectorKernelKind::kNone);
   LinearScanIndex<metric::SparseVector> scan(docs, angle);
-  QueryStats stats;
-  auto results = scan.KnnQuery(docs[0], 3, &stats);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].id, 0u);
-  EXPECT_EQ(stats.distance_computations, docs.size());
+  SearchResponse response =
+      scan.Search(SearchRequest<metric::SparseVector>::Knn(docs[0], 3));
+  ASSERT_EQ(response.results.size(), 3u);
+  EXPECT_EQ(response.results[0].id, 0u);
+  EXPECT_EQ(response.stats.distance_computations, docs.size());
 }
 
 TEST(IsPermutationBitmask, HandlesFullRangeAndDuplicates) {

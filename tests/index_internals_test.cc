@@ -79,8 +79,10 @@ TEST(Iaesa, AgreesWithAesaUnderL1) {
   for (int q = 0; q < 10; ++q) {
     Vector query(4);
     for (auto& coord : query) coord = rng.NextDouble();
-    EXPECT_EQ(iaesa.KnnQuery(query, 7), aesa.KnnQuery(query, 7));
-    EXPECT_EQ(iaesa.RangeQuery(query, 0.4), aesa.RangeQuery(query, 0.4));
+    const auto knn = SearchRequest<Vector>::Knn(query, 7);
+    const auto range = SearchRequest<Vector>::Range(query, 0.4);
+    EXPECT_EQ(iaesa.Search(knn).results, aesa.Search(knn).results);
+    EXPECT_EQ(iaesa.Search(range).results, aesa.Search(range).results);
   }
 }
 
@@ -99,13 +101,15 @@ TEST(Indexes, AgreeOnSparseDocumentSpace) {
   AesaIndex<SparseVector> aesa(docs, angle);
   for (int q = 0; q < 6; ++q) {
     const SparseVector& query = docs[rng.NextBounded(docs.size())];
-    auto expected = reference.KnnQuery(query, 4);
-    EXPECT_EQ(vp.KnnQuery(query, 4), expected);
-    EXPECT_EQ(gh.KnnQuery(query, 4), expected);
-    EXPECT_EQ(aesa.KnnQuery(query, 4), expected);
-    auto expected_range = reference.RangeQuery(query, 0.8);
-    EXPECT_EQ(vp.RangeQuery(query, 0.8), expected_range);
-    EXPECT_EQ(gh.RangeQuery(query, 0.8), expected_range);
+    const auto knn = SearchRequest<SparseVector>::Knn(query, 4);
+    auto expected = reference.Search(knn).results;
+    EXPECT_EQ(vp.Search(knn).results, expected);
+    EXPECT_EQ(gh.Search(knn).results, expected);
+    EXPECT_EQ(aesa.Search(knn).results, expected);
+    const auto range = SearchRequest<SparseVector>::Range(query, 0.8);
+    auto expected_range = reference.Search(range).results;
+    EXPECT_EQ(vp.Search(range).results, expected_range);
+    EXPECT_EQ(gh.Search(range).results, expected_range);
   }
 }
 
@@ -118,20 +122,24 @@ TEST(Indexes, QueryOutsideDataRangeStillCorrect) {
   GhTreeIndex<Vector> gh(data, L2(), &r2);
   LaesaIndex<Vector> laesa(data, L2(), 6, &r3);
   Vector far_query = {25.0, -13.0};
-  auto expected = reference.KnnQuery(far_query, 3);
-  EXPECT_EQ(vp.KnnQuery(far_query, 3), expected);
-  EXPECT_EQ(gh.KnnQuery(far_query, 3), expected);
-  EXPECT_EQ(laesa.KnnQuery(far_query, 3), expected);
+  const auto knn = SearchRequest<Vector>::Knn(far_query, 3);
+  auto expected = reference.Search(knn).results;
+  EXPECT_EQ(vp.Search(knn).results, expected);
+  EXPECT_EQ(gh.Search(knn).results, expected);
+  EXPECT_EQ(laesa.Search(knn).results, expected);
   // A huge radius returns everything, sorted.
-  auto all = reference.RangeQuery(far_query, 100.0);
+  const auto range = SearchRequest<Vector>::Range(far_query, 100.0);
+  auto all = reference.Search(range).results;
   EXPECT_EQ(all.size(), data.size());
-  EXPECT_EQ(vp.RangeQuery(far_query, 100.0), all);
+  EXPECT_EQ(vp.Search(range).results, all);
 }
 
 TEST(Indexes, RadiusBoundaryIsInclusive) {
   std::vector<Vector> data = {{0.0, 0.0}, {3.0, 4.0}, {6.0, 8.0}};
   LinearScanIndex<Vector> scan(data, L2());
-  auto hits = scan.RangeQuery({0.0, 0.0}, 5.0);  // d to point 1 is 5.0
+  // d to point 1 is 5.0
+  auto hits =
+      scan.Search(SearchRequest<Vector>::Range({0.0, 0.0}, 5.0)).results;
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[1].id, 1u);
   EXPECT_DOUBLE_EQ(hits[1].distance, 5.0);
@@ -147,21 +155,21 @@ TEST(DistPerm, WorksOnSparseDocuments) {
   DistPermIndex<SparseVector> index(docs, angle, 6, &site_rng, 1.0);
   LinearScanIndex<SparseVector> reference(docs, angle);
   const SparseVector& query = docs[17];
-  EXPECT_EQ(index.KnnQuery(query, 5), reference.KnnQuery(query, 5));
+  const auto request = SearchRequest<SparseVector>::Knn(query, 5);
+  EXPECT_EQ(index.Search(request).results, reference.Search(request).results);
   EXPECT_GE(index.DistinctPermutationCount(), 1u);
   EXPECT_LE(index.DistinctPermutationCount(), docs.size());
 }
 
-TEST(Counters, ResetQueryCountOnlyClearsQueries) {
+TEST(Counters, QueriesLeaveBuildCountAlone) {
   util::Rng rng(65), site_rng(66);
   auto data = dataset::UniformCube(100, 2, &rng);
   DistPermIndex<Vector> index(data, L2(), 5, &site_rng);
   uint64_t build = index.build_distance_computations();
   EXPECT_EQ(build, 100u * 5u);
-  index.KnnQuery(data[0], 3);
-  EXPECT_GT(index.query_distance_computations(), 0u);
-  index.ResetQueryCount();
-  EXPECT_EQ(index.query_distance_computations(), 0u);
+  SearchResponse response =
+      index.Search(SearchRequest<Vector>::Knn(data[0], 3));
+  EXPECT_GT(response.stats.distance_computations, 0u);
   EXPECT_EQ(index.build_distance_computations(), build);
 }
 
@@ -174,7 +182,9 @@ TEST(VpTree, HandlesCollinearData) {
   LinearScanIndex<Vector> reference(data, L2());
   for (double q : {-5.0, 0.0, 31.5, 63.0, 99.0}) {
     Vector query = {q};
-    EXPECT_EQ(vp.KnnQuery(query, 5), reference.KnnQuery(query, 5)) << q;
+    const auto request = SearchRequest<Vector>::Knn(query, 5);
+    EXPECT_EQ(vp.Search(request).results, reference.Search(request).results)
+        << q;
   }
 }
 
@@ -182,7 +192,7 @@ TEST(GhTree, HandlesTwoPointDatabase) {
   std::vector<Vector> data = {{0.0}, {1.0}};
   util::Rng rng(68);
   GhTreeIndex<Vector> gh(data, L2(), &rng);
-  auto hits = gh.KnnQuery({0.2}, 2);
+  auto hits = gh.Search(SearchRequest<Vector>::Knn({0.2}, 2)).results;
   ASSERT_EQ(hits.size(), 2u);
   EXPECT_EQ(hits[0].id, 0u);
   EXPECT_EQ(hits[1].id, 1u);

@@ -60,9 +60,10 @@ TEST_P(ExactIndexAgreementTest, RangeQueriesMatchLinearScan) {
     Vector query(dim);
     for (auto& coord : query) coord = rng.NextDouble(-0.2, 1.2);
     for (double radius : {0.0, 0.05, 0.2, 0.5, 2.0}) {
-      auto expected = reference.RangeQuery(query, radius);
+      const auto request = SearchRequest<Vector>::Range(query, radius);
+      auto expected = reference.Search(request).results;
       for (size_t i = 1; i < indexes.size(); ++i) {
-        auto actual = indexes[i]->RangeQuery(query, radius);
+        auto actual = indexes[i]->Search(request).results;
         EXPECT_EQ(actual, expected)
             << indexes[i]->name() << " radius=" << radius;
       }
@@ -80,9 +81,10 @@ TEST_P(ExactIndexAgreementTest, KnnQueriesMatchLinearScan) {
     Vector query(dim);
     for (auto& coord : query) coord = rng.NextDouble();
     for (size_t k : {1u, 3u, 10u, 250u, 500u}) {
-      auto expected = reference.KnnQuery(query, k);
+      const auto request = SearchRequest<Vector>::Knn(query, k);
+      auto expected = reference.Search(request).results;
       for (size_t i = 1; i < indexes.size(); ++i) {
-        auto actual = indexes[i]->KnnQuery(query, k);
+        auto actual = indexes[i]->Search(request).results;
         EXPECT_EQ(actual, expected) << indexes[i]->name() << " k=" << k;
       }
     }
@@ -106,17 +108,19 @@ TEST(ExactIndexes, AgreeOnStringSpace) {
   for (int q = 0; q < 8; ++q) {
     const std::string& query = words[rng.NextBounded(words.size())];
     for (double radius : {0.0, 2.0, 5.0}) {
-      auto expected = reference.RangeQuery(query, radius);
-      EXPECT_EQ(laesa.RangeQuery(query, radius), expected);
-      EXPECT_EQ(vp.RangeQuery(query, radius), expected);
-      EXPECT_EQ(gh.RangeQuery(query, radius), expected);
-      EXPECT_EQ(aesa.RangeQuery(query, radius), expected);
+      const auto range = SearchRequest<std::string>::Range(query, radius);
+      auto expected = reference.Search(range).results;
+      EXPECT_EQ(laesa.Search(range).results, expected);
+      EXPECT_EQ(vp.Search(range).results, expected);
+      EXPECT_EQ(gh.Search(range).results, expected);
+      EXPECT_EQ(aesa.Search(range).results, expected);
     }
-    auto expected = reference.KnnQuery(query, 5);
-    EXPECT_EQ(laesa.KnnQuery(query, 5), expected);
-    EXPECT_EQ(vp.KnnQuery(query, 5), expected);
-    EXPECT_EQ(gh.KnnQuery(query, 5), expected);
-    EXPECT_EQ(aesa.KnnQuery(query, 5), expected);
+    const auto knn = SearchRequest<std::string>::Knn(query, 5);
+    auto expected = reference.Search(knn).results;
+    EXPECT_EQ(laesa.Search(knn).results, expected);
+    EXPECT_EQ(vp.Search(knn).results, expected);
+    EXPECT_EQ(gh.Search(knn).results, expected);
+    EXPECT_EQ(aesa.Search(knn).results, expected);
   }
 }
 
@@ -128,13 +132,15 @@ TEST(ExactIndexes, HandleDuplicatePoints) {
   auto indexes = BuildExactVectorIndexes(data, 77);
   auto& reference = *indexes[0];
   Vector query = {0.5, 0.5};
-  auto expected_range = reference.RangeQuery(query, 0.0);
+  const auto range = SearchRequest<Vector>::Range(query, 0.0);
+  const auto knn = SearchRequest<Vector>::Knn(query, 45);
+  auto expected_range = reference.Search(range).results;
   EXPECT_EQ(expected_range.size(), 40u);
-  auto expected_knn = reference.KnnQuery(query, 45);
+  auto expected_knn = reference.Search(knn).results;
   for (size_t i = 1; i < indexes.size(); ++i) {
-    EXPECT_EQ(indexes[i]->RangeQuery(query, 0.0), expected_range)
+    EXPECT_EQ(indexes[i]->Search(range).results, expected_range)
         << indexes[i]->name();
-    EXPECT_EQ(indexes[i]->KnnQuery(query, 45), expected_knn)
+    EXPECT_EQ(indexes[i]->Search(knn).results, expected_knn)
         << indexes[i]->name();
   }
 }
@@ -179,9 +185,10 @@ TEST(DistPerm, ExactAtFullFraction) {
   for (int q = 0; q < 10; ++q) {
     Vector query(3);
     for (auto& coord : query) coord = rng.NextDouble();
-    EXPECT_EQ(index.KnnQuery(query, 5), reference.KnnQuery(query, 5));
-    EXPECT_EQ(index.RangeQuery(query, 0.3),
-              reference.RangeQuery(query, 0.3));
+    const auto knn = SearchRequest<Vector>::Knn(query, 5);
+    const auto range = SearchRequest<Vector>::Range(query, 0.3);
+    EXPECT_EQ(index.Search(knn).results, reference.Search(knn).results);
+    EXPECT_EQ(index.Search(range).results, reference.Search(range).results);
   }
 }
 
@@ -195,8 +202,9 @@ TEST(DistPerm, ApproximateRecallReasonable) {
   for (int q = 0; q < 20; ++q) {
     Vector query(3);
     for (auto& coord : query) coord = rng.NextDouble();
-    auto expected = reference.KnnQuery(query, 10);
-    auto actual = index.KnnQuery(query, 10);
+    const auto request = SearchRequest<Vector>::Knn(query, 10);
+    auto expected = reference.Search(request).results;
+    auto actual = index.Search(request).results;
     for (const auto& e : expected) {
       ++total;
       for (const auto& a : actual) {
@@ -212,22 +220,41 @@ TEST(DistPerm, ApproximateRecallReasonable) {
   EXPECT_GT(static_cast<double>(hits) / static_cast<double>(total), 0.6);
 }
 
-TEST(DistPerm, StorageMatchesPackedWidth) {
+TEST(DistPerm, StorageIsOneRankBytePerSite) {
   util::Rng rng(18);
   auto data = dataset::UniformCube(100, 2, &rng);
   util::Rng site_rng(19);
   DistPermIndex<Vector> index(data, L2(), 5, &site_rng);
-  // ceil(lg 5!) = 7 bits per point.
-  EXPECT_EQ(index.IndexBits(), 100u * 7u);
+  // n x k inverted-rank bytes.
+  EXPECT_EQ(index.IndexBits(), 8u * 100u * 5u);
 }
 
-TEST(DistPerm, PackedPermutationsDecodeCorrectly) {
+TEST(DistPerm, StoredPermutationsMatchFreshComputation) {
   util::Rng rng(20);
   auto data = dataset::UniformCube(60, 2, &rng);
   util::Rng site_rng(21);
   DistPermIndex<Vector> index(data, L2(), 6, &site_rng);
-  for (size_t i = 0; i < data.size(); i += 7) {
-    EXPECT_EQ(index.DecodePackedPermutation(i), index.StoredPermutation(i));
+  const metric::Metric<Vector> l2 = L2();
+  for (size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(index.StoredPermutation(i),
+              core::ComputeDistancePermutation(index.sites(), l2, data[i]))
+        << i;
+  }
+}
+
+TEST(DistPerm, ExportRestoreRoundTripKeepsPermutations) {
+  util::Rng rng(27);
+  auto data = dataset::UniformCube(300, 3, &rng);
+  util::Rng site_rng(28);
+  DistPermIndex<Vector> built(data, L2(), 7, &site_rng);
+  DistPermIndex<Vector> restored(data, L2(), built.ExportState());
+  EXPECT_EQ(restored.build_distance_computations(), 0u);
+  EXPECT_EQ(restored.IndexBits(), built.IndexBits());
+  EXPECT_EQ(restored.DistinctPermutationCount(),
+            built.DistinctPermutationCount());
+  for (size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(restored.StoredPermutation(i), built.StoredPermutation(i))
+        << i;
   }
 }
 
@@ -256,15 +283,15 @@ TEST(Counters, QueryCostOrdering) {
   for (int q = 0; q < 20; ++q) {
     Vector query(4);
     for (auto& coord : query) coord = rng.NextDouble();
-    scan.ResetQueryCount();
-    aesa.ResetQueryCount();
-    laesa.ResetQueryCount();
-    auto expected = scan.KnnQuery(query, 5);
-    EXPECT_EQ(aesa.KnnQuery(query, 5), expected);
-    EXPECT_EQ(laesa.KnnQuery(query, 5), expected);
-    scan_cost += scan.query_distance_computations();
-    aesa_cost += aesa.query_distance_computations();
-    laesa_cost += laesa.query_distance_computations();
+    const auto request = SearchRequest<Vector>::Knn(query, 5);
+    SearchResponse expected = scan.Search(request);
+    SearchResponse by_aesa = aesa.Search(request);
+    SearchResponse by_laesa = laesa.Search(request);
+    EXPECT_EQ(by_aesa.results, expected.results);
+    EXPECT_EQ(by_laesa.results, expected.results);
+    scan_cost += expected.stats.distance_computations;
+    aesa_cost += by_aesa.stats.distance_computations;
+    laesa_cost += by_laesa.stats.distance_computations;
   }
   EXPECT_LT(aesa_cost, scan_cost / 4);
   EXPECT_LT(laesa_cost, scan_cost);
@@ -276,7 +303,6 @@ TEST(Counters, BuildCostsAccounted) {
   auto data = dataset::UniformCube(100, 2, &rng);
   AesaIndex<Vector> aesa(data, L2());
   EXPECT_EQ(aesa.build_distance_computations(), 100u * 99u / 2u);
-  EXPECT_EQ(aesa.query_distance_computations(), 0u);
   LinearScanIndex<Vector> scan(data, L2());
   EXPECT_EQ(scan.build_distance_computations(), 0u);
 }
@@ -290,11 +316,14 @@ TEST(Indexes, EmptyAndTinyDatabases) {
   Vector query = {0.0, 0.0};
   for (auto* idx :
        std::initializer_list<SearchIndex<Vector>*>{&vp, &gh, &aesa}) {
-    auto knn = idx->KnnQuery(query, 3);
+    auto knn = idx->Search(SearchRequest<Vector>::Knn(query, 3)).results;
     ASSERT_EQ(knn.size(), 1u) << idx->name();
     EXPECT_EQ(knn[0].id, 0u);
-    EXPECT_EQ(idx->RangeQuery(query, 10.0).size(), 1u);
-    EXPECT_TRUE(idx->RangeQuery(query, 0.1).empty());
+    EXPECT_EQ(
+        idx->Search(SearchRequest<Vector>::Range(query, 10.0)).results.size(),
+        1u);
+    EXPECT_TRUE(
+        idx->Search(SearchRequest<Vector>::Range(query, 0.1)).results.empty());
   }
 }
 

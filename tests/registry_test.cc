@@ -88,10 +88,12 @@ TEST(Registry, CreateMatchesDirectConstruction) {
   for (int q = 0; q < 10; ++q) {
     Vector query = {data_rng.NextDouble(), data_rng.NextDouble(),
                     data_rng.NextDouble()};
-    EXPECT_EQ(vp_registry.value()->KnnQuery(query, 4),
-              vp_direct.KnnQuery(query, 4));
-    EXPECT_EQ(laesa_registry.value()->RangeQuery(query, 0.3),
-              laesa_direct.RangeQuery(query, 0.3));
+    const auto knn = SearchRequest<Vector>::Knn(query, 4);
+    const auto range = SearchRequest<Vector>::Range(query, 0.3);
+    EXPECT_EQ(vp_registry.value()->Search(knn).results,
+              vp_direct.Search(knn).results);
+    EXPECT_EQ(laesa_registry.value()->Search(range).results,
+              laesa_direct.Search(range).results);
   }
   EXPECT_EQ(laesa_registry.value()->IndexBits(), laesa_direct.IndexBits());
 }
@@ -230,8 +232,9 @@ TEST(Registry, WorksOverStringSpaces) {
     ASSERT_TRUE(built.ok()) << spec << ": " << built.status();
     for (int q = 0; q < 5; ++q) {
       const std::string& query = words[rng.NextBounded(words.size())];
-      EXPECT_EQ(built.value()->KnnQuery(query, 4),
-                reference.KnnQuery(query, 4))
+      const auto request = SearchRequest<std::string>::Knn(query, 4);
+      EXPECT_EQ(built.value()->Search(request).results,
+                reference.Search(request).results)
           << spec;
     }
   }
@@ -252,9 +255,7 @@ TEST(Registry, ShardedDatabaseBuildFromRegistry) {
   LinearScanIndex<Vector> reference(data, L2());
   std::vector<std::vector<SearchResult>> truth;
   for (const auto& spec : batch) {
-    truth.push_back(spec.mode == SearchMode::kKnn
-                        ? reference.KnnQuery(spec.point, spec.k)
-                        : reference.RangeQuery(spec.point, spec.radius));
+    truth.push_back(reference.Search(spec).results);
   }
 
   for (const char* spec : {"linear-scan", "vp-tree", "laesa:k=6"}) {

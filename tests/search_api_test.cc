@@ -1,11 +1,12 @@
 // Unified Search() API tests.
 //
-// The legacy RangeQuery/KnnQuery entry points are thin shims over
-// Search(SearchRequest), so this file pins, for every one of the seven
-// index structures, across metrics (kernel-tagged L2 over vectors and
-// scalar Levenshtein over strings) and seeds:
-//   - shim equivalence: Search responses match the legacy calls
-//     bit-for-bit, results and distance counts alike;
+// Search(SearchRequest) is the one query entry point of an index.  This
+// file pins, for every one of the seven index structures, across
+// metrics (kernel-tagged L2 over vectors and scalar Levenshtein over
+// strings) and seeds:
+//   - shim equivalence: a one-shard QueryEngine batch, a thin layer over
+//     the shard's Search, answers bit-for-bit like Search itself,
+//     results and distance counts alike;
 //   - central validation: invalid requests (k = 0, negative/NaN radius,
 //     NaN coordinates, out-of-range fractions) are rejected with
 //     InvalidArgument at zero cost;
@@ -24,6 +25,8 @@
 
 #include "dataset/string_gen.h"
 #include "dataset/vector_gen.h"
+#include "engine/query_engine.h"
+#include "engine/sharded_database.h"
 #include "index/linear_scan.h"
 #include "index/registry.h"
 #include "metric/lp.h"
@@ -60,44 +63,50 @@ std::vector<std::unique_ptr<SearchIndex<P>>> BuildAll(
   return indexes;
 }
 
+// Runs `batch` through a one-shard QueryEngine over each structure and
+// expects every query's results and distance count to equal the
+// shard's own Search response.
+template <typename P>
+void ExpectEngineMatchesSearch(const std::vector<P>& data,
+                               const metric::Metric<P>& metric,
+                               uint64_t seed,
+                               const std::vector<SearchRequest<P>>& batch) {
+  for (auto& built : BuildAll(data, metric, seed)) {
+    std::shared_ptr<const SearchIndex<P>> shard(std::move(built));
+    auto db = engine::ShardedDatabase<P>::FromShards({shard});
+    engine::QueryEngine<P> engine(&db, 1);
+    auto out = engine.RunBatch(batch);
+    for (size_t q = 0; q < batch.size(); ++q) {
+      SearchResponse direct = shard->Search(batch[q]);
+      EXPECT_TRUE(direct.status.ok()) << shard->name();
+      EXPECT_FALSE(direct.truncated) << shard->name();
+      EXPECT_EQ(out.results[q], direct.results)
+          << shard->name() << " query " << q;
+      EXPECT_EQ(out.per_query_distance_computations[q],
+                direct.stats.distance_computations)
+          << shard->name() << " query " << q;
+    }
+  }
+}
+
 class ShimEquivalenceTest : public ::testing::TestWithParam<int> {};
 
-// Search(SearchRequest::Knn / ::Range) must reproduce the legacy shims
-// bit-for-bit: identical results and identical distance counts.
 TEST_P(ShimEquivalenceTest, VectorSpace) {
   const int seed = GetParam();
   util::Rng rng(21000 + seed);
   auto data = dataset::UniformCube(220, 3, &rng);
-  auto indexes = BuildAll(data, L2(), 600 + seed);
+  std::vector<SearchRequest<Vector>> batch;
   for (int q = 0; q < 6; ++q) {
     Vector query(3);
     for (auto& coord : query) coord = rng.NextDouble(-0.2, 1.2);
-    for (const auto& index : indexes) {
-      for (size_t k : {1u, 4u, 300u}) {
-        QueryStats legacy_stats;
-        auto legacy = index->KnnQuery(query, k, &legacy_stats);
-        auto response = index->Search(SearchRequest<Vector>::Knn(query, k));
-        EXPECT_TRUE(response.status.ok()) << index->name();
-        EXPECT_FALSE(response.truncated) << index->name();
-        EXPECT_EQ(response.results, legacy) << index->name() << " k=" << k;
-        EXPECT_EQ(response.stats.distance_computations,
-                  legacy_stats.distance_computations)
-            << index->name() << " k=" << k;
-      }
-      for (double radius : {0.0, 0.15, 0.6}) {
-        QueryStats legacy_stats;
-        auto legacy = index->RangeQuery(query, radius, &legacy_stats);
-        auto response =
-            index->Search(SearchRequest<Vector>::Range(query, radius));
-        EXPECT_TRUE(response.status.ok()) << index->name();
-        EXPECT_EQ(response.results, legacy)
-            << index->name() << " radius=" << radius;
-        EXPECT_EQ(response.stats.distance_computations,
-                  legacy_stats.distance_computations)
-            << index->name() << " radius=" << radius;
-      }
+    for (size_t k : {1u, 4u, 300u}) {
+      batch.push_back(SearchRequest<Vector>::Knn(query, k));
+    }
+    for (double radius : {0.0, 0.15, 0.6}) {
+      batch.push_back(SearchRequest<Vector>::Range(query, radius));
     }
   }
+  ExpectEngineMatchesSearch(data, L2(), 600 + seed, batch);
 }
 
 TEST_P(ShimEquivalenceTest, StringSpace) {
@@ -105,29 +114,13 @@ TEST_P(ShimEquivalenceTest, StringSpace) {
   util::Rng rng(22000 + seed);
   auto words = dataset::DnaSequences(90, 4, 6, 14, 0.1, &rng);
   metric::Metric<std::string> lev((metric::LevenshteinMetric()));
-  auto indexes = BuildAll(words, lev, 700 + seed);
+  std::vector<SearchRequest<std::string>> batch;
   for (int q = 0; q < 5; ++q) {
     const std::string& query = words[rng.NextBounded(words.size())];
-    for (const auto& index : indexes) {
-      QueryStats knn_stats;
-      auto knn = index->KnnQuery(query, 5, &knn_stats);
-      auto knn_response =
-          index->Search(SearchRequest<std::string>::Knn(query, 5));
-      EXPECT_EQ(knn_response.results, knn) << index->name();
-      EXPECT_EQ(knn_response.stats.distance_computations,
-                knn_stats.distance_computations)
-          << index->name();
-
-      QueryStats range_stats;
-      auto range = index->RangeQuery(query, 3.0, &range_stats);
-      auto range_response =
-          index->Search(SearchRequest<std::string>::Range(query, 3.0));
-      EXPECT_EQ(range_response.results, range) << index->name();
-      EXPECT_EQ(range_response.stats.distance_computations,
-                range_stats.distance_computations)
-          << index->name();
-    }
+    batch.push_back(SearchRequest<std::string>::Knn(query, 5));
+    batch.push_back(SearchRequest<std::string>::Range(query, 3.0));
   }
+  ExpectEngineMatchesSearch(words, lev, 700 + seed, batch);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShimEquivalenceTest,
@@ -145,7 +138,9 @@ TEST(SearchApi, KnnWithinRadiusMatchesTruncatedRange) {
     for (const auto& index : indexes) {
       for (double radius : {0.05, 0.25, 0.7}) {
         for (size_t k : {1u, 5u, 400u}) {
-          auto expected = index->RangeQuery(query, radius);
+          auto expected =
+              index->Search(SearchRequest<Vector>::Range(query, radius))
+                  .results;
           if (expected.size() > k) expected.resize(k);
           auto response = index->Search(
               SearchRequest<Vector>::KnnWithinRadius(query, k, radius));
@@ -158,8 +153,8 @@ TEST(SearchApi, KnnWithinRadiusMatchesTruncatedRange) {
   }
 }
 
-// Invalid requests come back as InvalidArgument from every index, cost
-// zero metric evaluations, and leave the aggregate counter untouched.
+// Invalid requests come back as InvalidArgument from every index and
+// cost zero metric evaluations.
 TEST(SearchApi, InvalidRequestsRejectedCentrally) {
   util::Rng rng(24);
   auto data = dataset::UniformCube(60, 2, &rng);
@@ -180,7 +175,6 @@ TEST(SearchApi, InvalidRequestsRejectedCentrally) {
       SearchRequest<Vector>::Knn(ok_point, 3).WithCandidateFraction(nan),
   };
   for (const auto& index : indexes) {
-    index->ResetQueryCount();
     for (size_t b = 0; b < bad.size(); ++b) {
       auto response = index->Search(bad[b]);
       EXPECT_EQ(response.status.code(), util::StatusCode::kInvalidArgument)
@@ -189,16 +183,6 @@ TEST(SearchApi, InvalidRequestsRejectedCentrally) {
       EXPECT_EQ(response.stats.distance_computations, 0u) << index->name();
       EXPECT_FALSE(response.truncated);
     }
-    EXPECT_EQ(index->query_distance_computations(), 0u) << index->name();
-
-    // The shims swallow the status but stay silent-safe: empty result,
-    // zero cost, no UB.
-    QueryStats stats;
-    EXPECT_TRUE(index->KnnQuery(ok_point, 0, &stats).empty())
-        << index->name();
-    EXPECT_TRUE(index->RangeQuery(ok_point, -1.0, &stats).empty())
-        << index->name();
-    EXPECT_EQ(stats.distance_computations, 0u);
   }
 }
 
@@ -274,7 +258,8 @@ TEST(SearchApi, LinearScanBudgetIsExact) {
   EXPECT_FALSE(exact.truncated);
   EXPECT_EQ(exact.stats.distance_computations, data.size());
   EXPECT_EQ(exact.results,
-            flat.KnnQuery({0.1, 0.2, 0.3, 0.4}, 3));
+            flat.Search(SearchRequest<Vector>::Knn({0.1, 0.2, 0.3, 0.4}, 3))
+                .results);
 }
 
 // approx_candidate_fraction overrides the distperm index's configured
@@ -296,7 +281,8 @@ TEST(SearchApi, CandidateFractionOverridesDistPermDefault) {
     auto exact = index.Search(
         SearchRequest<Vector>::Knn(query, 5).WithCandidateFraction(1.0));
     ASSERT_TRUE(exact.status.ok());
-    EXPECT_EQ(exact.results, reference.KnnQuery(query, 5));
+    EXPECT_EQ(exact.results,
+              reference.Search(SearchRequest<Vector>::Knn(query, 5)).results);
     // The per-request override must not stick: the default fraction
     // verifies ~5% of the database, far fewer evaluations than exact.
     auto defaulted = index.Search(SearchRequest<Vector>::Knn(query, 5));

@@ -18,7 +18,9 @@ TEST(Smoke, EverythingLinks) {
   auto data = dataset::UniformCube(16, 3, &rng);
   metric::Metric<metric::Vector> l2(metric::LpMetric::L2());
   index::LinearScanIndex<metric::Vector> scan(data, l2);
-  auto hits = scan.KnnQuery(data[0], 3);
+  auto hits =
+      scan.Search(index::SearchRequest<metric::Vector>::Knn(data[0], 3))
+          .results;
   EXPECT_EQ(hits.size(), 3u);
   EXPECT_EQ(hits[0].id, 0u);
 
