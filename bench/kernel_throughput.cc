@@ -4,11 +4,11 @@
 // formulation.  Emits a machine-readable JSON report (BENCH_kernels.json
 // schema) next to the human-readable tables.
 //
-// The "scalar" linear-scan baseline reproduces the seed code exactly:
-// a type-erased Metric<Vector> lambda evaluating a sequential
-// single-accumulator loop over heap-scattered std::vector points, one
-// point at a time.  The flat build is the same index class with a
-// kernel-tagged metric, which switches it onto the packed store and the
+// The "scalar" linear-scan baseline is a type-erased Metric<Vector>
+// lambda evaluating a sequential single-accumulator loop, one point at
+// a time (the point store hands an untagged metric each row as a
+// scratch std::vector).  The flat build is the same index class with a
+// kernel-tagged metric, which the point store evaluates with the
 // blocked kernels.  The distperm baseline reproduces the seed query
 // path: per-pair Spearman footrule with on-the-fly permutation
 // inversion, bucketed over the full footrule range.
@@ -34,10 +34,10 @@
 #include <vector>
 
 #include "core/perm_metrics.h"
-#include "dataset/flat_vector_store.h"
 #include "dataset/vector_gen.h"
 #include "index/distperm_index.h"
 #include "index/linear_scan.h"
+#include "index/point_store.h"
 #include "metric/cosine.h"
 #include "metric/kernels.h"
 #include "metric/lp.h"
@@ -46,9 +46,9 @@
 #include "util/table_printer.h"
 
 using distperm::core::Permutation;
-using distperm::dataset::FlatVectorStore;
 using distperm::index::DistPermIndex;
 using distperm::index::LinearScanIndex;
+using distperm::index::PointStore;
 using distperm::index::SearchRequest;
 using distperm::index::SearchResponse;
 using distperm::index::SearchResult;
@@ -172,7 +172,12 @@ __attribute__((noinline)) double NaiveDot(const double* a, const double* b,
 KernelRow BenchKernel(const std::string& name, size_t dim, size_t points,
                       size_t reps, Rng* rng) {
   auto data = distperm::dataset::UniformCube(points, dim, rng);
-  FlatVectorStore store(data);
+  // Rows one cache line apart, as a restored snapshot lays them out.
+  const size_t stride = PointStore<Vector>::StrideFor(dim);
+  std::vector<double> rows(points * stride, 0.0);
+  for (size_t i = 0; i < points; ++i) {
+    std::copy(data[i].begin(), data[i].end(), &rows[i * stride]);
+  }
   Vector query(dim);
   for (double& c : query) c = rng->NextDouble();
   std::vector<double> out(points);
@@ -187,23 +192,23 @@ KernelRow BenchKernel(const std::string& name, size_t dim, size_t points,
   auto naive = [&]() {
     double sink = 0.0;
     for (size_t i = 0; i < points; ++i) {
-      sink += naive_fn(query.data(), store.row(i), dim);
+      sink += naive_fn(query.data(), &rows[i * stride], dim);
     }
     return sink;
   };
   auto blocked = [&]() {
     if (name == "L1") {
-      distperm::metric::L1Block(query.data(), store.data(), points,
-                                store.stride(), dim, out.data());
+      distperm::metric::L1Block(query.data(), rows.data(), points, stride,
+                                dim, out.data());
     } else if (name == "L2sq") {
-      distperm::metric::L2sqBlock(query.data(), store.data(), points,
-                                  store.stride(), dim, out.data());
+      distperm::metric::L2sqBlock(query.data(), rows.data(), points, stride,
+                                  dim, out.data());
     } else if (name == "Linf") {
-      distperm::metric::LInfBlock(query.data(), store.data(), points,
-                                  store.stride(), dim, out.data());
+      distperm::metric::LInfBlock(query.data(), rows.data(), points, stride,
+                                  dim, out.data());
     } else {
-      distperm::metric::DotBlock(query.data(), store.data(), points,
-                                 store.stride(), dim, out.data());
+      distperm::metric::DotBlock(query.data(), rows.data(), points, stride,
+                                 dim, out.data());
     }
     double sink = 0.0;
     for (double v : out) sink += v;
@@ -242,11 +247,11 @@ ScanRow BenchLinearScan(size_t points, size_t dim, size_t queries, size_t k,
     query_points.push_back(std::move(p));
   }
 
-  // Scalar baseline: untagged metric forces the point-at-a-time path
-  // through the std::function indirection, exactly the seed's scan.
+  // Scalar baseline: an untagged metric is evaluated point at a time
+  // through the std::function indirection.
   Metric<Vector> scalar_metric("L2", &ScalarL2Reference);
   LinearScanIndex<Vector> scalar_scan(data, scalar_metric);
-  // Flat build: the kernel-tagged metric enables the blocked data path.
+  // Flat build: the kernel-tagged metric runs on the blocked kernels.
   LinearScanIndex<Vector> flat_scan(data,
                                     distperm::metric::LpMetric::L2());
 
@@ -337,7 +342,7 @@ std::vector<SearchResult> NaiveDistPermKnn(
         return results;
       }
       ++verified;
-      collector.Offer(id, metric(index.data()[id], query));
+      collector.Offer(id, metric(index.points().Point(id), query));
     }
   }
   return collector.Take();

@@ -21,8 +21,8 @@
 // shared_ptr, keeping its old epoch.  Because per-shard RNG streams
 // depend only on (seed, shard number), the shared shard is bit-identical
 // to what a fresh per-slice rebuild would have produced — so the
-// incremental generation and BuildSliced over the same slices are the
-// same object, epochs aside.
+// incremental generation and ShardedDatabase::BuildFromRegistrySliced
+// over the same slices are the same object, epochs aside.
 
 #ifndef DISTPERM_ENGINE_GENERATION_H_
 #define DISTPERM_ENGINE_GENERATION_H_
@@ -42,7 +42,7 @@ namespace distperm {
 namespace engine {
 
 /// Immutable snapshot: shards + indexes + rebuild metadata.  Create
-/// through Build / BuildSliced / Assemble, share via shared_ptr.
+/// through Build / Assemble, share via shared_ptr.
 template <typename P>
 class Generation {
  public:
@@ -64,50 +64,17 @@ class Generation {
         std::vector<uint64_t>(shard_count, number)));
   }
 
-  /// Builds generation `number` with every shard rebuilt over its
-  /// pre-routed slice — the full-rebuild reference that an incremental
-  /// fold must match bit-for-bit over the same slices.
-  static util::Result<std::shared_ptr<const Generation>> BuildSliced(
-      std::vector<std::vector<P>> slices, const metric::Metric<P>& metric,
-      const std::string& index_spec, uint64_t seed, uint64_t number,
-      size_t build_threads = 1) {
-    const size_t shard_count = slices.size();
-    util::Result<ShardedDatabase<P>> built =
-        ShardedDatabase<P>::BuildFromRegistrySliced(
-            std::move(slices), metric, index_spec, seed, build_threads);
-    if (!built.ok()) return built.status();
-    return std::shared_ptr<const Generation>(new Generation(
-        std::move(built).value(), index_spec, seed, number,
-        std::vector<uint64_t>(shard_count, number)));
-  }
-
-  /// Wraps an assembled database (shared clean shards + freshly built
-  /// dirty shards, see ShardedDatabase::FromShards) as generation
-  /// `number`.  `epochs[s]` is the generation that last rebuilt shard
-  /// s: `number` for dirty shards, the predecessor's epoch for shared
-  /// ones.
+  /// Wraps an assembled database as generation `number`: shared clean
+  /// shards + freshly built dirty shards after an incremental fold (see
+  /// ShardedDatabase::FromShards), or the shards a snapshot restore
+  /// produced (engine/generation_store.h), whose contract is that they
+  /// are bit-identical to what Build produced for the same slices.
+  /// `epochs[s]` is the generation that last rebuilt shard s: `number`
+  /// for dirty shards, the predecessor's epoch for shared ones, the
+  /// recorded epoch for restored ones.
   static std::shared_ptr<const Generation> Assemble(
       ShardedDatabase<P> db, std::string index_spec, uint64_t seed,
       uint64_t number, std::vector<uint64_t> epochs) {
-    return std::shared_ptr<const Generation>(
-        new Generation(std::move(db), std::move(index_spec), seed, number,
-                       std::move(epochs)));
-  }
-
-  /// Wraps an already-built database as generation `number`.  Used by
-  /// snapshot restore (engine/generation_store.h), whose contract is
-  /// that `db` is bit-identical to what Build would have produced for
-  /// the same (data, spec, shard_count, seed) — either because it was
-  /// rebuilt through the registry, or because the index state was
-  /// restored verbatim from a snapshot of such a build.  `epochs` is
-  /// the recorded per-shard epoch vector; pass empty to default every
-  /// shard's epoch to `number` (pre-epoch snapshots).
-  static std::shared_ptr<const Generation> Adopt(
-      ShardedDatabase<P> db, std::string index_spec, uint64_t seed,
-      uint64_t number, std::vector<uint64_t> epochs = {}) {
-    if (epochs.empty()) {
-      epochs.assign(db.shard_count(), number);
-    }
     return std::shared_ptr<const Generation>(
         new Generation(std::move(db), std::move(index_spec), seed, number,
                        std::move(epochs)));
@@ -136,10 +103,6 @@ class Generation {
   /// primary, replica, and recovery route identically.
   const ShardRouter<P>& router() const { return router_; }
 
-  /// The base dataset in global-id order — what the next compaction
-  /// applies the delta to.
-  std::vector<P> CollectData() const { return db_.CollectData(); }
-
  private:
   Generation(ShardedDatabase<P> db, std::string index_spec, uint64_t seed,
              uint64_t number, std::vector<uint64_t> epochs)
@@ -150,8 +113,8 @@ class Generation {
         epochs_(std::move(epochs)),
         router_(ShardRouter<P>::ForShards(
             db_.shard_count(),
-            [this](size_t s) -> const std::vector<P>& {
-              return db_.shard(s).data();
+            [this](size_t s) -> const index::PointStore<P>& {
+              return db_.shard(s).points();
             })) {
     DP_CHECK(epochs_.size() == db_.shard_count());
   }

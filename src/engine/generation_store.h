@@ -7,12 +7,12 @@
 //   meta   format="generation.v2", point_kind, spec, seed, shard_count,
 //          generation, point_count, index_state ("distperm"|"rebuild"),
 //          shard_sizes/shard_epochs (comma-joined per-shard layout and
-//          rebuild epochs; absent in pre-incremental snapshots, which
-//          imply the uniform split), and for vectors dim/stride
+//          rebuild epochs), and for vectors dim/stride
 //   sections
-//     "vectors"   (vector stores)  the row-major FlatVectorStore block,
-//                 64-byte-aligned rows, dropped into the file verbatim
-//                 so the mmap'd bytes are exactly the in-memory layout
+//     "vectors"   (vector stores)  every shard's point-store rows, in
+//                 shard order, 64-byte-aligned and written straight
+//                 from the stores, so the mmap'd bytes are exactly the
+//                 in-memory layout
 //     "points"    (string stores)  concatenated PointCodec encodings
 //     "shard<N>"  (index_state=distperm) the N-th shard's exported
 //                 DistPermIndex state: its sites and its n x k
@@ -26,27 +26,38 @@
 // recorded (spec, seed, shard_count), which reproduces the original
 // shards exactly by the engine's determinism guarantee.
 //
+// A restored vector generation holds no copy of its points: each
+// shard's index::PointStore borrows its contiguous row range of the
+// "vectors" section, and every store keeps the file mapping alive
+// through its shared_ptr owner — past the reader, past the unlinking of
+// the file, for as long as any generation sharing the shard lives.
+// That is sound because a published snapshot file is never modified in
+// place: compaction writes "<name>.tmp" and replicas write
+// "<name>.partial", and both publish with a rename, which leaves a
+// mapped older file's bytes untouched.  Anything that writes a store
+// directory must keep that invariant.
+//
 // The snapshot records the identity of the store it belongs to (spec,
 // seed, shard count, point kind); ReadGenerationSnapshot refuses a
 // mismatch instead of silently serving an index built with different
-// parameters.  It also refuses a file of another format version, and a
-// distperm shard state that does not fit its shard, with a Status
-// rather than a CHECK failure: a replica reads snapshots that came over
-// the wire.
+// parameters.  It also refuses a file of another format version, a
+// malformed or missing meta value, a point section that does not cover
+// the recorded layout, and a distperm shard state that does not fit its
+// shard, with a Status rather than an exception or a CHECK failure: a
+// replica reads snapshots that came over the wire.
 
 #ifndef DISTPERM_ENGINE_GENERATION_STORE_H_
 #define DISTPERM_ENGINE_GENERATION_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "dataset/flat_vector_store.h"
 #include "engine/generation.h"
 #include "engine/sharded_database.h"
 #include "index/distperm_index.h"
@@ -274,94 +285,31 @@ bool DecodeDistPermState(const uint8_t* data, uint64_t size,
   return cursor.remaining() == 0;
 }
 
-/// Every site of a vector store must have the snapshot's dimension: the
-/// flat L2 kernels read `dim` coordinates from each.  Strings have no
-/// dimension.
-inline util::Status CheckSiteDims(const storage::SnapshotReader& reader,
-                                  const std::vector<metric::Vector>& sites) {
-  auto dim_meta = reader.GetMeta("dim");
-  if (!dim_meta.ok()) return dim_meta.status();
-  const uint64_t dim = std::stoull(dim_meta.value());
-  for (const metric::Vector& site : sites) {
-    if (site.size() != dim) {
-      return util::Status::IoError("site of dimension " +
-                                   std::to_string(site.size()) +
-                                   " in a dim=" + std::to_string(dim) +
-                                   " snapshot");
-    }
+/// Parses an unsigned decimal that fits in 64 bits.
+inline bool ParseUint64(const std::string& text, uint64_t* out) {
+  if (text.empty()) return false;
+  uint64_t value = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    const uint64_t digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) return false;
+    value = value * 10 + digit;
   }
-  return util::Status::OK();
+  *out = value;
+  return true;
 }
 
-inline util::Status CheckSiteDims(const storage::SnapshotReader&,
-                                  const std::vector<std::string>&) {
-  return util::Status::OK();
-}
-
-/// Adds the point payload of a generation to the snapshot.  The vector
-/// form packs the points into a FlatVectorStore and drops its aligned
-/// block in verbatim; the returned holder must outlive
-/// SnapshotWriter::Write.
-inline std::shared_ptr<void> AddPointSections(
-    storage::SnapshotWriter* writer, const std::vector<metric::Vector>& data) {
-  auto store = std::make_shared<dataset::FlatVectorStore>(data);
-  writer->SetMeta("dim", std::to_string(store->dim()));
-  writer->SetMeta("stride", std::to_string(store->stride()));
-  writer->AddSectionRef("vectors", store->data(), store->AllocatedBytes());
-  return store;
-}
-
-inline std::shared_ptr<void> AddPointSections(
-    storage::SnapshotWriter* writer, const std::vector<std::string>& data) {
-  std::string encoded;
-  for (const std::string& point : data) {
-    storage::PointCodec<std::string>::Encode(&encoded, point);
+/// Meta `key` as an unsigned 64-bit decimal; IoError when it is absent
+/// or is not one.
+inline util::Result<uint64_t> GetUint64Meta(
+    const storage::SnapshotReader& reader, const std::string& key) {
+  auto text = reader.GetMeta(key);
+  uint64_t value = 0;
+  if (!text.ok() || !ParseUint64(text.value(), &value)) {
+    return util::Status::IoError("snapshot meta " + key +
+                                 " is missing or not a number");
   }
-  writer->AddSection("points", std::move(encoded));
-  return nullptr;
-}
-
-inline util::Result<std::vector<metric::Vector>> ReadPoints(
-    const storage::SnapshotReader& reader, uint64_t count,
-    const std::vector<metric::Vector>*) {
-  std::vector<metric::Vector> points(count);
-  if (count == 0) return points;
-  auto dim_meta = reader.GetMeta("dim");
-  if (!dim_meta.ok()) return dim_meta.status();
-  auto stride_meta = reader.GetMeta("stride");
-  if (!stride_meta.ok()) return stride_meta.status();
-  const uint64_t dim = std::stoull(dim_meta.value());
-  const uint64_t stride = std::stoull(stride_meta.value());
-  auto section = reader.GetSection("vectors");
-  if (!section.ok()) return section.status();
-  if (stride < dim || section.value().size < count * stride * sizeof(double)) {
-    return util::Status::IoError(
-        "snapshot vectors section does not cover point_count x stride");
-  }
-  const double* rows = reinterpret_cast<const double*>(section.value().data);
-  for (uint64_t i = 0; i < count; ++i) {
-    // assign() writes each row once; resize()+memcpy would zero-fill
-    // first and write the 100k-point restore path's bytes twice.
-    const double* row = rows + i * stride;
-    points[i].assign(row, row + dim);
-  }
-  return points;
-}
-
-inline util::Result<std::vector<std::string>> ReadPoints(
-    const storage::SnapshotReader& reader, uint64_t count,
-    const std::vector<std::string>*) {
-  std::vector<std::string> points(count);
-  auto section = reader.GetSection("points");
-  if (!section.ok()) return section.status();
-  SectionCursor cursor(section.value().data, section.value().size);
-  for (uint64_t i = 0; i < count; ++i) {
-    if (!cursor.ReadPoint(&points[i])) {
-      return util::Status::IoError(
-          "snapshot points section truncated at point " + std::to_string(i));
-    }
-  }
-  return points;
+  return value;
 }
 
 inline std::string JoinUint64List(const std::vector<uint64_t>& values) {
@@ -373,45 +321,152 @@ inline std::string JoinUint64List(const std::vector<uint64_t>& values) {
   return out;
 }
 
-inline bool ParseUint64List(const std::string& text,
-                            std::vector<uint64_t>* out) {
-  out->clear();
-  if (text.empty()) return false;
-  uint64_t value = 0;
-  bool have_digit = false;
-  for (char c : text) {
-    if (c == ',') {
-      if (!have_digit) return false;
-      out->push_back(value);
-      value = 0;
-      have_digit = false;
-      continue;
-    }
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-    have_digit = true;
+/// Meta `key` as a comma-separated list of `count` unsigned 64-bit
+/// decimals; IoError when it is absent or malformed.
+inline util::Result<std::vector<uint64_t>> GetUint64ListMeta(
+    const storage::SnapshotReader& reader, const std::string& key,
+    size_t count) {
+  auto text = reader.GetMeta(key);
+  bool ok = text.ok();
+  std::vector<uint64_t> values;
+  for (size_t begin = 0; ok && begin <= text.value().size();) {
+    const size_t end =
+        std::min(text.value().find(',', begin), text.value().size());
+    uint64_t value = 0;
+    ok = ParseUint64(text.value().substr(begin, end - begin), &value);
+    values.push_back(value);
+    begin = end + 1;
   }
-  if (!have_digit) return false;
-  out->push_back(value);
-  return true;
+  if (!ok || values.size() != count) {
+    return util::Status::IoError("snapshot meta " + key +
+                                 " is missing or malformed");
+  }
+  return values;
 }
 
-/// Moves `points` apart into slices of the recorded per-shard sizes —
-/// the layout the snapshot was written with, which routed deltas made
-/// non-uniform.
-template <typename P>
-std::vector<std::vector<P>> SlicesBySizes(std::vector<P> points,
-                                          const std::vector<uint64_t>& sizes) {
-  std::vector<std::vector<P>> slices;
-  slices.reserve(sizes.size());
-  size_t offset = 0;
-  for (uint64_t size : sizes) {
-    auto begin = points.begin() + static_cast<ptrdiff_t>(offset);
-    slices.emplace_back(std::make_move_iterator(begin),
-                        std::make_move_iterator(begin + size));
-    offset += size;
+/// Every site of a vector store must have the snapshot's dimension: the
+/// kernels read `dim` coordinates from each.  Strings have no
+/// dimension.
+inline util::Status CheckSiteDims(const storage::SnapshotReader& reader,
+                                  const std::vector<metric::Vector>& sites) {
+  auto dim = GetUint64Meta(reader, "dim");
+  if (!dim.ok()) return dim.status();
+  for (const metric::Vector& site : sites) {
+    if (site.size() != dim.value()) {
+      return util::Status::IoError("site of dimension " +
+                                   std::to_string(site.size()) +
+                                   " in a dim=" + std::to_string(dim.value()) +
+                                   " snapshot");
+    }
   }
-  return slices;
+  return util::Status::OK();
+}
+
+inline util::Status CheckSiteDims(const storage::SnapshotReader&,
+                                  const std::vector<std::string>&) {
+  return util::Status::OK();
+}
+
+/// Adds the points of every shard of `db` to the snapshot, in shard
+/// order.  The vector form borrows every row from its shard's store as
+/// one chunk of the "vectors" section (plus zero padding up to the
+/// stride), so the database is written without being gathered anywhere
+/// first; `db` must outlive SnapshotWriter::Write.
+inline void AddPointSections(storage::SnapshotWriter* writer,
+                             const ShardedDatabase<metric::Vector>& db) {
+  static constexpr double kZeros[8] = {};
+  const size_t dim = db.dim();
+  const size_t stride = index::PointStore<metric::Vector>::StrideFor(dim);
+  writer->SetMeta("dim", std::to_string(dim));
+  writer->SetMeta("stride", std::to_string(stride));
+  std::vector<storage::SnapshotWriter::Chunk> chunks;
+  for (size_t s = 0; s < db.shard_count(); ++s) {
+    const index::PointStore<metric::Vector>& points = db.shard(s).points();
+    for (size_t i = 0; i < points.size(); ++i) {
+      chunks.push_back({points.row(i), dim * sizeof(double)});
+      if (stride > dim) {
+        chunks.push_back({kZeros, (stride - dim) * sizeof(double)});
+      }
+    }
+  }
+  writer->AddSectionRefs("vectors", std::move(chunks));
+}
+
+inline void AddPointSections(storage::SnapshotWriter* writer,
+                             const ShardedDatabase<std::string>& db) {
+  std::string encoded;
+  for (size_t s = 0; s < db.shard_count(); ++s) {
+    const index::PointStore<std::string>& points = db.shard(s).points();
+    for (size_t i = 0; i < points.size(); ++i) {
+      storage::PointCodec<std::string>::Encode(&encoded, points.Point(i));
+    }
+  }
+  writer->AddSection("points", std::move(encoded));
+}
+
+/// One point store per shard, `sizes[s]` points each, borrowing its
+/// rows from the snapshot's "vectors" section (and keeping the mapping
+/// alive).  The section must hold exactly sum(sizes) rows of the
+/// recorded dim and stride; everything is checked before any store
+/// exists, without arithmetic that could overflow.
+inline util::Result<std::vector<index::PointStore<metric::Vector>>>
+ReadShardStores(const storage::SnapshotReader& reader,
+                const std::vector<uint64_t>& sizes, uint64_t point_count,
+                const metric::Metric<metric::Vector>& metric) {
+  using Store = index::PointStore<metric::Vector>;
+  auto dim = GetUint64Meta(reader, "dim");
+  if (!dim.ok()) return dim.status();
+  auto stride = GetUint64Meta(reader, "stride");
+  if (!stride.ok()) return stride.status();
+  auto section = reader.GetSection("vectors");
+  if (!section.ok()) return section.status();
+  if (stride.value() < dim.value()) {
+    return util::Status::IoError(
+        "snapshot stride " + std::to_string(stride.value()) +
+        " is below dim " + std::to_string(dim.value()));
+  }
+  const uint64_t row_bytes = stride.value() * sizeof(double);
+  if (point_count > 0 &&
+      (dim.value() == 0 || stride.value() != Store::StrideFor(dim.value()) ||
+       section.value().size % row_bytes != 0 ||
+       section.value().size / row_bytes != point_count ||
+       reinterpret_cast<uintptr_t>(section.value().data) %
+               Store::kRowAlignBytes != 0)) {
+    return util::Status::IoError(
+        "snapshot vectors section does not hold point_count aligned rows");
+  }
+  const double* rows = reinterpret_cast<const double*>(section.value().data);
+  std::vector<Store> stores;
+  for (uint64_t size : sizes) {
+    stores.emplace_back(reader.mapping(), rows, size, dim.value(), metric);
+    rows += size * stride.value();
+  }
+  return stores;
+}
+
+inline util::Result<std::vector<index::PointStore<std::string>>>
+ReadShardStores(const storage::SnapshotReader& reader,
+                const std::vector<uint64_t>& sizes, uint64_t,
+                const metric::Metric<std::string>& metric) {
+  auto section = reader.GetSection("points");
+  if (!section.ok()) return section.status();
+  SectionCursor cursor(section.value().data, section.value().size);
+  std::vector<index::PointStore<std::string>> stores;
+  stores.reserve(sizes.size());
+  for (uint64_t size : sizes) {
+    // Points are appended as they decode, so a corrupt size cannot
+    // allocate beyond what the section holds.
+    std::vector<std::string> points;
+    for (uint64_t i = 0; i < size; ++i) {
+      std::string point;
+      if (!cursor.ReadPoint(&point)) {
+        return util::Status::IoError("snapshot points section truncated");
+      }
+      points.push_back(std::move(point));
+    }
+    stores.emplace_back(std::move(points), metric);
+  }
+  return stores;
 }
 
 }  // namespace internal
@@ -454,12 +509,9 @@ util::Status WriteGenerationSnapshot(storage::Env* env,
                    internal::JoinUint64List(generation.epochs()));
   }
 
-  const std::vector<P> data = generation.CollectData();
-  // Holder keeps the packed vector block alive until Write returns.
-  std::shared_ptr<void> holder =
-      internal::AddPointSections(&writer, data);
-
   const ShardedDatabase<P>& db = generation.database();
+  internal::AddPointSections(&writer, db);
+
   std::vector<std::string> shard_states;
   bool all_distperm = true;
   for (size_t s = 0; s < db.shard_count(); ++s) {
@@ -486,7 +538,8 @@ util::Status WriteGenerationSnapshot(storage::Env* env,
 /// identity.  Restores DistPermIndex shards from their exported state
 /// when the snapshot carries it; rebuilds through the registry
 /// otherwise.  Both paths yield shards bit-identical to the ones the
-/// snapshot was written from.
+/// snapshot was written from, and vector shards of both borrow their
+/// rows from the file mapping.
 template <typename P>
 util::Result<std::shared_ptr<const Generation<P>>> ReadGenerationSnapshot(
     storage::Env* env, const std::string& path,
@@ -515,59 +568,40 @@ util::Result<std::shared_ptr<const Generation<P>>> ReadGenerationSnapshot(
   DP_RETURN_IF_ERROR(
       expect_meta("shard_count", std::to_string(shard_count)));
 
-  auto generation_meta = reader.GetMeta("generation");
-  if (!generation_meta.ok()) return generation_meta.status();
-  const uint64_t number = std::stoull(generation_meta.value());
-  auto count_meta = reader.GetMeta("point_count");
-  if (!count_meta.ok()) return count_meta.status();
-  const uint64_t point_count = std::stoull(count_meta.value());
-
-  auto points =
-      internal::ReadPoints(reader, point_count, static_cast<std::vector<P>*>(nullptr));
-  if (!points.ok()) return points.status();
-
-  // Shard layout: recorded explicitly since incremental compaction made
-  // slices non-uniform.  Snapshots written before the layout meta
-  // existed imply the uniform split (sizes differ by at most one).
-  std::vector<uint64_t> shard_sizes;
-  if (auto sizes_meta = reader.GetMeta("shard_sizes"); sizes_meta.ok()) {
-    if (!internal::ParseUint64List(sizes_meta.value(), &shard_sizes) ||
-        shard_sizes.size() != shard_count) {
-      return util::Status::IoError("snapshot " + path +
-                                   ": malformed shard_sizes meta");
-    }
-    uint64_t total = 0;
-    for (uint64_t size : shard_sizes) total += size;
-    if (total != point_count) {
-      return util::Status::IoError(
-          "snapshot " + path + ": shard_sizes do not sum to point_count");
-    }
-  } else {
-    const uint64_t base = point_count / shard_count;
-    const uint64_t extra = point_count % shard_count;
-    for (size_t s = 0; s < shard_count; ++s) {
-      shard_sizes.push_back(base + (s < extra ? 1 : 0));
-    }
+  auto number = internal::GetUint64Meta(reader, "generation");
+  if (!number.ok()) return number.status();
+  auto point_count = internal::GetUint64Meta(reader, "point_count");
+  if (!point_count.ok()) return point_count.status();
+  // Shard layout and rebuild epochs: restore slices the points exactly
+  // as they were sliced when the snapshot's shards were built.
+  auto shard_sizes =
+      internal::GetUint64ListMeta(reader, "shard_sizes", shard_count);
+  if (!shard_sizes.ok()) return shard_sizes.status();
+  uint64_t left = point_count.value();  // summed without overflow
+  bool fits = true;
+  for (uint64_t size : shard_sizes.value()) {
+    fits = fits && size <= left;
+    if (fits) left -= size;
   }
-  std::vector<uint64_t> shard_epochs;
-  if (auto epochs_meta = reader.GetMeta("shard_epochs"); epochs_meta.ok()) {
-    if (!internal::ParseUint64List(epochs_meta.value(), &shard_epochs) ||
-        shard_epochs.size() != shard_count) {
-      return util::Status::IoError("snapshot " + path +
-                                   ": malformed shard_epochs meta");
-    }
+  if (!fits || left != 0) {
+    return util::Status::IoError(
+        "snapshot " + path + ": shard_sizes do not sum to point_count");
   }
+  auto shard_epochs =
+      internal::GetUint64ListMeta(reader, "shard_epochs", shard_count);
+  if (!shard_epochs.ok()) return shard_epochs.status();
 
-  std::vector<std::vector<P>> slices =
-      internal::SlicesBySizes(std::move(points).value(), shard_sizes);
+  auto stores = internal::ReadShardStores(reader, shard_sizes.value(),
+                                          point_count.value(), metric);
+  if (!stores.ok()) return stores.status();
 
   auto state_meta = reader.GetMeta("index_state");
   if (!state_meta.ok()) return state_meta.status();
-  if (state_meta.value() == "distperm") {
-    // Pre-decode every shard's state, then hand each to the restore
-    // constructor inside the (possibly parallel) sharded build.
-    std::vector<typename index::DistPermIndex<P>::State> states(
-        shard_count);
+  const bool distperm = state_meta.value() == "distperm";
+  std::vector<typename index::DistPermIndex<P>::State> states;
+  if (distperm) {
+    // Decode and validate every shard's state before building any shard.
+    states.resize(shard_count);
     for (size_t s = 0; s < shard_count; ++s) {
       const std::string where =
           "snapshot " + path + ": shard " + std::to_string(s) + " state";
@@ -579,7 +613,7 @@ util::Result<std::shared_ptr<const Generation<P>>> ReadGenerationSnapshot(
         return util::Status::IoError(where + " is malformed");
       }
       util::Status valid = index::DistPermIndex<P>::ValidateState(
-          states[s], shard_sizes[s]);
+          states[s], shard_sizes.value()[s]);
       if (valid.ok()) {
         valid = internal::CheckSiteDims(reader, states[s].sites);
       }
@@ -588,26 +622,24 @@ util::Result<std::shared_ptr<const Generation<P>>> ReadGenerationSnapshot(
                                      valid.message());
       }
     }
-    ShardedDatabase<P> db = ShardedDatabase<P>::BuildSliced(
-        std::move(slices), metric,
-        [&states](std::vector<P> shard_data,
-                  const metric::Metric<P>& shard_metric, size_t s)
-            -> std::unique_ptr<index::SearchIndex<P>> {
-          return std::make_unique<index::DistPermIndex<P>>(
-              std::move(shard_data), shard_metric, std::move(states[s]));
-        },
-        build_threads);
-    return Generation<P>::Adopt(std::move(db), index_spec, seed, number,
-                                std::move(shard_epochs));
   }
-
-  util::Result<ShardedDatabase<P>> rebuilt =
-      ShardedDatabase<P>::BuildFromRegistrySliced(std::move(slices), metric,
-                                                  index_spec, seed,
-                                                  build_threads);
-  if (!rebuilt.ok()) return rebuilt.status();
-  return Generation<P>::Adopt(std::move(rebuilt).value(), index_spec, seed,
-                              number, std::move(shard_epochs));
+  std::vector<index::PointStore<P>>& shard_stores = stores.value();
+  util::Result<ShardedDatabase<P>> db = ShardedDatabase<P>::BuildShards(
+      shard_count,
+      [&](size_t s) -> util::Result<typename ShardedDatabase<P>::ShardPtr> {
+        if (distperm) {
+          return typename ShardedDatabase<P>::ShardPtr(
+              new index::DistPermIndex<P>(std::move(shard_stores[s]),
+                                          std::move(states[s])));
+        }
+        return ShardedDatabase<P>::CreateShard(index_spec, seed, s,
+                                               std::move(shard_stores[s]));
+      },
+      build_threads);
+  if (!db.ok()) return db.status();
+  return Generation<P>::Assemble(std::move(db).value(), index_spec, seed,
+                                 number.value(),
+                                 std::move(shard_epochs).value());
 }
 
 }  // namespace engine

@@ -381,7 +381,7 @@ class LiveDatabase {
       for (size_t s = 0; s < db.shard_count(); ++s) {
         const size_t offset = db.shard_offset(s);
         if (id >= offset && id - offset < db.shard(s).size()) {
-          return db.shard(s).data()[id - offset];
+          return db.shard(s).points().Point(id - offset);
         }
       }
       return util::Status::NotFound(
@@ -466,6 +466,13 @@ class LiveDatabase {
     return snapshot;
   }
 
+  /// The validation RunBatch applies to `spec` (index::ValidateRequest
+  /// against the stored points' dimension): a serving layer runs it
+  /// before anything of its own evaluates the query point.
+  util::Status ValidateRequest(const QuerySpec<P>& spec) const {
+    return index::ValidateRequest(spec, dim_.load(std::memory_order_relaxed));
+  }
+
   /// Serves `batch` against a fresh pin on the built-in engine.
   /// Convenience path, serialized per store (RunBatch is not reentrant
   /// per engine); concurrent serving threads should each bring their
@@ -546,9 +553,13 @@ class LiveDatabase {
     std::vector<QuerySpec<P>> adjusted(batch);
     std::vector<std::vector<index::SearchResult>> delta_hits(query_count);
     std::vector<uint64_t> delta_cost(query_count, 0);
+    // Requests the store rejects (the engine checks the generation's
+    // dimension, which is 0 for a store whose points are all pending).
+    std::vector<util::Status> rejected(query_count, util::Status::OK());
     for (size_t q = 0; q < query_count; ++q) {
       const QuerySpec<P>& spec = batch[q];
-      if (!index::ValidateRequest(spec).ok()) continue;  // engine rejects
+      rejected[q] = ValidateRequest(spec);
+      if (!rejected[q].ok()) continue;
       const bool traced = any_trace && spec.collect_trace;
       std::chrono::steady_clock::time_point delta_t0{};
       if (traced) delta_t0 = std::chrono::steady_clock::now();
@@ -655,6 +666,11 @@ class LiveDatabase {
     const double engine_offset =
         any_trace ? Seconds(live_start, out.batch_start) : 0.0;
     for (size_t q = 0; q < query_count; ++q) {
+      if (!rejected[q].ok()) {
+        out.statuses[q] = rejected[q];
+        out.results[q].clear();
+        continue;
+      }
       if (!out.statuses[q].ok()) continue;
       index::MergeDeltaResults(&out.results[q], is_removed,
                                std::move(delta_hits[q]), batch[q].mode,
@@ -699,6 +715,8 @@ class LiveDatabase {
   /// NOT applied.
   util::Result<size_t> Insert(P point) {
     std::lock_guard<std::mutex> lock(write_mutex_);
+    util::Status valid = ValidateInsertLocked(point);
+    if (!valid.ok()) return valid;
     util::Status room = EnsureRoomLocked();
     if (!room.ok()) return room;
     // Route against the serving generation: the routing decides which
@@ -714,6 +732,7 @@ class LiveDatabase {
       if (!logged.ok()) return logged;
     }
     const size_t id = writer_base_size_ + writer_inserts_;
+    NoteDimLocked(index::PointDimension(point));
     DP_CHECK(log_->Append({/*is_remove=*/false, id, shard, std::move(point)}));
     ++writer_inserts_;
     writer_insert_shard_.emplace(id, shard);
@@ -797,6 +816,9 @@ class LiveDatabase {
         return util::Status::NotFound(
             "LiveDatabase: no live point with id " + std::to_string(id));
       }
+    } else {
+      util::Status valid = ValidateInsertLocked(op.point);
+      if (!valid.ok()) return valid;
     }
     util::Status room = EnsureRoomLocked();
     if (!room.ok()) return room;
@@ -810,6 +832,7 @@ class LiveDatabase {
       writer_removed_.insert(id);
     } else {
       const size_t id = writer_base_size_ + writer_inserts_;
+      NoteDimLocked(index::PointDimension(op.point));
       DP_CHECK(log_->Append(
           {/*is_remove=*/false, id, op.shard, std::move(op.point)}));
       ++writer_inserts_;
@@ -912,6 +935,7 @@ class LiveDatabase {
     writer_removed_.clear();
     writer_insert_shard_.clear();
     writer_generation_ = generation;
+    NoteDimLocked(generation->database().dim());
     writer_side_ = nullptr;
     auto next = std::make_shared<const State>(
         State{std::move(generation), next_log, nullptr});
@@ -1041,10 +1065,9 @@ class LiveDatabase {
       std::vector<uint64_t> epochs = state->generation->epochs();
       std::vector<util::Status> statuses(shard_count_, util::Status::OK());
       const auto build_shard = [&](size_t s) {
-        util::Rng rng(seed_ * 0x9e3779b97f4a7c15ull + s);
-        util::Result<std::unique_ptr<index::SearchIndex<P>>> built_shard =
-            index::Registry<P>::Global().Create(
-                index_spec_, std::move(slices[s]), metric_, &rng);
+        auto built_shard = ShardedDatabase<P>::CreateShard(
+            index_spec_, seed_, s,
+            index::PointStore<P>(std::move(slices[s]), metric_));
         if (!built_shard.ok()) {
           statuses[s] = built_shard.status();
           return;
@@ -1385,6 +1408,7 @@ class LiveDatabase {
     published_generation_.store(generation->number(),
                                 std::memory_order_relaxed);
     writer_generation_ = generation;
+    NoteDimLocked(generation->database().dim());
     state_.store(std::make_shared<const State>(
         State{std::move(generation), log_, nullptr}));
     if (options.metrics != nullptr) EnableMetrics(options.metrics);
@@ -1844,7 +1868,7 @@ class LiveDatabase {
     std::vector<std::vector<size_t>> insert_ids(shard_count);
     for (size_t s = 0; s < shard_count; ++s) {
       if (fill != nullptr && !(*fill)[s]) continue;  // clean: no copies
-      const std::vector<P>& base = db.shard(s).data();
+      const index::PointStore<P>& base = db.shard(s).points();
       const size_t offset = db.shard_offset(s);
       (*slices)[s].reserve(base.size());
       for (size_t i = 0; i < base.size(); ++i) {
@@ -1852,7 +1876,7 @@ class LiveDatabase {
           (*dirty)[s] = true;
           continue;
         }
-        (*slices)[s].push_back(base[i]);
+        (*slices)[s].push_back(base.Point(i));
       }
     }
     for (const auto* entry : overlay.inserts) {
@@ -1892,6 +1916,23 @@ class LiveDatabase {
     out->reserve(total);
     for (auto& slice : slices) {
       for (auto& point : slice) out->push_back(std::move(point));
+    }
+  }
+
+  /// InvalidArgument for an insert whose dimension differs from the
+  /// stored points' — rejected before the WAL sees it, so a bad point
+  /// can neither reach a metric nor poison recovery.  Caller holds
+  /// write_mutex_.
+  util::Status ValidateInsertLocked(const P& point) const {
+    return index::ValidateDimension(point, dim_.load(std::memory_order_relaxed),
+                                    "LiveDatabase: inserted point");
+  }
+
+  /// Records the stored points' dimension the first time one is known.
+  /// Caller holds write_mutex_ (or is the constructor).
+  void NoteDimLocked(size_t dim) {
+    if (dim_.load(std::memory_order_relaxed) == 0) {
+      dim_.store(dim, std::memory_order_relaxed);
     }
   }
 
@@ -1956,9 +1997,9 @@ class LiveDatabase {
       // A stream distinct from the base shards' (seed_ + 1).  The side
       // spec is exact by default, so this seed never shapes results —
       // it only has to be a valid stream.
-      util::Rng rng((seed_ + 1) * 0x9e3779b97f4a7c15ull + s);
-      auto built = index::Registry<P>::Global().Create(
-          side_spec_, std::move(points), metric_, &rng);
+      auto built = ShardedDatabase<P>::CreateShard(
+          side_spec_, seed_ + 1, s,
+          index::PointStore<P>(std::move(points), metric_));
       if (built.ok()) {
         shard_side.index = std::move(built).value();
       }
@@ -2014,6 +2055,10 @@ class LiveDatabase {
   std::atomic<size_t> published_delta_depth_{0};
   std::atomic<uint64_t> mutation_clock_{0};
   std::atomic<uint64_t> remove_clock_{0};
+  /// Dimension of the stored points (see index::ValidateDimension):
+  /// set by the first generation or insert that holds a point with
+  /// one, never changed after.  0 accepts any dimension.
+  std::atomic<size_t> dim_{0};
 
   /// Writer-side bookkeeping, all under write_mutex_: the current log
   /// (same object as state_'s), the id counters for assignment, and the

@@ -208,7 +208,7 @@ class QueryEngine {
     // Validate once per query on the calling thread; invalid queries
     // never reach a worker.
     for (size_t q = 0; q < query_count; ++q) {
-      out.statuses[q] = index::ValidateRequest(batch[q]);
+      out.statuses[q] = index::ValidateRequest(batch[q], db.dim());
     }
 
     // Per-query spec pointers: cooperative queries get one engine-owned

@@ -58,7 +58,7 @@ class ShardRouter<std::vector<double>> {
 
   /// Builds the router from a generation's shard slices: one centroid
   /// per non-empty shard.  `slice_of(s)` must return shard s's points
-  /// (a const std::vector<Point>&).  Slices may be empty (a fresh
+  /// (a const index::PointStore<Point>&).  Slices may be empty (a fresh
   /// store with fewer points than shards); if every shard is empty the
   /// router falls back to hashing, so routing is total either way.
   template <typename SliceFn>
@@ -68,10 +68,11 @@ class ShardRouter<std::vector<double>> {
     router.shard_count_ = shard_count;
     for (size_t s = 0; s < shard_count; ++s) {
       const auto& slice = slice_of(s);
-      if (slice.empty()) continue;
-      std::vector<double> centroid(slice.front().size(), 0.0);
-      for (const auto& point : slice) {
-        for (size_t d = 0; d < centroid.size() && d < point.size(); ++d) {
+      if (slice.size() == 0) continue;
+      std::vector<double> centroid(slice.dim(), 0.0);
+      for (size_t i = 0; i < slice.size(); ++i) {
+        const double* point = slice.row(i);
+        for (size_t d = 0; d < centroid.size(); ++d) {
           centroid[d] += point[d];
         }
       }

@@ -14,8 +14,8 @@
 // (seed, shard number), so a given (data, spec, shard_count, seed)
 // builds bit-identical shards no matter how many build threads run.
 // `data` is taken by value: callers that move their vector in hand each
-// shard its slice by element moves — no second full copy of the
-// database is ever made.
+// shard its slice by element moves, and the shard's index::PointStore
+// keeps that slice — the one copy of the shard's points.
 //
 // Shards are held by shared_ptr so incremental compaction can assemble
 // a successor database that reuses untouched shards from its
@@ -52,15 +52,15 @@ template <typename P>
 class ShardedDatabase {
  public:
   using SharedShard = std::shared_ptr<const index::SearchIndex<P>>;
+  using ShardPtr = std::unique_ptr<index::SearchIndex<P>>;
 
   /// Builds one index over one shard's slice of the data.  Called once
   /// per shard, in shard order when `build_threads` is 1; with more
   /// build threads the calls run concurrently, so the factory must be
   /// thread-safe (stateless factories and the registry path are).
-  using IndexFactory =
-      std::function<std::unique_ptr<index::SearchIndex<P>>(
-          std::vector<P> shard_data, const metric::Metric<P>& metric,
-          size_t shard_number)>;
+  using IndexFactory = std::function<ShardPtr(
+      std::vector<P> shard_data, const metric::Metric<P>& metric,
+      size_t shard_number)>;
 
   /// Splits `data` into `shard_count` contiguous slices (sizes differing
   /// by at most one) and builds an index over each, on `build_threads`
@@ -72,40 +72,16 @@ class ShardedDatabase {
                                const IndexFactory& factory,
                                size_t build_threads = 1) {
     DP_CHECK(shard_count >= 1);
-    std::vector<size_t> offsets;
-    return BuildSliced(SliceData(std::move(data), shard_count, &offsets),
-                       metric, factory, build_threads);
-  }
-
-  /// Builds one index per pre-routed slice.  The slices ARE the shard
-  /// layout: shard s serves global ids [sum of earlier slice sizes,
-  /// +slices[s].size()).  Used by incremental compaction and snapshot
-  /// restore, where shard boundaries follow the delta routing instead
-  /// of the uniform split.
-  static ShardedDatabase BuildSliced(std::vector<std::vector<P>> slices,
-                                     const metric::Metric<P>& metric,
-                                     const IndexFactory& factory,
-                                     size_t build_threads = 1) {
-    DP_CHECK(!slices.empty());
-    const size_t shard_count = slices.size();
-    ShardedDatabase db;
-    size_t offset = 0;
-    std::vector<size_t> sizes(shard_count);
-    for (size_t s = 0; s < shard_count; ++s) {
-      sizes[s] = slices[s].size();
-      db.offsets_.push_back(offset);
-      offset += sizes[s];
-    }
-    db.total_size_ = offset;
-    db.shards_.resize(shard_count);
-    ForEachShard(shard_count, build_threads, [&](size_t s) {
-      db.shards_[s] = factory(std::move(slices[s]), metric, s);
-    });
-    for (size_t s = 0; s < shard_count; ++s) {
-      DP_CHECK(db.shards_[s] != nullptr);
-      DP_CHECK(db.shards_[s]->size() == sizes[s]);
-    }
-    return db;
+    std::vector<std::vector<P>> slices =
+        SliceData(std::move(data), shard_count);
+    util::Result<ShardedDatabase> db = BuildShards(
+        shard_count,
+        [&](size_t s) -> util::Result<ShardPtr> {
+          return factory(std::move(slices[s]), metric, s);
+        },
+        build_threads);
+    DP_CHECK(db.ok());
+    return std::move(db).value();
   }
 
   /// Like Build, but the index type and its options come from a
@@ -125,17 +101,17 @@ class ShardedDatabase {
       return util::Status::InvalidArgument(
           "ShardedDatabase: shard_count must be >= 1");
     }
-    std::vector<size_t> offsets;
-    return BuildFromRegistrySliced(
-        SliceData(std::move(data), shard_count, &offsets), metric,
-        index_spec, seed, build_threads);
+    return BuildFromRegistrySliced(SliceData(std::move(data), shard_count),
+                                   metric, index_spec, seed, build_threads);
   }
 
-  /// Registry build over pre-routed slices.  Shard s's RNG stream is
-  /// still derived from (seed, s) alone, so a shard built here over a
-  /// given slice is bit-identical to the same shard inside any other
-  /// build whose slice s matches — the property incremental compaction
-  /// relies on to share clean shards.
+  /// Registry build over pre-routed slices.  The slices ARE the shard
+  /// layout: shard s serves global ids [sum of earlier slice sizes,
+  /// +slices[s].size()).  Shard s's RNG stream is derived from
+  /// (seed, s) alone, so a shard built here over a given slice is
+  /// bit-identical to the same shard inside any other build whose slice
+  /// s matches — the property incremental compaction relies on to share
+  /// clean shards.
   static util::Result<ShardedDatabase> BuildFromRegistrySliced(
       std::vector<std::vector<P>> slices, const metric::Metric<P>& metric,
       const std::string& index_spec, uint64_t seed,
@@ -144,27 +120,45 @@ class ShardedDatabase {
       return util::Status::InvalidArgument(
           "ShardedDatabase: need at least one slice");
     }
-    const size_t shard_count = slices.size();
-    ShardedDatabase db;
-    size_t offset = 0;
-    for (size_t s = 0; s < shard_count; ++s) {
-      db.offsets_.push_back(offset);
-      offset += slices[s].size();
-    }
-    db.total_size_ = offset;
-    db.shards_.resize(shard_count);
+    return BuildShards(
+        slices.size(),
+        [&](size_t s) {
+          return CreateShard(index_spec, seed, s,
+                             index::PointStore<P>(std::move(slices[s]),
+                                                  metric));
+        },
+        build_threads);
+  }
+
+  /// Builds shard s through the registry over `points`, with the RNG
+  /// stream every registry build derives from (seed, s).
+  static util::Result<ShardPtr> CreateShard(const std::string& index_spec,
+                                            uint64_t seed, size_t s,
+                                            index::PointStore<P> points) {
+    util::Rng rng(seed * 0x9e3779b97f4a7c15ull + s);
+    return index::Registry<P>::Global().Create(index_spec, std::move(points),
+                                               &rng);
+  }
+
+  /// Builds `shard_count` shards with build(s), on `build_threads`
+  /// workers (1 = in shard order on the calling thread); the calls run
+  /// concurrently otherwise, so `build` must be thread-safe.  Shard s
+  /// serves the global ids after every earlier shard's.  With several
+  /// failing shards the lowest-numbered shard's error wins, so the
+  /// reported status is deterministic.
+  template <typename BuildShard>
+  static util::Result<ShardedDatabase> BuildShards(size_t shard_count,
+                                                   const BuildShard& build,
+                                                   size_t build_threads) {
+    std::vector<SharedShard> shards(shard_count);
     std::vector<util::Status> statuses(shard_count, util::Status::OK());
     ForEachShard(shard_count, build_threads, [&](size_t s) {
-      util::Rng rng(seed * 0x9e3779b97f4a7c15ull + s);
-      util::Result<std::unique_ptr<index::SearchIndex<P>>> built =
-          index::Registry<P>::Global().Create(index_spec,
-                                              std::move(slices[s]),
-                                              metric, &rng);
+      util::Result<ShardPtr> built = build(s);
       if (!built.ok()) {
         statuses[s] = built.status();
         return;
       }
-      db.shards_[s] = std::move(built).value();
+      shards[s] = std::move(built).value();
     });
     for (size_t s = 0; s < shard_count; ++s) {
       if (!statuses[s].ok()) {
@@ -173,7 +167,7 @@ class ShardedDatabase {
                                 statuses[s].message());
       }
     }
-    return db;
+    return FromShards(std::move(shards));
   }
 
   /// Assembles a database from already-built shards — the incremental
@@ -188,6 +182,7 @@ class ShardedDatabase {
       DP_CHECK(shard != nullptr);
       db.offsets_.push_back(offset);
       offset += shard->size();
+      if (db.dim_ == 0) db.dim_ = shard->points().dim();
     }
     db.total_size_ = offset;
     db.shards_ = std::move(shards);
@@ -196,6 +191,9 @@ class ShardedDatabase {
 
   size_t shard_count() const { return shards_.size(); }
   size_t size() const { return total_size_; }
+  /// Dimension of the stored points (index::PointStore::dim()): 0 when
+  /// the database holds no points or its points have no dimension.
+  size_t dim() const { return dim_; }
 
   /// The index serving shard s.
   const index::SearchIndex<P>& shard(size_t s) const { return *shards_[s]; }
@@ -214,22 +212,6 @@ class ShardedDatabase {
     sizes.reserve(shards_.size());
     for (const auto& shard : shards_) sizes.push_back(shard->size());
     return sizes;
-  }
-
-  /// Reassembles the database in global-id order (shard slices are
-  /// contiguous, so concatenating them in shard order restores the
-  /// original ordering exactly).  This is the base dataset a
-  /// engine::Generation rebuild starts from: compaction collects the
-  /// current generation's points, applies the delta, and builds the
-  /// replacement shards from the result — no second long-lived copy of
-  /// the database is kept anywhere.
-  std::vector<P> CollectData() const {
-    std::vector<P> data;
-    data.reserve(total_size_);
-    for (const auto& shard : shards_) {
-      data.insert(data.end(), shard->data().begin(), shard->data().end());
-    }
-    return data;
   }
 
   /// Name of the underlying index type (from shard 0).
@@ -255,12 +237,10 @@ class ShardedDatabase {
   ShardedDatabase() = default;
 
   /// Moves `data` apart into `shard_count` contiguous slices whose
-  /// sizes differ by at most one, recording each slice's global offset.
-  /// Element moves, not copies: the caller already owns `data` by
-  /// value, so this is the only per-point transfer in a build.
-  static std::vector<std::vector<P>> SliceData(
-      std::vector<P> data, size_t shard_count,
-      std::vector<size_t>* offsets) {
+  /// sizes differ by at most one.  Element moves, not copies: the
+  /// caller already owns `data` by value.
+  static std::vector<std::vector<P>> SliceData(std::vector<P> data,
+                                               size_t shard_count) {
     const size_t base = data.size() / shard_count;
     const size_t extra = data.size() % shard_count;
     std::vector<std::vector<P>> slices;
@@ -271,7 +251,6 @@ class ShardedDatabase {
       auto begin = data.begin() + static_cast<ptrdiff_t>(offset);
       slices.emplace_back(std::make_move_iterator(begin),
                           std::make_move_iterator(begin + size));
-      offsets->push_back(offset);
       offset += size;
     }
     return slices;
@@ -298,6 +277,7 @@ class ShardedDatabase {
   std::vector<SharedShard> shards_;
   std::vector<size_t> offsets_;
   size_t total_size_ = 0;
+  size_t dim_ = 0;
 };
 
 }  // namespace engine

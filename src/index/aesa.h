@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "index/flat_data_path.h"
 #include "index/index.h"
 
 namespace distperm {
@@ -27,35 +26,25 @@ namespace index {
 template <typename P>
 class AesaIndex : public SearchIndex<P> {
  public:
-  using SearchIndex<P>::data_;
+  using typename SearchIndex<P>::QueryContext;
+  using SearchIndex<P>::points_;
 
-  /// Builds the pairwise matrix.  For kernel-tagged vector data the
-  /// strict upper triangle is filled row by row with the one-query-vs-
-  /// block kernels (row i against the block of rows i+1..n), which
-  /// vectorizes the O(n^2) build; entries and the build count are
-  /// bit-identical to the scalar pairwise loop.  The flat store is
-  /// construction-local — AESA's query path needs only the matrix.
   AesaIndex(std::vector<P> data, metric::Metric<P> metric)
-      : SearchIndex<P>(std::move(data), std::move(metric)),
-        matrix_(data_.size() * data_.size(), 0.0) {
-    const size_t n = data_.size();
-    const FlatDataPath<P> flat(data_, this->metric_);
-    if (flat.enabled()) {
-      for (size_t i = 0; i < n; ++i) {
-        flat.ForEachRowDistance(i, i + 1, n, &this->build_count_,
-                                [this, i, n](size_t j, double d) {
-                                  matrix_[i * n + j] = d;
-                                  matrix_[j * n + i] = d;
-                                });
-      }
-      return;
-    }
+      : AesaIndex(PointStore<P>(std::move(data), std::move(metric))) {}
+
+  /// Builds the pairwise matrix: the strict upper triangle row by row,
+  /// each row against the block of rows i+1..n (for vector data the
+  /// one-query-vs-block kernels, which vectorizes the O(n^2) build).
+  explicit AesaIndex(PointStore<P> points)
+      : SearchIndex<P>(std::move(points)),
+        matrix_(points_.size() * points_.size(), 0.0) {
+    const size_t n = points_.size();
     for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        double d = this->BuildDist(data_[i], data_[j]);
-        matrix_[i * n + j] = d;
-        matrix_[j * n + i] = d;
-      }
+      points_.ForEachRowDistance(i, i + 1, n, &this->build_count_,
+                                 [this, i, n](size_t j, double d) {
+                                   matrix_[i * n + j] = d;
+                                   matrix_[j * n + i] = d;
+                                 });
     }
   }
 
@@ -67,13 +56,13 @@ class AesaIndex : public SearchIndex<P> {
 
   /// The stored distance between database points i and j.
   double StoredDistance(size_t i, size_t j) const {
-    return matrix_[i * data_.size() + j];
+    return matrix_[i * points_.size() + j];
   }
 
  protected:
-  void SearchImpl(const SearchRequest<P>& request,
+  void SearchImpl(const SearchRequest<P>&, const QueryContext& query,
                   SearchContext* context) const override {
-    EliminationSearch(request.point, MinLowerBoundPicker(), context);
+    EliminationSearch(query, MinLowerBoundPicker(), context);
   }
 
   /// Core elimination loop, shared by every search mode and picker
@@ -84,9 +73,9 @@ class AesaIndex : public SearchIndex<P> {
   /// computed.  All per-query state lives on the caller's stack, so
   /// concurrent searches never interfere.
   template <typename Picker>
-  void EliminationSearch(const P& query, const Picker& pick,
+  void EliminationSearch(const QueryContext& query, const Picker& pick,
                          SearchContext* context) const {
-    const size_t n = data_.size();
+    const size_t n = points_.size();
     std::vector<double> lower(n, 0.0);
     std::vector<bool> dead(n, false);
     while (true) {
@@ -95,7 +84,7 @@ class AesaIndex : public SearchIndex<P> {
       if (context->StopAfterBudget()) return;
       dead[next] = true;
       if (lower[next] > context->Radius()) continue;  // cannot qualify
-      double d = this->QueryDist(data_[next], query, context->stats());
+      double d = this->QueryDist(query, next, context->stats());
       context->Emit(next, d);
       const double radius = context->Radius();
       const double* row = &matrix_[next * n];

@@ -28,7 +28,6 @@
 #include "core/distance_permutation.h"
 #include "core/perm_codec.h"
 #include "core/perm_metrics.h"
-#include "index/flat_data_path.h"
 #include "index/index.h"
 #include "index/pivot_select.h"
 #include "index/query_scratch.h"
@@ -45,44 +44,36 @@ namespace index {
 template <typename P>
 class DistPermIndex : public SearchIndex<P> {
  public:
-  using SearchIndex<P>::data_;
+  using typename SearchIndex<P>::QueryContext;
+  using SearchIndex<P>::points_;
+
+  DistPermIndex(std::vector<P> data, metric::Metric<P> metric,
+                size_t site_count, util::Rng* rng, double fraction = 0.1,
+                size_t prefix_length = 0)
+      : DistPermIndex(PointStore<P>(std::move(data), std::move(metric)),
+                      site_count, rng, fraction, prefix_length) {}
 
   /// Builds with `site_count` random sites (the paper's protocol) and
   /// the given default verification fraction.  `prefix_length` = 0 (the
   /// default) stores full permutations; a value m in [1, site_count)
   /// stores only each point's m closest sites.
-  DistPermIndex(std::vector<P> data, metric::Metric<P> metric,
-                size_t site_count, util::Rng* rng, double fraction = 0.1,
-                size_t prefix_length = 0)
-      : SearchIndex<P>(std::move(data), std::move(metric)),
-        flat_(data_, this->metric_),
+  DistPermIndex(PointStore<P> points, size_t site_count, util::Rng* rng,
+                double fraction = 0.1, size_t prefix_length = 0)
+      : SearchIndex<P>(std::move(points)),
+        sites_(points_.Subset(
+            RandomPivots(points_.size(), site_count, rng))),
         fraction_(fraction) {
     DP_CHECK(site_count >= 1 && site_count <= core::kMaxRank64Sites);
     DP_CHECK(fraction > 0.0 && fraction <= 1.0);
     prefix_ = prefix_length == 0 ? site_count
                                  : std::min(prefix_length, site_count);
-    std::vector<size_t> site_ids = RandomPivots(data_, site_count, rng);
-    sites_.reserve(site_count);
-    for (size_t id : site_ids) sites_.push_back(data_[id]);
-
-    // Per-site query contexts for the flat build path (sites_ is fully
-    // built above and never reallocates, so the row pointers are
-    // stable).
-    std::vector<typename FlatDataPath<P>::QueryContext> site_ctx;
-    if (flat_.enabled()) {
-      site_ctx.reserve(site_count);
-      for (const P& site : sites_) site_ctx.push_back(flat_.MakeQuery(site));
-    }
-
-    inv_ranks_.assign(data_.size() * site_count, 0);
+    inv_ranks_.assign(points_.size() * site_count, 0);
     std::vector<double> distances(site_count);
-    for (size_t i = 0; i < data_.size(); ++i) {
+    for (size_t i = 0; i < points_.size(); ++i) {
+      const QueryContext point = points_.MakeRowQuery(i);
       for (size_t j = 0; j < site_count; ++j) {
         distances[j] =
-            flat_.enabled()
-                ? flat_.ChargedRowDistance(site_ctx[j], i,
-                                           &this->build_count_)
-                : this->BuildDist(sites_[j], data_[i]);
+            sites_.ChargedRowDistance(point, j, &this->build_count_);
       }
       core::Permutation perm =
           prefix_ == site_count
@@ -114,7 +105,7 @@ class DistPermIndex : public SearchIndex<P> {
 
   State ExportState() const {
     State state;
-    state.sites = sites_;
+    state.sites = sites();
     state.prefix = prefix_;
     state.fraction = fraction();
     state.inv_ranks = inv_ranks_;
@@ -159,25 +150,28 @@ class DistPermIndex : public SearchIndex<P> {
     return util::Status::OK();
   }
 
-  /// Restores an index from previously exported state without paying
-  /// the n x k build-time distance evaluations.  The state must match
-  /// `data` (same point count it was exported over); this is checked.
-  /// build_distance_computations() reports 0 for a restored index —
-  /// restoration computes no distances.
   DistPermIndex(std::vector<P> data, metric::Metric<P> metric,
                 State state)
-      : SearchIndex<P>(std::move(data), std::move(metric)),
-        flat_(data_, this->metric_),
-        sites_(std::move(state.sites)),
+      : DistPermIndex(PointStore<P>(std::move(data), std::move(metric)),
+                      std::move(state)) {}
+
+  /// Restores an index from previously exported state without paying
+  /// the n x k build-time distance evaluations.  The state must match
+  /// `points` (same point count it was exported over); this is checked.
+  /// build_distance_computations() reports 0 for a restored index —
+  /// restoration computes no distances.
+  DistPermIndex(PointStore<P> points, State state)
+      : SearchIndex<P>(std::move(points)),
+        sites_(std::move(state.sites), points_.metric()),
         prefix_(state.prefix),
         inv_ranks_(std::move(state.inv_ranks)),
         fraction_(state.fraction) {
-    DP_CHECK(!sites_.empty() && sites_.size() <= core::kMaxRank64Sites);
+    DP_CHECK(sites_.size() >= 1 && sites_.size() <= core::kMaxRank64Sites);
     DP_CHECK(prefix_ >= 1 && prefix_ <= sites_.size());
     DP_CHECK(fraction() > 0.0 && fraction() <= 1.0);
-    DP_CHECK_MSG(inv_ranks_.size() == data_.size() * sites_.size(),
+    DP_CHECK_MSG(inv_ranks_.size() == points_.size() * sites_.size(),
                  "restored distperm state does not match the data: "
-                     << inv_ranks_.size() << " ranks for " << data_.size()
+                     << inv_ranks_.size() << " ranks for " << points_.size()
                      << " points x " << sites_.size() << " sites");
   }
 
@@ -195,7 +189,7 @@ class DistPermIndex : public SearchIndex<P> {
     const size_t k = sites_.size();
     const char* rows = reinterpret_cast<const char*>(inv_ranks_.data());
     std::unordered_set<std::string_view> seen;
-    for (size_t i = 0; i < data_.size(); ++i) {
+    for (size_t i = 0; i < points_.size(); ++i) {
       seen.emplace(rows + i * k, k);
     }
     return seen.size();
@@ -214,8 +208,13 @@ class DistPermIndex : public SearchIndex<P> {
     return perm;
   }
 
-  /// The sites used by the index.
-  const std::vector<P>& sites() const { return sites_; }
+  /// Copies of the sites used by the index, in selection order.
+  std::vector<P> sites() const {
+    std::vector<P> sites;
+    sites.reserve(sites_.size());
+    for (size_t j = 0; j < sites_.size(); ++j) sites.push_back(sites_.Point(j));
+    return sites;
+  }
 
   /// Stored prefix length (equals sites().size() for full permutations).
   size_t prefix_length() const { return prefix_; }
@@ -231,10 +230,9 @@ class DistPermIndex : public SearchIndex<P> {
   }
 
  protected:
-  void SearchImpl(const SearchRequest<P>& request,
+  void SearchImpl(const SearchRequest<P>& request, const QueryContext& query,
                   SearchContext* context) const override {
-    ScanByFootrule(request.point,
-                   VerifyBudget(request.approx_candidate_fraction),
+    ScanByFootrule(query, VerifyBudget(request.approx_candidate_fraction),
                    context);
   }
 
@@ -246,8 +244,8 @@ class DistPermIndex : public SearchIndex<P> {
     const double f =
         override_fraction > 0.0 ? override_fraction : fraction();
     size_t budget =
-        static_cast<size_t>(f * static_cast<double>(data_.size()));
-    return std::max<size_t>(1, std::min(budget, data_.size()));
+        static_cast<size_t>(f * static_cast<double>(points_.size()));
+    return std::max<size_t>(1, std::min(budget, points_.size()));
   }
 
   /// Computes the query permutation, scores every stored point with the
@@ -258,14 +256,15 @@ class DistPermIndex : public SearchIndex<P> {
   /// verifies it.  The candidate sequence is identical to fully
   /// ordering the database by (footrule, id) and taking the first
   /// `budget`, i.e. to the original full-sort formulation.
-  void ScanByFootrule(const P& query, size_t budget,
+  void ScanByFootrule(const QueryContext& query, size_t budget,
                       SearchContext* context) const {
     QueryStats* stats = context->stats();
     const size_t k = sites_.size();
     std::vector<double> distances(k);
     for (size_t j = 0; j < k; ++j) {
       if (context->StopAfterBudget()) return;
-      distances[j] = this->QueryDist(sites_[j], query, stats);
+      distances[j] =
+          sites_.ChargedRowDistance(query, j, &stats->distance_computations);
     }
     core::Permutation query_perm =
         prefix_ == k ? core::PermutationFromDistances(distances)
@@ -280,9 +279,9 @@ class DistPermIndex : public SearchIndex<P> {
     std::vector<std::pair<uint32_t, uint32_t>>& scored =
         QueryScratch::ForThread().scored;
     scored.clear();
-    scored.reserve(data_.size());
+    scored.reserve(points_.size());
     const uint8_t* inv = inv_ranks_.data();
-    for (size_t i = 0; i < data_.size(); ++i) {
+    for (size_t i = 0; i < points_.size(); ++i) {
       const int f = core::FootruleFromRanks(query_ranks, inv + i * k, k);
       scored.emplace_back(static_cast<uint32_t>(f),
                           static_cast<uint32_t>(i));
@@ -298,22 +297,15 @@ class DistPermIndex : public SearchIndex<P> {
     // footrule score alone; everything inside it pays a true distance.
     stats->pruning_eliminated += scored.size() - budget;
 
-    const bool flat = flat_.enabled();
-    const auto ctx = flat ? flat_.MakeQuery(query)
-                          : typename FlatDataPath<P>::QueryContext{};
     for (size_t v = 0; v < budget; ++v) {
       if (context->StopAfterBudget()) return;
       const size_t id = scored[v].second;
-      context->Emit(
-          id, flat ? flat_.ChargedRowDistance(ctx, id,
-                                              &stats->distance_computations)
-                   : this->QueryDist(data_[id], query, stats));
+      context->Emit(id, this->QueryDist(query, id, stats));
       ++stats->candidates_verified;
     }
   }
 
-  FlatDataPath<P> flat_;
-  std::vector<P> sites_;
+  PointStore<P> sites_;  // copies of the sites, in selection order
   size_t prefix_ = 0;
   /// Row i holds the inverted permutation of point i: entry `site` is
   /// the site's rank, or prefix_length() for sites outside a stored

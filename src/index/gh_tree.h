@@ -23,12 +23,15 @@ namespace index {
 template <typename P>
 class GhTreeIndex : public SearchIndex<P> {
  public:
-  using SearchIndex<P>::data_;
+  using typename SearchIndex<P>::QueryContext;
+  using SearchIndex<P>::points_;
 
   GhTreeIndex(std::vector<P> data, metric::Metric<P> metric,
               util::Rng* rng)
-      : SearchIndex<P>(std::move(data), std::move(metric)) {
-    std::vector<size_t> ids(data_.size());
+      : GhTreeIndex(PointStore<P>(std::move(data), std::move(metric)), rng) {}
+  GhTreeIndex(PointStore<P> points, util::Rng* rng)
+      : SearchIndex<P>(std::move(points)) {
+    std::vector<size_t> ids(points_.size());
     for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
     root_ = Build(ids, rng);
   }
@@ -40,9 +43,9 @@ class GhTreeIndex : public SearchIndex<P> {
   }
 
  protected:
-  void SearchImpl(const SearchRequest<P>& request,
+  void SearchImpl(const SearchRequest<P>&, const QueryContext& query,
                   SearchContext* context) const override {
-    SearchNode(root_.get(), request.point, context);
+    SearchNode(root_.get(), query, context);
   }
 
  private:
@@ -74,8 +77,8 @@ class GhTreeIndex : public SearchIndex<P> {
 
     std::vector<size_t> near_first_ids, near_second_ids;
     for (size_t id : ids) {
-      double d1 = this->BuildDist(data_[node->first], data_[id]);
-      double d2 = this->BuildDist(data_[node->second], data_[id]);
+      double d1 = this->BuildDist(node->first, id);
+      double d2 = this->BuildDist(node->second, id);
       // Tie toward the first centre, mirroring the paper's tie-break.
       (d1 <= d2 ? near_first_ids : near_second_ids).push_back(id);
     }
@@ -84,15 +87,14 @@ class GhTreeIndex : public SearchIndex<P> {
     return node;
   }
 
-  void SearchNode(const Node* node, const P& query,
+  void SearchNode(const Node* node, const QueryContext& query,
                   SearchContext* context) const {
     if (node == nullptr || context->StopAfterBudget()) return;
-    double d1 = this->QueryDist(data_[node->first], query, context->stats());
+    double d1 = this->QueryDist(query, node->first, context->stats());
     context->Emit(node->first, d1);
     if (!node->has_second) return;
     if (context->StopAfterBudget()) return;
-    double d2 = this->QueryDist(data_[node->second], query,
-                                context->stats());
+    double d2 = this->QueryDist(query, node->second, context->stats());
     context->Emit(node->second, d2);
     // A subtree can be skipped when the query ball lies strictly on the
     // other side of the generalized hyperplane: (d1 - d2)/2 > r means no

@@ -30,22 +30,28 @@ namespace index {
 template <typename P>
 class IaesaIndex : public AesaIndex<P> {
  public:
-  using SearchIndex<P>::data_;
+  using typename SearchIndex<P>::QueryContext;
+  using SearchIndex<P>::points_;
+
+  IaesaIndex(std::vector<P> data, metric::Metric<P> metric,
+             size_t site_count, util::Rng* rng)
+      : IaesaIndex(PointStore<P>(std::move(data), std::move(metric)),
+                   site_count, rng) {}
 
   /// Builds the full matrix plus per-point permutations over
   /// `site_count` random sites.
-  IaesaIndex(std::vector<P> data, metric::Metric<P> metric,
-             size_t site_count, util::Rng* rng)
-      : AesaIndex<P>(std::move(data), std::move(metric)) {
+  IaesaIndex(PointStore<P> points, size_t site_count, util::Rng* rng)
+      : AesaIndex<P>(std::move(points)),
+        sites_(points_.Subset(
+            RandomPivots(points_.size(), site_count, rng))) {
     DP_CHECK(site_count >= 1 && site_count <= core::kMaxRank64Sites);
-    std::vector<size_t> site_ids = RandomPivots(data_, site_count, rng);
-    sites_.reserve(site_count);
-    for (size_t id : site_ids) sites_.push_back(data_[id]);
-    permutations_.reserve(data_.size());
+    permutations_.reserve(points_.size());
     std::vector<double> distances(site_count);
-    for (const P& point : data_) {
+    for (size_t i = 0; i < points_.size(); ++i) {
+      const QueryContext point = points_.MakeRowQuery(i);
       for (size_t j = 0; j < site_count; ++j) {
-        distances[j] = this->BuildDist(sites_[j], point);
+        distances[j] =
+            sites_.ChargedRowDistance(point, j, &this->build_count_);
       }
       permutations_.push_back(core::PermutationFromDistances(distances));
     }
@@ -54,12 +60,11 @@ class IaesaIndex : public AesaIndex<P> {
   std::string name() const override { return "iaesa"; }
 
  protected:
-  void SearchImpl(const SearchRequest<P>& request,
+  void SearchImpl(const SearchRequest<P>&, const QueryContext& query,
                   SearchContext* context) const override {
     std::vector<int> footrule;
-    if (!QueryFootrules(request.point, context, &footrule)) return;
-    this->EliminationSearch(request.point, FootrulePicker(footrule),
-                            context);
+    if (!QueryFootrules(query, context, &footrule)) return;
+    this->EliminationSearch(query, FootrulePicker(footrule), context);
   }
 
  private:
@@ -68,18 +73,19 @@ class IaesaIndex : public AesaIndex<P> {
   /// concurrent queries never share it.  Returns false when the
   /// distance budget runs out while measuring the sites (the search
   /// then stops with whatever has been emitted — nothing).
-  bool QueryFootrules(const P& query, SearchContext* context,
+  bool QueryFootrules(const QueryContext& query, SearchContext* context,
                       std::vector<int>* footrule) const {
     const size_t k = sites_.size();
     std::vector<double> distances(k);
     for (size_t j = 0; j < k; ++j) {
       if (context->StopAfterBudget()) return false;
-      distances[j] = this->QueryDist(sites_[j], query, context->stats());
+      distances[j] = sites_.ChargedRowDistance(
+          query, j, &context->stats()->distance_computations);
     }
     core::Permutation query_perm =
         core::PermutationFromDistances(distances);
-    footrule->resize(data_.size());
-    for (size_t i = 0; i < data_.size(); ++i) {
+    footrule->resize(points_.size());
+    for (size_t i = 0; i < points_.size(); ++i) {
       (*footrule)[i] = core::SpearmanFootrule(query_perm, permutations_[i]);
     }
     return true;
@@ -108,7 +114,7 @@ class IaesaIndex : public AesaIndex<P> {
     };
   }
 
-  std::vector<P> sites_;
+  PointStore<P> sites_;  // copies of the sites, in selection order
   std::vector<core::Permutation> permutations_;
 };
 

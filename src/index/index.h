@@ -3,8 +3,9 @@
 // The cost model follows the similarity-search literature (and the
 // paper): metric evaluations are the expensive operation, so every index
 // counts the distance computations it performs, separately for build and
-// query phases.  Indexes own a copy of the database; results identify
-// points by their position in that database.
+// query phases.  Each index holds its database once, in an
+// index::PointStore, and computes every distance through it; results
+// identify points by their position in that store.
 //
 // Queries are const and safe to issue from many threads at once: each
 // call accumulates its metric evaluations in a private QueryStats that
@@ -27,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "index/point_store.h"
 #include "index/query_scratch.h"
 #include "index/search.h"
 #include "metric/metric.h"
@@ -45,9 +47,10 @@ namespace index {
 template <typename P>
 class SearchIndex {
  public:
-  /// Takes ownership of a copy of the database.
-  SearchIndex(std::vector<P> data, metric::Metric<P> metric)
-      : data_(std::move(data)), metric_(std::move(metric)) {}
+  using QueryContext = typename PointStore<P>::QueryContext;
+
+  /// Takes the database's one copy.
+  explicit SearchIndex(PointStore<P> points) : points_(std::move(points)) {}
   virtual ~SearchIndex() = default;
 
   SearchIndex(const SearchIndex&) = delete;
@@ -60,25 +63,26 @@ class SearchIndex {
 
   /// Answers one SearchRequest.  The request is validated first
   /// (InvalidArgument on k = 0 in a kNN mode, negative or NaN radius,
-  /// NaN query coordinates, out-of-range candidate fraction) — a
-  /// rejected request costs zero metric evaluations.  The response's
-  /// stats cover exactly this call.
+  /// NaN query coordinates, a query dimension other than the stored
+  /// points', out-of-range candidate fraction) — a rejected request
+  /// costs zero metric evaluations.  The response's stats cover exactly
+  /// this call.
   SearchResponse Search(const SearchRequest<P>& request) const {
     SearchResponse response;
-    response.status = ValidateRequest(request);
+    response.status = ValidateRequest(request, points_.dim());
     if (!response.status.ok()) return response;
     KnnCollector* collector = nullptr;
     if (request.mode != SearchMode::kRange) {
       collector = &QueryScratch::ForThread().collector;
       collector->Reset(request.k);
-      collector->Reserve(std::min(request.k, data_.size()));
+      collector->Reserve(std::min(request.k, points_.size()));
     }
     SearchContext context(request.mode, request.radius,
                           request.max_distance_computations,
                           &response.stats, collector,
                           request.initial_radius_bound,
                           request.shared_bound);
-    SearchImpl(request, &context);
+    SearchImpl(request, points_.MakeQuery(request.point), &context);
     response.results = context.TakeResults();
     response.truncated = context.truncated();
     return response;
@@ -88,11 +92,11 @@ class SearchIndex {
   virtual uint64_t IndexBits() const = 0;
 
   /// Database size.
-  size_t size() const { return data_.size(); }
+  size_t size() const { return points_.size(); }
   /// The stored database.
-  const std::vector<P>& data() const { return data_; }
+  const PointStore<P>& points() const { return points_; }
   /// The metric.
-  const metric::Metric<P>& metric() const { return metric_; }
+  const metric::Metric<P>& metric() const { return points_.metric(); }
 
   /// Metric evaluations spent building the index.
   uint64_t build_distance_computations() const { return build_count_; }
@@ -100,27 +104,29 @@ class SearchIndex {
  protected:
   /// The one query implementation: const, reentrant, and required to
   /// charge every metric evaluation to `context->stats()` (via
-  /// QueryDist or the flat data path's charged helpers).  The
+  /// QueryDist or the store's charged helpers).  `query` is the
+  /// request's point as a PointStore query context.  The
   /// implementation drives its loop with the context's Emit / Radius /
   /// StopAfterBudget and must return promptly once StopAfterBudget()
   /// reports the budget spent.  The request is pre-validated.
   virtual void SearchImpl(const SearchRequest<P>& request,
+                          const QueryContext& query,
                           SearchContext* context) const = 0;
 
-  /// Metric evaluation charged to the query phase.
-  double QueryDist(const P& a, const P& b, QueryStats* stats) const {
-    ++stats->distance_computations;
-    return metric_(a, b);
+  /// Distance from stored point i to the query, charged to the query
+  /// phase.
+  double QueryDist(const QueryContext& query, size_t i,
+                   QueryStats* stats) const {
+    return points_.ChargedRowDistance(query, i, &stats->distance_computations);
   }
-  /// Metric evaluation charged to the build phase (construction is
-  /// single-threaded, so a plain counter suffices).
-  double BuildDist(const P& a, const P& b) {
-    ++build_count_;
-    return metric_(a, b);
+  /// Distance between stored points i and j, charged to the build
+  /// phase (construction is single-threaded, so a plain counter
+  /// suffices).
+  double BuildDist(size_t i, size_t j) {
+    return points_.ChargedRowPairDistance(i, j, &build_count_);
   }
 
-  std::vector<P> data_;
-  metric::Metric<P> metric_;
+  PointStore<P> points_;
   uint64_t build_count_ = 0;
 };
 

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "index/flat_data_path.h"
 #include "index/index.h"
 #include "index/pivot_select.h"
 #include "index/query_scratch.h"
@@ -31,36 +30,29 @@ namespace index {
 template <typename P>
 class LaesaIndex : public SearchIndex<P> {
  public:
-  using SearchIndex<P>::data_;
+  using typename SearchIndex<P>::QueryContext;
+  using SearchIndex<P>::points_;
 
-  /// Builds with `pivot_count` max-min pivots chosen using `rng`.  On
-  /// the flat path the n x k table is filled one pivot at a time with
-  /// the one-query-vs-block kernels — the pivot row is the "query", the
-  /// whole store is the block — which vectorizes the O(nk) build while
-  /// keeping every entry bit-identical to the scalar pairwise loop (the
-  /// kernels are symmetric in their arguments bit-for-bit).
   LaesaIndex(std::vector<P> data, metric::Metric<P> metric,
              size_t pivot_count, util::Rng* rng)
-      : SearchIndex<P>(std::move(data), std::move(metric)),
-        flat_(data_, this->metric_) {
-    pivot_ids_ = MaxMinPivots(data_, this->metric_, pivot_count, rng,
-                              &this->build_count_);
-    const size_t n = data_.size();
+      : LaesaIndex(PointStore<P>(std::move(data), std::move(metric)),
+                   pivot_count, rng) {}
+
+  /// Builds with `pivot_count` max-min pivots chosen using `rng`.  The
+  /// n x k table is filled one pivot at a time, the pivot row against
+  /// blocks of the whole store — for vector data the one-query-vs-block
+  /// kernels, which vectorizes the O(nk) build.
+  LaesaIndex(PointStore<P> points, size_t pivot_count, util::Rng* rng)
+      : SearchIndex<P>(std::move(points)) {
+    pivot_ids_ = MaxMinPivots(points_, pivot_count, rng, &this->build_count_);
+    const size_t n = points_.size();
     const size_t k = pivot_ids_.size();
     table_.resize(n * k);
-    if (flat_.enabled()) {
-      for (size_t j = 0; j < k; ++j) {
-        flat_.ForEachRowDistance(pivot_ids_[j], 0, n, &this->build_count_,
+    for (size_t j = 0; j < k; ++j) {
+      points_.ForEachRowDistance(pivot_ids_[j], 0, n, &this->build_count_,
                                  [this, j, k](size_t i, double d) {
                                    table_[i * k + j] = d;
                                  });
-      }
-      return;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < k; ++j) {
-        table_[i * k + j] = this->BuildDist(data_[i], data_[pivot_ids_[j]]);
-      }
     }
   }
 
@@ -79,32 +71,25 @@ class LaesaIndex : public SearchIndex<P> {
   }
 
  protected:
-  void SearchImpl(const SearchRequest<P>& request,
+  void SearchImpl(const SearchRequest<P>& request, const QueryContext& query,
                   SearchContext* context) const override {
-    const P& query = request.point;
     QueryStats* stats = context->stats();
     std::vector<double> query_to_pivot;
     if (!MeasurePivots(query, context, &query_to_pivot)) return;
-    const bool flat = flat_.enabled();
-    const auto ctx = flat ? flat_.MakeQuery(query)
-                          : typename FlatDataPath<P>::QueryContext{};
     for (size_t j = 0; j < pivot_ids_.size(); ++j) {
       context->Emit(pivot_ids_[j], query_to_pivot[j]);
     }
     if (request.mode == SearchMode::kRange) {
       // Fixed radius: the candidate set is known up front, so verify
       // survivors in id order without building the bound ordering.
-      for (size_t i = 0; i < data_.size(); ++i) {
+      for (size_t i = 0; i < points_.size(); ++i) {
         if (IsPivot(i)) continue;
         if (LowerBound(i, query_to_pivot) > request.radius) {
           ++stats->pruning_eliminated;
           continue;
         }
         if (context->StopAfterBudget()) return;
-        context->Emit(
-            i, flat ? flat_.ChargedRowDistance(
-                          ctx, i, &stats->distance_computations)
-                    : this->QueryDist(data_[i], query, stats));
+        context->Emit(i, this->QueryDist(query, i, stats));
       }
       return;
     }
@@ -115,8 +100,8 @@ class LaesaIndex : public SearchIndex<P> {
     std::vector<std::pair<double, size_t>>& order =
         QueryScratch::ForThread().bounds;
     order.clear();
-    order.reserve(data_.size());
-    for (size_t i = 0; i < data_.size(); ++i) {
+    order.reserve(points_.size());
+    for (size_t i = 0; i < points_.size(); ++i) {
       if (IsPivot(i)) continue;
       order.emplace_back(LowerBound(i, query_to_pivot), i);
     }
@@ -125,10 +110,7 @@ class LaesaIndex : public SearchIndex<P> {
     for (const auto& [bound, i] : order) {
       if (bound > context->Radius()) break;
       if (context->StopAfterBudget()) return;
-      context->Emit(
-          i, flat ? flat_.ChargedRowDistance(ctx, i,
-                                             &stats->distance_computations)
-                  : this->QueryDist(data_[i], query, stats));
+      context->Emit(i, this->QueryDist(query, i, stats));
       ++verified;
     }
     // Everything past the stopping point was eliminated by its lower
@@ -139,13 +121,13 @@ class LaesaIndex : public SearchIndex<P> {
  private:
   /// Measures the query against every pivot, charging one evaluation
   /// each.  Returns false when the distance budget runs out mid-way.
-  bool MeasurePivots(const P& query, SearchContext* context,
+  bool MeasurePivots(const QueryContext& query, SearchContext* context,
                      std::vector<double>* distances) const {
     distances->resize(pivot_ids_.size());
     for (size_t j = 0; j < pivot_ids_.size(); ++j) {
       if (context->StopAfterBudget()) return false;
-      (*distances)[j] = this->QueryDist(data_[pivot_ids_[j]], query,
-                                        context->stats());
+      (*distances)[j] =
+          this->QueryDist(query, pivot_ids_[j], context->stats());
     }
     return true;
   }
@@ -167,7 +149,6 @@ class LaesaIndex : public SearchIndex<P> {
 
   std::vector<size_t> pivot_ids_;
   std::vector<double> table_;  // row-major n x k
-  FlatDataPath<P> flat_;
 };
 
 }  // namespace index

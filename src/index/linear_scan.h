@@ -1,11 +1,11 @@
 // Linear scan baseline: the naive algorithm the paper's introduction
 // describes — one distance computation per database point per query.
 //
-// For dense vectors under a kernel-tagged metric the scan runs on the
-// flat data path: distances are evaluated a block at a time over the
-// packed store (L2 in squared form, sqrt only on results), which is the
-// cache-friendly hot loop bench_kernel_throughput measures.  Results
-// and distance counts match the scalar path (one evaluation per point).
+// The scan runs a block of rows at a time through the point store
+// (for kernel-tagged vector metrics, the blocked kernels over the
+// packed rows, L2 in squared form with sqrt only on results), which is
+// the cache-friendly hot loop bench_kernel_throughput measures.  Exactly
+// one distance computation is charged per point.
 
 #ifndef DISTPERM_INDEX_LINEAR_SCAN_H_
 #define DISTPERM_INDEX_LINEAR_SCAN_H_
@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "index/flat_data_path.h"
 #include "index/index.h"
 #include "index/query_scratch.h"
 
@@ -26,55 +25,41 @@ namespace index {
 template <typename P>
 class LinearScanIndex : public SearchIndex<P> {
  public:
-  using SearchIndex<P>::data_;
+  using typename SearchIndex<P>::QueryContext;
+  using SearchIndex<P>::points_;
 
   LinearScanIndex(std::vector<P> data, metric::Metric<P> metric)
-      : SearchIndex<P>(std::move(data), std::move(metric)),
-        flat_(data_, this->metric_) {}
+      : LinearScanIndex(PointStore<P>(std::move(data), std::move(metric))) {}
+  explicit LinearScanIndex(PointStore<P> points)
+      : SearchIndex<P>(std::move(points)) {}
 
   std::string name() const override { return "linear-scan"; }
 
   uint64_t IndexBits() const override { return 0; }
 
  protected:
-  void SearchImpl(const SearchRequest<P>& request,
+  /// Blocked scan.  Scores are only used to prune: Radius() is mapped
+  /// into score space conservatively, chunks of scores are discarded
+  /// with one vectorized min pass each, and only candidates surviving
+  /// the score filter pay ScoreToDistance and touch the result set — so
+  /// emitted distances are bit-identical to evaluating the metric point
+  /// by point.  A distance budget sizes the final block down to the
+  /// remaining allowance, so a budgeted scan charges exactly the
+  /// budget.
+  void SearchImpl(const SearchRequest<P>&, const QueryContext& query,
                   SearchContext* context) const override {
-    if (flat_.enabled()) {
-      FlatScan(request.point, context);
-      return;
-    }
-    for (size_t i = 0; i < data_.size(); ++i) {
-      if (context->StopAfterBudget()) return;
-      context->Emit(i,
-                    this->QueryDist(data_[i], request.point,
-                                    context->stats()));
-    }
-  }
-
- private:
-  /// Blocked-kernel scan.  Scores are only used to prune: Radius() is
-  /// mapped into score space conservatively, chunks of scores are
-  /// discarded with one vectorized min pass each, and only candidates
-  /// surviving the score filter pay ScoreToDistance and touch the
-  /// result set — so emitted distances (and at sqrt ties, results) are
-  /// bit-identical to the scalar path.  A distance budget sizes the
-  /// final block down to the remaining allowance, so a budgeted flat
-  /// scan charges exactly the budget — the same count as the scalar
-  /// path.
-  void FlatScan(const P& query, SearchContext* context) const {
-    const auto ctx = flat_.MakeQuery(query);
     std::vector<double>& block = QueryScratch::ForThread().distance_block;
     block.resize(kDistanceBlockRows);
-    const size_t n = data_.size();
+    const size_t n = points_.size();
     constexpr size_t kMinChunk = 64;
-    double score_bound = flat_.RangeScoreBound(context->Radius());
+    double score_bound = points_.RangeScoreBound(context->Radius());
     for (size_t begin = 0; begin < n;) {
       if (context->StopAfterBudget()) return;
       const size_t count =
           std::min({kDistanceBlockRows, n - begin,
                     static_cast<size_t>(std::min<uint64_t>(
                         context->BudgetRemaining(), kDistanceBlockRows))});
-      flat_.BlockScores(ctx, begin, count, block.data());
+      points_.BlockScores(query, begin, count, block.data());
       context->stats()->distance_computations += count;
       for (size_t c = 0; c < count; c += kMinChunk) {
         const size_t chunk = std::min(kMinChunk, count - c);
@@ -87,15 +72,13 @@ class LinearScanIndex : public SearchIndex<P> {
             ++context->stats()->pruning_eliminated;
             continue;
           }
-          context->Emit(begin + j, flat_.ScoreToDistance(block[j]));
-          score_bound = flat_.RangeScoreBound(context->Radius());
+          context->Emit(begin + j, points_.ScoreToDistance(block[j]));
+          score_bound = points_.RangeScoreBound(context->Radius());
         }
       }
       begin += count;
     }
   }
-
-  FlatDataPath<P> flat_;
 };
 
 }  // namespace index

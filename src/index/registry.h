@@ -162,12 +162,12 @@ template <typename P>
 class Registry {
  public:
   using IndexPtr = std::unique_ptr<SearchIndex<P>>;
-  /// Builds one index.  `data` is the (possibly empty) shard the index
-  /// owns; `options` holds the spec's parsed key=value pairs; `rng`
-  /// drives any randomized construction (pivot/site selection).
+  /// Builds one index.  `points` is the (possibly empty) shard the
+  /// index serves, with its metric; `options` holds the spec's parsed
+  /// key=value pairs; `rng` drives any randomized construction
+  /// (pivot/site selection).
   using Factory = std::function<util::Result<IndexPtr>(
-      std::vector<P> data, const metric::Metric<P>& metric,
-      IndexOptions* options, util::Rng* rng)>;
+      PointStore<P> points, IndexOptions* options, util::Rng* rng)>;
 
   /// The process-wide registry for P, with the built-ins registered.
   static Registry& Global() {
@@ -202,6 +202,13 @@ class Registry {
                                 std::vector<P> data,
                                 const metric::Metric<P>& metric,
                                 util::Rng* rng) const {
+    return Create(spec, PointStore<P>(std::move(data), metric), rng);
+  }
+
+  /// Create over an existing store — a restored shard's borrowed rows.
+  util::Result<IndexPtr> Create(const std::string& spec,
+                                PointStore<P> points,
+                                util::Rng* rng) const {
     util::Result<ParsedIndexSpec> parsed = ParseIndexSpec(spec);
     if (!parsed.ok()) return parsed.status();
     auto it = factories_.find(parsed.value().name);
@@ -217,7 +224,7 @@ class Registry {
     IndexOptions options(parsed.value().name,
                          std::move(parsed.value().options));
     util::Result<IndexPtr> created =
-        it->second(std::move(data), metric, &options, rng);
+        it->second(std::move(points), &options, rng);
     if (!created.ok()) return created;
     util::Status all_consumed = options.CheckAllConsumed();
     if (!all_consumed.ok()) return all_consumed;
@@ -237,41 +244,41 @@ class Registry {
     Registry registry;
     registry.Register(
         "linear-scan",
-        [](std::vector<P> data, const metric::Metric<P>& metric,
-           IndexOptions* options, util::Rng*) -> util::Result<IndexPtr> {
+        [](PointStore<P> points, IndexOptions* options,
+           util::Rng*) -> util::Result<IndexPtr> {
           util::Status no_options = options->CheckAllConsumed();
           if (!no_options.ok()) return no_options;
           return IndexPtr(
-              new LinearScanIndex<P>(std::move(data), metric));
+              new LinearScanIndex<P>(std::move(points)));
         });
     registry.Register(
         "aesa",
-        [](std::vector<P> data, const metric::Metric<P>& metric,
-           IndexOptions* options, util::Rng*) -> util::Result<IndexPtr> {
+        [](PointStore<P> points, IndexOptions* options,
+           util::Rng*) -> util::Result<IndexPtr> {
           util::Status no_options = options->CheckAllConsumed();
           if (!no_options.ok()) return no_options;
-          return IndexPtr(new AesaIndex<P>(std::move(data), metric));
+          return IndexPtr(new AesaIndex<P>(std::move(points)));
         });
     registry.Register(
         "vp-tree",
-        [](std::vector<P> data, const metric::Metric<P>& metric,
-           IndexOptions* options, util::Rng* rng) -> util::Result<IndexPtr> {
+        [](PointStore<P> points, IndexOptions* options,
+           util::Rng* rng) -> util::Result<IndexPtr> {
           util::Status no_options = options->CheckAllConsumed();
           if (!no_options.ok()) return no_options;
-          return IndexPtr(new VpTreeIndex<P>(std::move(data), metric, rng));
+          return IndexPtr(new VpTreeIndex<P>(std::move(points), rng));
         });
     registry.Register(
         "gh-tree",
-        [](std::vector<P> data, const metric::Metric<P>& metric,
-           IndexOptions* options, util::Rng* rng) -> util::Result<IndexPtr> {
+        [](PointStore<P> points, IndexOptions* options,
+           util::Rng* rng) -> util::Result<IndexPtr> {
           util::Status no_options = options->CheckAllConsumed();
           if (!no_options.ok()) return no_options;
-          return IndexPtr(new GhTreeIndex<P>(std::move(data), metric, rng));
+          return IndexPtr(new GhTreeIndex<P>(std::move(points), rng));
         });
     registry.Register(
         "laesa",
-        [](std::vector<P> data, const metric::Metric<P>& metric,
-           IndexOptions* options, util::Rng* rng) -> util::Result<IndexPtr> {
+        [](PointStore<P> points, IndexOptions* options,
+           util::Rng* rng) -> util::Result<IndexPtr> {
           util::Result<size_t> k = options->GetSize("k", 8);
           if (!k.ok()) return k.status();
           if (k.value() == 0) {
@@ -279,27 +286,28 @@ class Registry {
           }
           util::Status consumed = options->CheckAllConsumed();
           if (!consumed.ok()) return consumed;
-          const size_t pivots = std::min(k.value(), data.size());
-          return IndexPtr(
-              new LaesaIndex<P>(std::move(data), metric, pivots, rng));
+          const size_t pivots = std::min(k.value(), points.size());
+          return IndexPtr(new LaesaIndex<P>(std::move(points), pivots, rng));
         });
     registry.Register(
         "iaesa",
-        [](std::vector<P> data, const metric::Metric<P>& metric,
-           IndexOptions* options, util::Rng* rng) -> util::Result<IndexPtr> {
-          util::Result<size_t> sites = SiteCount(options, "k", 6, data);
+        [](PointStore<P> points, IndexOptions* options,
+           util::Rng* rng) -> util::Result<IndexPtr> {
+          util::Result<size_t> sites =
+              SiteCount(options, "k", 6, points.size());
           if (!sites.ok()) return sites.status();
           util::Status consumed = options->CheckAllConsumed();
           if (!consumed.ok()) return consumed;
-          return IndexPtr(new IaesaIndex<P>(
-              std::move(data), metric,
-              std::min(sites.value(), data.size()), rng));
+          const size_t site_count = std::min(sites.value(), points.size());
+          return IndexPtr(
+              new IaesaIndex<P>(std::move(points), site_count, rng));
         });
     registry.Register(
         "distperm",
-        [](std::vector<P> data, const metric::Metric<P>& metric,
-           IndexOptions* options, util::Rng* rng) -> util::Result<IndexPtr> {
-          util::Result<size_t> requested = SiteCount(options, "k", 8, data);
+        [](PointStore<P> points, IndexOptions* options,
+           util::Rng* rng) -> util::Result<IndexPtr> {
+          util::Result<size_t> requested =
+              SiteCount(options, "k", 8, points.size());
           if (!requested.ok()) return requested.status();
           util::Result<double> fraction = Fraction(options, 0.1);
           if (!fraction.ok()) return fraction.status();
@@ -313,19 +321,19 @@ class Registry {
           }
           util::Status consumed = options->CheckAllConsumed();
           if (!consumed.ok()) return consumed;
-          const size_t sites = std::min(requested.value(), data.size());
+          const size_t sites = std::min(requested.value(), points.size());
           const size_t clamped_prefix =
               std::min(prefix.value(), sites - 1);
-          return IndexPtr(new DistPermIndex<P>(
-              std::move(data), metric, sites, rng, fraction.value(),
-              clamped_prefix));
+          return IndexPtr(new DistPermIndex<P>(std::move(points), sites, rng,
+                                               fraction.value(),
+                                               clamped_prefix));
         });
     registry.Register(
         "distperm-prefix",
-        [](std::vector<P> data, const metric::Metric<P>& metric,
-           IndexOptions* options, util::Rng* rng) -> util::Result<IndexPtr> {
+        [](PointStore<P> points, IndexOptions* options,
+           util::Rng* rng) -> util::Result<IndexPtr> {
           util::Result<size_t> requested =
-              SiteCount(options, "k", 12, data);
+              SiteCount(options, "k", 12, points.size());
           if (!requested.ok()) return requested.status();
           if (requested.value() < 2) {
             return BadOption(*options,
@@ -343,24 +351,25 @@ class Registry {
           if (!consumed.ok()) return consumed;
           // Clamp to the shard; a 1-point shard degenerates to a full
           // 1-site permutation (prefix 0).
-          const size_t sites = std::min(requested.value(), data.size());
+          const size_t sites = std::min(requested.value(), points.size());
           const size_t clamped_prefix =
               std::min(prefix.value(), sites - 1);
-          return IndexPtr(new DistPermIndex<P>(
-              std::move(data), metric, sites, rng, fraction.value(),
-              clamped_prefix));
+          return IndexPtr(new DistPermIndex<P>(std::move(points), sites, rng,
+                                               fraction.value(),
+                                               clamped_prefix));
         });
     return registry;
   }
 
   /// Shared validation for permutation-site counts: parses `key` and
-  /// requires a non-empty database and a value in [1, kMaxRank64Sites].
+  /// requires a non-empty database (of `point_count` points) and a
+  /// value in [1, kMaxRank64Sites].
   /// Returns the *requested* count — callers clamp to the shard size
   /// just before construction, after all option validation.
   static util::Result<size_t> SiteCount(IndexOptions* options,
                                         const std::string& key,
                                         size_t fallback,
-                                        const std::vector<P>& data) {
+                                        size_t point_count) {
     util::Result<size_t> sites = options->GetSize(key, fallback);
     if (!sites.ok()) return sites;
     if (sites.value() == 0) {
@@ -371,7 +380,7 @@ class Registry {
                        key + " must be <= " +
                            std::to_string(core::kMaxRank64Sites));
     }
-    if (data.empty()) {
+    if (point_count == 0) {
       return BadOption(*options, "cannot build over an empty database");
     }
     return sites;

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -309,13 +310,38 @@ inline bool HasNanCoordinate(
 
 }  // namespace internal
 
+/// Dimension of a point: its length for dense vectors, 0 (none) for
+/// every other point type.
+template <typename P>
+inline size_t PointDimension(const P&) {
+  return 0;
+}
+inline size_t PointDimension(const std::vector<double>& point) {
+  return point.size();
+}
+
+/// InvalidArgument when `point` is a dense vector of a dimension other
+/// than `dim`, the dimension of the stored points.  dim 0 — a store
+/// holding no points, or a point type without a dimension — accepts
+/// every point.  `what` names the point in the message.
+template <typename P>
+util::Status ValidateDimension(const P& point, size_t dim, const char* what) {
+  const size_t got = PointDimension(point);
+  if (dim == 0 || got == dim) return util::Status::OK();
+  return util::Status::InvalidArgument(
+      std::string(what) + " has dimension " + std::to_string(got) +
+      " but the stored points have dimension " + std::to_string(dim));
+}
+
 /// Central request validation, shared by SearchIndex::Search and the
 /// engine's RunBatch: k = 0 in a kNN mode, a negative or NaN radius, a
-/// NaN query coordinate, or an out-of-range candidate fraction all
-/// yield InvalidArgument here instead of undefined behavior (or a
-/// CHECK-death) inside an index implementation.
+/// NaN query coordinate, a query dimension other than `dim` (the
+/// stored points', see ValidateDimension), or an out-of-range
+/// candidate fraction all yield InvalidArgument here instead of
+/// undefined behavior (or a CHECK-death) inside an index
+/// implementation.
 template <typename P>
-util::Status ValidateRequest(const SearchRequest<P>& request) {
+util::Status ValidateRequest(const SearchRequest<P>& request, size_t dim) {
   const bool wants_knn = request.mode != SearchMode::kRange;
   const bool wants_radius = request.mode != SearchMode::kKnn;
   if (wants_knn && request.k == 0) {
@@ -346,7 +372,7 @@ util::Status ValidateRequest(const SearchRequest<P>& request) {
     return util::Status::InvalidArgument(
         "SearchRequest: query point has a NaN coordinate");
   }
-  return util::Status::OK();
+  return ValidateDimension(request.point, dim, "SearchRequest: query point");
 }
 
 /// Keeps the k best (smallest-distance) results seen so far; ties broken

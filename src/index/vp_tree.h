@@ -22,12 +22,15 @@ namespace index {
 template <typename P>
 class VpTreeIndex : public SearchIndex<P> {
  public:
-  using SearchIndex<P>::data_;
+  using typename SearchIndex<P>::QueryContext;
+  using SearchIndex<P>::points_;
 
   VpTreeIndex(std::vector<P> data, metric::Metric<P> metric,
               util::Rng* rng)
-      : SearchIndex<P>(std::move(data), std::move(metric)) {
-    std::vector<size_t> ids(data_.size());
+      : VpTreeIndex(PointStore<P>(std::move(data), std::move(metric)), rng) {}
+  VpTreeIndex(PointStore<P> points, util::Rng* rng)
+      : SearchIndex<P>(std::move(points)) {
+    std::vector<size_t> ids(points_.size());
     for (size_t i = 0; i < ids.size(); ++i) ids[i] = i;
     root_ = Build(ids, rng);
   }
@@ -41,9 +44,9 @@ class VpTreeIndex : public SearchIndex<P> {
   }
 
  protected:
-  void SearchImpl(const SearchRequest<P>& request,
+  void SearchImpl(const SearchRequest<P>&, const QueryContext& query,
                   SearchContext* context) const override {
-    SearchNode(root_.get(), request.point, context);
+    SearchNode(root_.get(), query, context);
   }
 
  private:
@@ -68,7 +71,7 @@ class VpTreeIndex : public SearchIndex<P> {
     by_distance.reserve(ids.size());
     for (size_t id : ids) {
       by_distance.emplace_back(
-          this->BuildDist(data_[node->vantage], data_[id]), id);
+          this->BuildDist(node->vantage, id), id);
     }
     size_t half = by_distance.size() / 2;
     std::nth_element(by_distance.begin(), by_distance.begin() + half,
@@ -83,11 +86,10 @@ class VpTreeIndex : public SearchIndex<P> {
     return node;
   }
 
-  void SearchNode(const Node* node, const P& query,
+  void SearchNode(const Node* node, const QueryContext& query,
                   SearchContext* context) const {
     if (node == nullptr || context->StopAfterBudget()) return;
-    double d = this->QueryDist(data_[node->vantage], query,
-                               context->stats());
+    double d = this->QueryDist(query, node->vantage, context->stats());
     context->Emit(node->vantage, d);
     // Inside child holds points with distance-to-vantage < median.
     if (d - context->Radius() < node->median) {

@@ -2,7 +2,7 @@
 //
 // These are the hot inner loops of every Section 5 experiment: one
 // query vector against one row, or one query against a whole block of
-// rows packed contiguously (see dataset::FlatVectorStore).  The kernels
+// rows packed contiguously (see index::PointStore).  The kernels
 // take plain `const double* __restrict` pointers and accumulate into
 // four independent partial sums so the compiler can auto-vectorize
 // under the default (non--ffast-math) floating-point rules; the scalar

@@ -31,9 +31,9 @@ using SparseVector = std::vector<std::pair<uint32_t, double>>;
 /// Identifies a dense-vector metric with a vectorized kernel (see
 /// kernels.h).  Metrics tagged with anything but kNone evaluate, on
 /// contiguous rows, bit-identically to their scalar entry points, so
-/// indexes over Vector data may route bulk distance work through the
-/// flat blocked kernels (index/flat_data_path.h) without perturbing
-/// results or the distance-computation cost model.
+/// a vector point store (index/point_store.h) routes bulk distance work
+/// through the blocked kernels without perturbing results or the
+/// distance-computation cost model.
 enum class VectorKernelKind : uint8_t {
   kNone = 0,  ///< No raw kernel; always evaluate through the functor.
   kL1,        ///< Manhattan distance.
@@ -60,7 +60,7 @@ class Metric {
   /// Constructs from any copyable metric object exposing
   /// `double operator()(const P&, const P&) const` and `name()`.  If the
   /// object also exposes `vector_kernel()`, the kernel tag is carried
-  /// through the type erasure so indexes can select the flat data path.
+  /// through the type erasure so point stores can select the kernels.
   template <typename M>
     requires requires(const M& m, const P& p) {
       { m(p, p) } -> std::convertible_to<double>;

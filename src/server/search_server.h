@@ -584,7 +584,9 @@ class SearchServer {
     for (size_t i = 0; i < count; ++i) {
       BatchItem& item = (*batch)[i];
       if (item.rejected) continue;
-      if (cache_ && !item.no_cache) {
+      // The cache measures the query against its sites, so a request
+      // the store rejects goes straight to the engine for its status.
+      if (cache_ && !item.no_cache && db_->ValidateRequest(item.request).ok()) {
         probes[i] = cache_->Lookup(item.request, tags, bounds_allowed_);
         if (probes[i].hit) continue;
       }

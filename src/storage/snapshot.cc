@@ -51,19 +51,17 @@ class HeaderCursor {
 }  // namespace
 
 void SnapshotWriter::AddSection(const std::string& name, std::string data) {
-  Section section;
-  section.name = name;
-  section.size = data.size();
-  section.owned = std::move(data);
-  sections_.push_back(std::move(section));
+  auto owned = std::make_unique<const std::string>(std::move(data));
+  AddSectionRefs(name, {{owned->data(), owned->size()}});
+  sections_.back().owned = std::move(owned);
 }
 
-void SnapshotWriter::AddSectionRef(const std::string& name, const void* data,
-                                   uint64_t size) {
+void SnapshotWriter::AddSectionRefs(const std::string& name,
+                                    std::vector<Chunk> chunks) {
   Section section;
   section.name = name;
-  section.data = data;
-  section.size = size;
+  for (const Chunk& chunk : chunks) section.size += chunk.size;
+  section.chunks = std::move(chunks);
   sections_.push_back(std::move(section));
 }
 
@@ -116,7 +114,11 @@ util::Status SnapshotWriter::WriteFile(Env* env,
     PutLengthPrefixed(&header, section.name);
     PutFixed64(&header, offsets[i]);
     PutFixed64(&header, section.size);
-    PutFixed32(&header, Crc32c(section.bytes(), section.size));
+    uint32_t crc = 0;
+    for (const Chunk& chunk : section.chunks) {
+      crc = Crc32c(chunk.data, chunk.size, crc);
+    }
+    PutFixed32(&header, crc);
   }
   PutFixed32(&header, Crc32c(header));
   DP_CHECK_MSG(header.size() == header_len,
@@ -127,25 +129,41 @@ util::Status SnapshotWriter::WriteFile(Env* env,
   if (!file_result.ok()) return file_result.status();
   std::unique_ptr<WritableFile> file = std::move(file_result).value();
 
+  // Small pieces (padding, one-row chunks) are staged so the file sees
+  // large appends; anything at least a stage long goes straight through.
+  constexpr uint64_t kStageBytes = uint64_t{1} << 20;
+  std::string staged;
+  auto append = [&](const void* data, uint64_t size) -> util::Status {
+    if (staged.size() + size > kStageBytes) {
+      DP_RETURN_IF_ERROR(file->Append(staged.data(), staged.size()));
+      staged.clear();
+    }
+    if (size >= kStageBytes) return file->Append(data, size);
+    staged.append(static_cast<const char*>(data), size);
+    return util::Status::OK();
+  };
   const std::string padding(kAlignment, '\0');
   uint64_t written = 0;
   auto pad_to = [&](uint64_t target) -> util::Status {
     while (written < target) {
       const uint64_t chunk =
           target - written < kAlignment ? target - written : kAlignment;
-      DP_RETURN_IF_ERROR(file->Append(padding.data(), chunk));
+      DP_RETURN_IF_ERROR(append(padding.data(), chunk));
       written += chunk;
     }
     return util::Status::OK();
   };
 
-  DP_RETURN_IF_ERROR(file->Append(header));
+  DP_RETURN_IF_ERROR(append(header.data(), header.size()));
   written = header.size();
   for (size_t i = 0; i < sections_.size(); ++i) {
     DP_RETURN_IF_ERROR(pad_to(offsets[i]));
-    DP_RETURN_IF_ERROR(file->Append(sections_[i].bytes(), sections_[i].size));
+    for (const Chunk& chunk : sections_[i].chunks) {
+      DP_RETURN_IF_ERROR(append(chunk.data, chunk.size));
+    }
     written += sections_[i].size;
   }
+  DP_RETURN_IF_ERROR(file->Append(staged.data(), staged.size()));
   DP_RETURN_IF_ERROR(file->Flush());
   DP_RETURN_IF_ERROR(file->Sync());
   return file->Close();

@@ -13,9 +13,10 @@
 //     [section 0 bytes] <zero padding to 64> [section 1 bytes] ...
 //
 // ("lp" = u32 length-prefixed byte string.)  Every section offset is a
-// multiple of 64, so a FlatVectorStore block dropped in as a section
-// keeps the alignment its SIMD kernels rely on when the file is mapped
-// (mmap returns page-aligned memory, and 4096 is a multiple of 64).
+// multiple of 64, so vector rows dropped in as a section keep the
+// alignment the SIMD kernels rely on when the file is mapped (mmap
+// returns page-aligned memory, and 4096 is a multiple of 64) and can be
+// served straight from the mapping.
 //
 // Writing is crash-atomic: the container is written to `path.tmp`,
 // fsynced, renamed over `path`, and the directory fsynced — a reader
@@ -58,11 +59,24 @@ class SnapshotWriter {
   /// Adds a section owning its bytes.
   void AddSection(const std::string& name, std::string data);
 
+  /// A borrowed run of section bytes.
+  struct Chunk {
+    const void* data = nullptr;
+    uint64_t size = 0;
+  };
+
   /// Adds a section borrowing `size` bytes at `data`; the memory must
-  /// stay valid until Write returns (used for the vector-store block,
-  /// which would be wasteful to copy).
+  /// stay valid until Write returns.
   void AddSectionRef(const std::string& name, const void* data,
-                     uint64_t size);
+                     uint64_t size) {
+    AddSectionRefs(name, {{data, size}});
+  }
+
+  /// Adds a section made of `chunks`, back to back, borrowed like
+  /// AddSectionRef (the point rows of every shard, which would be
+  /// wasteful to gather into one buffer first; small chunks cost no
+  /// extra writes).
+  void AddSectionRefs(const std::string& name, std::vector<Chunk> chunks);
 
   /// Writes the container to `path` via tmp + fsync + rename + dir
   /// fsync.  On failure the tmp file may remain; readers ignore it and
@@ -79,11 +93,9 @@ class SnapshotWriter {
  private:
   struct Section {
     std::string name;
-    std::string owned;      // used when data == nullptr
-    const void* data = nullptr;
+    std::unique_ptr<const std::string> owned;  // AddSection's bytes
+    std::vector<Chunk> chunks;
     uint64_t size = 0;
-
-    const void* bytes() const { return data != nullptr ? data : owned.data(); }
   };
 
   std::map<std::string, std::string> meta_;

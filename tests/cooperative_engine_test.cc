@@ -351,7 +351,7 @@ TEST(ParallelBuild, FactoryPathBuildsConcurrentlyAndSlicesByMove) {
     EXPECT_EQ(moved.shard_offset(s), covered);
     EXPECT_EQ(moved.shard(s).size(), copied.shard(s).size());
     for (size_t i = 0; i < moved.shard(s).size(); ++i) {
-      EXPECT_EQ(moved.shard(s).data()[i], data[covered + i]);
+      EXPECT_EQ(moved.shard(s).points().Point(i), data[covered + i]);
     }
     covered += moved.shard(s).size();
   }

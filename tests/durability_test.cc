@@ -585,10 +585,10 @@ SectionMaker Tampered(std::function<void(DistPermState*)> tamper) {
 }
 
 /// Copies the distperm generation snapshot at `from` to `to` through
-/// SnapshotWriter, with `meta_overrides` applied and every shard
-/// section made by `make_section`.  The copy is CRC-valid, so only
-/// ReadGenerationSnapshot's own checks stand between a bad state and
-/// the restore constructor's CHECKs.
+/// SnapshotWriter, with `meta_overrides` applied (an empty value drops
+/// the key) and every shard section made by `make_section`.  The copy
+/// is CRC-valid, so only ReadGenerationSnapshot's own checks stand
+/// between a bad state and the restore constructor's CHECKs.
 util::Status RewriteSnapshot(
     const Generation<Vector>& generation, const std::string& from,
     const std::string& to,
@@ -600,9 +600,11 @@ util::Status RewriteSnapshot(
   storage::SnapshotWriter writer;
   for (const auto& [key, value] : reader.value().meta()) {
     auto override_it = meta_overrides.find(key);
-    writer.SetMeta(key, override_it == meta_overrides.end()
-                            ? value
-                            : override_it->second);
+    if (override_it == meta_overrides.end()) {
+      writer.SetMeta(key, value);
+    } else if (!override_it->second.empty()) {
+      writer.SetMeta(key, override_it->second);
+    }
   }
   auto vectors = reader.value().GetSection("vectors");
   if (!vectors.ok()) return vectors.status();
@@ -690,6 +692,29 @@ TEST(Durability, InconsistentDistPermStateIsRefusedNotFatal) {
       {"site of the wrong dimension", {},
        Tampered([](DistPermState* state) { state->sites[2].push_back(0.5); }),
        "dimension"},
+      {"huge point_count", {{"point_count", "4000000000000"}}, faithful,
+       "do not sum"},
+      {"huge point_count with matching shard_sizes",
+       {{"point_count", "4000000000000"},
+        {"shard_sizes", "2000000000000,2000000000000"}},
+       faithful,
+       "vectors section"},
+      {"shard_sizes that wrap around",
+       {{"shard_sizes", "18446744073709551615,61"}},
+       faithful,
+       "do not sum"},
+      {"shard size beyond 64 bits",
+       {{"shard_sizes", "30,99999999999999999999"}},
+       faithful,
+       "shard_sizes"},
+      {"non-numeric dim", {{"dim", "three"}}, faithful, "meta dim"},
+      {"non-numeric generation", {{"generation", "two"}}, faithful,
+       "meta generation"},
+      {"stride below dim", {{"stride", "2"}}, faithful, "below dim"},
+      {"missing shard_sizes", {{"shard_sizes", ""}}, faithful,
+       "meta shard_sizes"},
+      {"missing shard_epochs", {{"shard_epochs", ""}}, faithful,
+       "meta shard_epochs"},
   };
   for (const Case& c : cases) {
     const std::string path = dir + "/tampered.snap";

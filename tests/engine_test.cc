@@ -189,7 +189,7 @@ TEST(ShardedDatabase, ContiguousSlicingCoversEveryPoint) {
   for (size_t s = 0; s < db.shard_count(); ++s) {
     EXPECT_EQ(db.shard_offset(s), covered);
     for (size_t i = 0; i < db.shard(s).size(); ++i) {
-      EXPECT_EQ(db.shard(s).data()[i], data[covered + i]);
+      EXPECT_EQ(db.shard(s).points().Point(i), data[covered + i]);
     }
     covered += db.shard(s).size();
   }

@@ -224,8 +224,8 @@ TEST(FlatPath, DistPermPartialSelectionMatchesSeedOrdering) {
 }
 
 TEST(FlatPath, SparseDocumentSpacesStillUseScalarPath) {
-  // Non-vector point types must compile and run through the scalar
-  // path untouched (FlatDataPath generic stub).
+  // Non-vector point types must compile and run through the generic
+  // point store, one metric call per pair.
   util::Rng rng(31);
   std::vector<metric::SparseVector> docs;
   for (int i = 0; i < 40; ++i) {

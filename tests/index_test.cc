@@ -335,7 +335,7 @@ TEST(PivotSelect, MaxMinSpreadsPivots) {
   }
   util::Rng rng(27);
   uint64_t budget = 0;
-  auto pivots = MaxMinPivots(data, L2(), 3, &rng, &budget);
+  auto pivots = MaxMinPivots(PointStore<Vector>(data, L2()), 3, &rng, &budget);
   ASSERT_EQ(pivots.size(), 3u);
   EXPECT_EQ(budget, 2u * data.size());
   // After the random first pivot, the farthest point is an endpoint.

@@ -1,5 +1,5 @@
 // Tests for the vectorized distance kernels (metric/kernels.h), the
-// flat vector store (dataset/flat_vector_store.h), and the kernel
+// vector point store (index/point_store.h), and the kernel
 // tagging carried by Metric<Vector>.
 //
 // Tolerance contract, as documented in kernels.h: the kernels
@@ -16,12 +16,13 @@
 // and the block-min helper involve no additions, so they must match
 // the sequential reference exactly.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "dataset/flat_vector_store.h"
 #include "gtest/gtest.h"
+#include "index/point_store.h"
 #include "metric/cosine.h"
 #include "metric/kernels.h"
 #include "metric/lp.h"
@@ -98,31 +99,35 @@ TEST(Kernels, BlockMatchesRawBitExactly) {
   for (size_t dim : kDims) {
     std::vector<Vector> points;
     for (int i = 0; i < 37; ++i) points.push_back(RandomVector(dim, &rng));
-    dataset::FlatVectorStore store(points);
+    // Rows `stride` doubles apart, as a snapshot lays them out.
+    const size_t stride = index::PointStore<Vector>::StrideFor(dim);
+    std::vector<double> rows(points.size() * stride, 0.0);
+    for (size_t i = 0; i < points.size(); ++i) {
+      std::copy(points[i].begin(), points[i].end(), &rows[i * stride]);
+    }
     Vector query = RandomVector(dim, &rng);
     std::vector<double> out(points.size());
 
-    metric::L1Block(query.data(), store.data(), store.size(),
-                    store.stride(), dim, out.data());
+    metric::L1Block(query.data(), rows.data(), points.size(), stride, dim,
+                    out.data());
     for (size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(out[i], metric::L1Raw(query.data(), store.row(i), dim));
       EXPECT_EQ(out[i],
                 metric::L1Raw(query.data(), points[i].data(), dim));
     }
-    metric::L2sqBlock(query.data(), store.data(), store.size(),
-                      store.stride(), dim, out.data());
+    metric::L2sqBlock(query.data(), rows.data(), points.size(), stride, dim,
+                      out.data());
     for (size_t i = 0; i < points.size(); ++i) {
       EXPECT_EQ(out[i],
                 metric::L2sqRaw(query.data(), points[i].data(), dim));
     }
-    metric::LInfBlock(query.data(), store.data(), store.size(),
-                      store.stride(), dim, out.data());
+    metric::LInfBlock(query.data(), rows.data(), points.size(), stride, dim,
+                      out.data());
     for (size_t i = 0; i < points.size(); ++i) {
       EXPECT_EQ(out[i],
                 metric::LInfRaw(query.data(), points[i].data(), dim));
     }
-    metric::DotBlock(query.data(), store.data(), store.size(),
-                     store.stride(), dim, out.data());
+    metric::DotBlock(query.data(), rows.data(), points.size(), stride, dim,
+                     out.data());
     for (size_t i = 0; i < points.size(); ++i) {
       EXPECT_EQ(out[i],
                 metric::DotRaw(query.data(), points[i].data(), dim));
@@ -165,46 +170,28 @@ TEST(Kernels, MinRawMatchesSequentialScan) {
   EXPECT_EQ(metric::MinRaw(nullptr, 0), 0.0);
 }
 
-TEST(FlatVectorStore, RoundTripsValuesExactly) {
+TEST(PointStore, RoundTripsValuesExactly) {
   util::Rng rng(16);
   for (size_t dim : kDims) {
     std::vector<Vector> points;
     for (int i = 0; i < 19; ++i) points.push_back(RandomVector(dim, &rng));
-    dataset::FlatVectorStore store(points);
+    index::PointStore<Vector> store(points, metric::LpMetric::L2());
     ASSERT_EQ(store.size(), points.size());
     ASSERT_EQ(store.dim(), dim);
+    EXPECT_EQ(store.HeapBytes(), points.size() * dim * sizeof(double));
     for (size_t i = 0; i < points.size(); ++i) {
-      EXPECT_EQ(store.ToVector(i), points[i]);
-      dataset::VectorView view = store.view(i);
-      ASSERT_EQ(view.dim, dim);
-      for (size_t j = 0; j < dim; ++j) EXPECT_EQ(view[j], points[i][j]);
+      EXPECT_EQ(store.Point(i), points[i]);
+      for (size_t j = 0; j < dim; ++j) EXPECT_EQ(store.row(i)[j], points[i][j]);
     }
   }
 }
 
-TEST(FlatVectorStore, RowsAreCacheLineAlignedAndPadded) {
-  util::Rng rng(17);
-  for (size_t dim : kDims) {
-    std::vector<Vector> points;
-    for (int i = 0; i < 5; ++i) points.push_back(RandomVector(dim, &rng));
-    dataset::FlatVectorStore store(points);
-    EXPECT_EQ(store.stride() % 8, 0u);
-    EXPECT_GE(store.stride(), dim);
-    for (size_t i = 0; i < store.size(); ++i) {
-      EXPECT_EQ(reinterpret_cast<uintptr_t>(store.row(i)) %
-                    dataset::FlatVectorStore::kRowAlignBytes,
-                0u);
-      for (size_t j = dim; j < store.stride(); ++j) {
-        EXPECT_EQ(store.row(i)[j], 0.0);
-      }
-    }
-  }
-}
-
-TEST(FlatVectorStore, EmptyDatabaseYieldsEmptyStore) {
-  dataset::FlatVectorStore store{std::vector<Vector>{}};
+TEST(PointStore, EmptyDatabaseYieldsEmptyStore) {
+  index::PointStore<Vector> store(std::vector<Vector>{},
+                                  metric::LpMetric::L2());
   EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.AllocatedBytes(), 0u);
+  EXPECT_EQ(store.dim(), 0u);
+  EXPECT_EQ(store.HeapBytes(), 0u);
 }
 
 TEST(MetricTagging, KernelKindSurvivesTypeErasure) {

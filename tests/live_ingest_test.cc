@@ -32,6 +32,7 @@
 #include "metric/string_metrics.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "storage/env.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -484,6 +485,68 @@ TEST(LiveIngest, DeltaScanLimitAppliesBackpressure) {
   EXPECT_EQ(live.delta_entries(), 0u);
   ASSERT_TRUE(live.Insert({1.2, 1.2}).ok());
   EXPECT_EQ(live.size(), 20u - 1 + 3);
+}
+
+// A point of the wrong dimension is refused before it reaches a metric
+// or the WAL: the insert appends nothing (recovery replays only good
+// records), a wrong-dimension query fails alone inside its batch at
+// zero cost, and a store with no points yet accepts the first
+// dimension it sees.
+TEST(LiveIngest, WrongDimensionWritesAndQueriesAreRejected) {
+  storage::Env* env = storage::Env::Default();
+  const std::string dir = ::testing::TempDir() + "/live_wrong_dimension";
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  if (auto listing = env->ListDir(dir); listing.ok()) {
+    for (const std::string& file : listing.value()) {
+      env->DeleteFile(dir + "/" + file);
+    }
+  }
+  const std::string spec = "vp-tree:wal_dir=" + dir + ",fsync=always";
+  const std::string wal = dir + "/" + WalFileName(1);
+  util::Rng rng(412);
+  auto data = dataset::UniformCube(30, 2, &rng);
+  {
+    auto opened = LiveDatabase<Vector>::Open(data, L2(), 2, spec, 44);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    LiveDatabase<Vector>& live = *opened.value();
+    ASSERT_TRUE(live.Insert({0.5, 0.5}).ok());
+    const uint64_t wal_bytes = env->FileSize(wal).value();
+    const uint64_t clock = live.mutation_clock();
+
+    auto rejected = live.Insert({0.5, 0.5, 0.5});
+    EXPECT_EQ(rejected.status().code(), util::StatusCode::kInvalidArgument)
+        << rejected.status();
+    EXPECT_EQ(env->FileSize(wal).value(), wal_bytes);
+    EXPECT_EQ(live.mutation_clock(), clock);
+    EXPECT_EQ(live.delta_entries(), 1u);
+
+    const std::vector<QuerySpec<Vector>> batch = {
+        QuerySpec<Vector>::Knn({0.5, 0.5, 0.5}, 3),
+        QuerySpec<Vector>::Knn({0.5, 0.5}, 3),
+        QuerySpec<Vector>::Range({0.5}, 0.4)};
+    for (int pass = 0; pass < 2; ++pass) {  // with and without a delta
+      auto out = live.RunBatch(batch);
+      for (size_t q : {0u, 2u}) {
+        EXPECT_EQ(out.statuses[q].code(), util::StatusCode::kInvalidArgument)
+            << "pass " << pass << " query " << q;
+        EXPECT_TRUE(out.results[q].empty());
+        EXPECT_EQ(out.per_query_distance_computations[q], 0u);
+      }
+      ASSERT_TRUE(out.statuses[1].ok()) << out.statuses[1];
+      EXPECT_EQ(out.results[1].size(), 3u);
+      ASSERT_TRUE(live.Compact().ok());
+    }
+  }
+  auto reopened = LiveDatabase<Vector>::Open({}, L2(), 2, spec, 44);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(reopened.value()->size(), 31u);
+
+  auto empty = LiveDatabase<Vector>::Open({}, L2(), 2, "linear-scan", 45);
+  ASSERT_TRUE(empty.ok()) << empty.status();
+  ASSERT_TRUE(empty.value()->Insert({1.0, 2.0, 3.0}).ok());
+  EXPECT_EQ(empty.value()->Insert({1.0, 2.0}).status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(empty.value()->size(), 1u);
 }
 
 TEST(LiveIngest, AutoCompactionRunsInBackground) {

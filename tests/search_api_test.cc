@@ -173,6 +173,8 @@ TEST(SearchApi, InvalidRequestsRejectedCentrally) {
       SearchRequest<Vector>::Knn(ok_point, 3).WithCandidateFraction(1.5),
       SearchRequest<Vector>::Knn(ok_point, 3).WithCandidateFraction(-0.1),
       SearchRequest<Vector>::Knn(ok_point, 3).WithCandidateFraction(nan),
+      SearchRequest<Vector>::Knn({0.5, 0.5, 0.5}, 3),  // wrong dimension
+      SearchRequest<Vector>::Range({0.5}, 0.5),
   };
   for (const auto& index : indexes) {
     for (size_t b = 0; b < bad.size(); ++b) {

@@ -244,6 +244,48 @@ TEST(ServerE2E, InsertAndRemoveVisibleOverTheWire) {
   EXPECT_EQ(again.value().code, WireCode::kNotFound);
 }
 
+// A client sending points of the wrong dimension gets InvalidArgument
+// for each of them — before the perm cache or any index measures the
+// point — and the server keeps answering everyone, that client
+// included.
+TEST(ServerE2E, WrongDimensionIsRejectedAndServingContinues) {
+  SearchServer<Vector>::Options options;
+  options.perm_cache_capacity = 1024;
+  options.perm_cache_sites = 8;
+  auto ts = StartServer("vp-tree", 300, 4, 12, options);
+  ASSERT_NE(ts, nullptr);
+  auto bad_client = Connect(*ts);
+  auto good_client = Connect(*ts);
+  ASSERT_NE(bad_client, nullptr);
+  ASSERT_NE(good_client, nullptr);
+  const Vector good_point{0.5, 0.5, 0.5, 0.5};
+  const Vector bad_point{0.5, 0.5, 0.5};
+
+  const std::vector<SearchRequest<Vector>> batch = {
+      SearchRequest<Vector>::Knn(bad_point, 3),
+      SearchRequest<Vector>::Knn(good_point, 3)};
+  auto searched = bad_client->SearchBatch(batch);
+  ASSERT_TRUE(searched.ok()) << searched.status();
+  EXPECT_EQ(searched.value()[0].status.code, WireCode::kInvalidArgument);
+  EXPECT_TRUE(searched.value()[0].results.empty());
+  EXPECT_EQ(searched.value()[0].stats.distance_computations, 0u);
+  EXPECT_TRUE(searched.value()[1].status.ok());
+  EXPECT_EQ(searched.value()[1].results.size(), 3u);
+
+  auto inserted = bad_client->Insert(bad_point);
+  ASSERT_TRUE(inserted.ok()) << inserted.status();
+  EXPECT_EQ(inserted.value().status.code, WireCode::kInvalidArgument);
+  EXPECT_EQ(ts->db->size(), 300u);
+
+  auto other = good_client->Search(SearchRequest<Vector>::Knn(good_point, 3));
+  ASSERT_TRUE(other.ok()) << other.status();
+  EXPECT_TRUE(other.value().status.ok());
+  EXPECT_EQ(other.value().results, searched.value()[1].results);
+  auto same = bad_client->Search(SearchRequest<Vector>::Knn(good_point, 3));
+  ASSERT_TRUE(same.ok()) << same.status();
+  EXPECT_TRUE(same.value().status.ok());
+}
+
 TEST(ServerE2E, AdmissionBudgetRejectsWithUnavailable) {
   SearchServer<Vector>::Options options;
   options.max_inflight_distance_budget = 1;  // below one search's cost
