@@ -127,8 +127,9 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::cout << "\nReading guide: AESA/iAESA use the fewest distances but "
                "store O(n^2); LAESA trades distances for O(nk) storage; "
-               "the permutation index stores one rank byte per site per "
-               "point (the paper shows ceil(lg k!) bits would do) at the "
+               "the permutation index stores each distinct permutation "
+               "once (one rank byte per site) plus a 32-bit table id per "
+               "point (the paper shows ceil(lg N) bits would do) at the "
                "cost of approximate answers.\n";
   return 0;
 }

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
   distperm::metric::Metric<Vector> l2(distperm::metric::LpMetric::L2());
 
   // 2. Build the permutation index: k random sites, one distance
-  //    permutation stored per point (one rank byte per site; the paper
-  //    shows ceil lg k! bits would do).
+  //    permutation per point, each distinct one stored once (one rank
+  //    byte per site) and named by a 32-bit table id per point.
   distperm::index::DistPermIndex<Vector> index(data, l2, sites, &rng,
                                                /*fraction=*/0.1);
   std::cout << "built distperm index over " << points << " points, "

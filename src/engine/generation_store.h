@@ -4,7 +4,7 @@
 //
 // A generation snapshot is a storage::SnapshotWriter container with:
 //
-//   meta   format="generation.v2", point_kind, spec, seed, shard_count,
+//   meta   format="generation.v3", point_kind, spec, seed, shard_count,
 //          generation, point_count, index_state ("distperm"|"rebuild"),
 //          shard_sizes/shard_epochs (comma-joined per-shard layout and
 //          rebuild epochs), and for vectors dim/stride
@@ -15,8 +15,9 @@
 //                 in-memory layout
 //     "points"    (string stores)  concatenated PointCodec encodings
 //     "shard<N>"  (index_state=distperm) the N-th shard's exported
-//                 DistPermIndex state: its sites and its n x k
-//                 inverted-rank table, one byte per (point, site)
+//                 DistPermIndex state: its sites, prefix and fraction,
+//                 its table of distinct inverted-rank rows (k bytes
+//                 each) and one 32-bit table id per point
 //
 // Restore is bit-identical either way: a "distperm" snapshot feeds the
 // exported state straight back through DistPermIndex's restore
@@ -193,7 +194,7 @@ util::Result<WalOp<P>> DecodeWalRecord(const std::string& payload) {
 
 /// The snapshot "format" meta.  Bumped whenever a section's layout
 /// changes, so a reader refuses an older file instead of misparsing it.
-inline constexpr char kGenerationFormat[] = "generation.v2";
+inline constexpr char kGenerationFormat[] = "generation.v3";
 
 namespace internal {
 
@@ -227,6 +228,15 @@ class SectionCursor {
     p_ += size;
     return true;
   }
+  bool ReadFixed32s(std::vector<uint32_t>* out, uint64_t count) {
+    if (remaining() / 4 < count) return false;
+    out->resize(count);
+    for (uint32_t& value : *out) {
+      value = storage::GetFixed32(p_);
+      p_ += 4;
+    }
+    return true;
+  }
   template <typename P>
   bool ReadPoint(P* out) {
     size_t consumed = 0;
@@ -243,8 +253,8 @@ class SectionCursor {
   const uint8_t* end_;
 };
 
-/// Serialized DistPermIndex::State (sites via PointCodec, the rank
-/// table length-prefixed).
+/// Serialized DistPermIndex::State (sites via PointCodec, then the
+/// rank table and the per-point table ids, each length-prefixed).
 template <typename P>
 std::string EncodeDistPermState(
     const typename index::DistPermIndex<P>::State& state) {
@@ -255,9 +265,11 @@ std::string EncodeDistPermState(
   }
   storage::PutFixed64(&out, state.prefix);
   storage::PutDouble(&out, state.fraction);
-  storage::PutFixed64(&out, state.inv_ranks.size());
-  out.append(reinterpret_cast<const char*>(state.inv_ranks.data()),
-             state.inv_ranks.size());
+  storage::PutFixed64(&out, state.table.size());
+  out.append(reinterpret_cast<const char*>(state.table.data()),
+             state.table.size());
+  storage::PutFixed64(&out, state.ids.size());
+  for (uint32_t id : state.ids) storage::PutFixed32(&out, id);
   return out;
 }
 
@@ -276,12 +288,14 @@ bool DecodeDistPermState(const uint8_t* data, uint64_t size,
     if (!cursor.template ReadPoint<P>(&site)) return false;
     out->sites.push_back(std::move(site));
   }
-  uint64_t prefix = 0, inv_size = 0;
+  uint64_t prefix = 0, table_size = 0, id_count = 0;
   if (!cursor.ReadFixed64(&prefix)) return false;
   out->prefix = prefix;
   if (!cursor.ReadDouble(&out->fraction)) return false;
-  if (!cursor.ReadFixed64(&inv_size)) return false;
-  if (!cursor.ReadBytes(&out->inv_ranks, inv_size)) return false;
+  if (!cursor.ReadFixed64(&table_size)) return false;
+  if (!cursor.ReadBytes(&out->table, table_size)) return false;
+  if (!cursor.ReadFixed64(&id_count)) return false;
+  if (!cursor.ReadFixed32s(&out->ids, id_count)) return false;
   return cursor.remaining() == 0;
 }
 

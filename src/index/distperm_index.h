@@ -4,24 +4,28 @@
 // Per database point the index stores only the point's distance
 // permutation with respect to k sites, or optionally just the prefix
 // naming its `prefix_length` closest sites — the truncated variant used
-// in practice when k is large.  The permutation is kept inverted, as one
-// byte per site holding that site's rank (k bytes per point), because
-// that is the form the query-time footrule reads.  At query time the
-// query's own permutation is computed (k metric evaluations) and
-// candidates are verified in increasing Spearman-footrule order;
-// reviewing only a fraction f of the database gives the probabilistic
-// search of the original paper.  The index also reports the number of
-// distinct permutations it stores — the quantity this paper counts — and
-// the bytes its rank table occupies.
+// in practice when k is large.  Following the paper's Section 4
+// observation that only N << k! permutations occur, the index keeps
+// each distinct permutation once, in a table of N inverted-rank rows
+// (one byte per site holding that site's rank, the form the footrule
+// reads), plus one 32-bit table id per point.  At query time the
+// query's own permutation is computed (k metric evaluations), the
+// footrule is computed once per distinct row, and a counting sort over
+// the footrule values (small integers) picks the candidates in
+// increasing (footrule, id) order; reviewing only a fraction f of the
+// database gives the probabilistic search of the original paper.  The
+// index also reports the number of distinct permutations it stores —
+// the quantity this paper counts — and the bytes its table occupies.
 
 #ifndef DISTPERM_INDEX_DISTPERM_INDEX_H_
 #define DISTPERM_INDEX_DISTPERM_INDEX_H_
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <string>
-#include <string_view>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -65,10 +69,16 @@ class DistPermIndex : public SearchIndex<P> {
         fraction_(fraction) {
     DP_CHECK(site_count >= 1 && site_count <= core::kMaxRank64Sites);
     DP_CHECK(fraction > 0.0 && fraction <= 1.0);
+    DP_CHECK(points_.size() <= std::numeric_limits<uint32_t>::max());
     prefix_ = prefix_length == 0 ? site_count
                                  : std::min(prefix_length, site_count);
-    inv_ranks_.assign(points_.size() * site_count, 0);
+    // Invert each permutation once at build time: entry `site` of a row
+    // is the site's rank, or prefix_ for sites absent from a truncated
+    // prefix.  Equal rows are stored once; ids_[i] names point i's row.
+    std::unordered_map<std::string, uint32_t> row_of;
+    std::string row(site_count, '\0');
     std::vector<double> distances(site_count);
+    ids_.resize(points_.size());
     for (size_t i = 0; i < points_.size(); ++i) {
       const QueryContext point = points_.MakeRowQuery(i);
       for (size_t j = 0; j < site_count; ++j) {
@@ -79,20 +89,21 @@ class DistPermIndex : public SearchIndex<P> {
           prefix_ == site_count
               ? core::PermutationFromDistances(distances)
               : core::PermutationPrefixFromDistances(distances, prefix_);
-      // Invert once at build time: inv_ranks_[i*k + site] is the site's
-      // rank in point i's permutation, or prefix_ for sites absent from
-      // a truncated prefix.  Footrule at query time is then a single
-      // O(k) pass over two rank arrays with no per-pair inversion.
-      uint8_t* ranks = &inv_ranks_[i * site_count];
-      std::fill(ranks, ranks + site_count, static_cast<uint8_t>(prefix_));
+      std::fill(row.begin(), row.end(), static_cast<char>(prefix_));
       for (size_t r = 0; r < perm.size(); ++r) {
-        ranks[perm[r]] = static_cast<uint8_t>(r);
+        row[perm[r]] = static_cast<char>(r);
       }
+      const uint32_t next = static_cast<uint32_t>(row_of.size());
+      auto [it, added] = row_of.emplace(row, next);
+      if (added) table_.insert(table_.end(), row.begin(), row.end());
+      ids_[i] = it->second;
     }
+    CountRowPoints();
   }
 
   /// Everything the index keeps besides the data itself — the exact
-  /// members search reads.  Exported for snapshot persistence and fed
+  /// members search reads, save the per-row point counts, which are
+  /// recomputed from `ids`.  Exported for snapshot persistence and fed
   /// back through the restore constructor: a restored index answers
   /// bit-identically to the one that exported, because SearchImpl
   /// depends on nothing outside this state.
@@ -100,7 +111,10 @@ class DistPermIndex : public SearchIndex<P> {
     std::vector<P> sites;
     size_t prefix = 0;
     double fraction = 0.1;
-    std::vector<uint8_t> inv_ranks;
+    /// The distinct inverted-rank rows, k bytes each.
+    std::vector<uint8_t> table;
+    /// Per point, the index of its row in `table`.
+    std::vector<uint32_t> ids;
   };
 
   State ExportState() const {
@@ -108,15 +122,18 @@ class DistPermIndex : public SearchIndex<P> {
     state.sites = sites();
     state.prefix = prefix_;
     state.fraction = fraction();
-    state.inv_ranks = inv_ranks_;
+    state.table = table_;
+    state.ids = ids_;
     return state;
   }
 
   /// Checks that `state` can back an index over `point_count` points:
   /// 1..kMaxRank64Sites sites, a prefix in [1, k], a fraction in (0, 1],
-  /// point_count x k ranks, and no rank above the prefix.  For state
-  /// read from outside the program, which the restore constructor would
-  /// otherwise CHECK-fail on.  One pass over the rank table.
+  /// a table of whole k-byte rows each holding ranks 0..prefix-1 once
+  /// and prefix everywhere else, and one id per point naming a table
+  /// row.  For state read from outside the program, which the restore
+  /// constructor would otherwise CHECK-fail on.  One pass over the
+  /// table and one over the ids.
   static util::Status ValidateState(const State& state, size_t point_count) {
     const size_t k = state.sites.size();
     if (k == 0 || k > core::kMaxRank64Sites) {
@@ -134,18 +151,50 @@ class DistPermIndex : public SearchIndex<P> {
           "fraction " + std::to_string(state.fraction) +
           " is outside (0, 1]");
     }
-    if (state.inv_ranks.size() != point_count * k) {
+    if (state.table.size() % k != 0) {
       return util::Status::InvalidArgument(
-          std::to_string(state.inv_ranks.size()) + " ranks for " +
-          std::to_string(point_count) + " points x " + std::to_string(k) +
-          " sites");
+          "table of " + std::to_string(state.table.size()) +
+          " bytes is not whole rows of " + std::to_string(k) + " sites");
     }
-    uint8_t max_rank = 0;
-    for (uint8_t rank : state.inv_ranks) max_rank = std::max(max_rank, rank);
-    if (max_rank > state.prefix) {
+    if (state.ids.size() != point_count) {
       return util::Status::InvalidArgument(
-          "rank " + std::to_string(max_rank) + " exceeds prefix " +
-          std::to_string(state.prefix));
+          std::to_string(state.ids.size()) + " table ids for " +
+          std::to_string(point_count) + " points");
+    }
+    const size_t rows = state.table.size() / k;
+    for (size_t r = 0; r < rows; ++r) {
+      const uint8_t* row = &state.table[r * k];
+      auto bad_row = [r](const std::string& what) {
+        return util::Status::InvalidArgument(what + " in table row " +
+                                             std::to_string(r));
+      };
+      bool seen[core::kMaxRank64Sites] = {};
+      size_t ranked = 0;
+      for (size_t site = 0; site < k; ++site) {
+        const size_t rank = row[site];
+        if (rank == state.prefix) continue;
+        if (rank > state.prefix) {
+          return bad_row("rank " + std::to_string(rank) + " exceeds prefix " +
+                         std::to_string(state.prefix));
+        }
+        if (seen[rank]) {
+          return bad_row("rank " + std::to_string(rank) + " repeats");
+        }
+        seen[rank] = true;
+        ++ranked;
+      }
+      if (ranked != state.prefix) {
+        return bad_row(std::to_string(ranked) + " of " +
+                       std::to_string(state.prefix) + " ranks present");
+      }
+    }
+    for (size_t i = 0; i < state.ids.size(); ++i) {
+      if (state.ids[i] >= rows) {
+        return util::Status::InvalidArgument(
+            "table id " + std::to_string(state.ids[i]) + " of point " +
+            std::to_string(i) + " is past the " + std::to_string(rows) +
+            "-row table");
+      }
     }
     return util::Status::OK();
   }
@@ -156,49 +205,50 @@ class DistPermIndex : public SearchIndex<P> {
                       std::move(state)) {}
 
   /// Restores an index from previously exported state without paying
-  /// the n x k build-time distance evaluations.  The state must match
-  /// `points` (same point count it was exported over); this is checked.
-  /// build_distance_computations() reports 0 for a restored index —
-  /// restoration computes no distances.
+  /// the n x k build-time distance evaluations or rehashing the table.
+  /// The state must match `points` (same point count it was exported
+  /// over); this is checked.  build_distance_computations() reports 0
+  /// for a restored index — restoration computes no distances.
   DistPermIndex(PointStore<P> points, State state)
       : SearchIndex<P>(std::move(points)),
         sites_(std::move(state.sites), points_.metric()),
         prefix_(state.prefix),
-        inv_ranks_(std::move(state.inv_ranks)),
+        table_(std::move(state.table)),
+        ids_(std::move(state.ids)),
         fraction_(state.fraction) {
     DP_CHECK(sites_.size() >= 1 && sites_.size() <= core::kMaxRank64Sites);
     DP_CHECK(prefix_ >= 1 && prefix_ <= sites_.size());
     DP_CHECK(fraction() > 0.0 && fraction() <= 1.0);
-    DP_CHECK_MSG(inv_ranks_.size() == points_.size() * sites_.size(),
+    DP_CHECK(table_.size() % sites_.size() == 0);
+    DP_CHECK_MSG(ids_.size() == points_.size(),
                  "restored distperm state does not match the data: "
-                     << inv_ranks_.size() << " ranks for " << points_.size()
-                     << " points x " << sites_.size() << " sites");
+                     << ids_.size() << " table ids for " << points_.size()
+                     << " points");
+    CountRowPoints();
   }
 
   std::string name() const override {
     return prefix_ == sites_.size() ? "distperm" : "distperm-prefix";
   }
 
-  /// Bits the rank table occupies: one byte per (point, site).
-  uint64_t IndexBits() const override { return 8 * inv_ranks_.size(); }
+  /// Bits the permutation table occupies: the N distinct k-byte rows,
+  /// one 32-bit id per point, and one 32-bit point count per row.
+  uint64_t IndexBits() const override {
+    return 8 * (table_.size() +
+                sizeof(uint32_t) * (ids_.size() + row_points_.size()));
+  }
 
   /// Number of distinct (possibly truncated) permutations stored — the
-  /// paper's counted quantity.  A rank row determines its permutation
-  /// (prefix) and back, so distinct rows are distinct permutations.
+  /// paper's counted quantity, and the number of table rows.  A rank
+  /// row determines its permutation (prefix) and back.
   size_t DistinctPermutationCount() const {
-    const size_t k = sites_.size();
-    const char* rows = reinterpret_cast<const char*>(inv_ranks_.data());
-    std::unordered_set<std::string_view> seen;
-    for (size_t i = 0; i < points_.size(); ++i) {
-      seen.emplace(rows + i * k, k);
-    }
-    return seen.size();
+    return table_.size() / sites_.size();
   }
 
   /// The stored permutation (or prefix) of database point i, read back
-  /// from its rank row.
+  /// from its table row.
   core::Permutation StoredPermutation(size_t i) const {
-    const uint8_t* ranks = &inv_ranks_[i * sites_.size()];
+    const uint8_t* ranks = &table_[ids_[i] * sites_.size()];
     core::Permutation perm(prefix_);
     for (size_t site = 0; site < sites_.size(); ++site) {
       if (ranks[site] < prefix_) {
@@ -248,14 +298,13 @@ class DistPermIndex : public SearchIndex<P> {
     return std::max<size_t>(1, std::min(budget, points_.size()));
   }
 
-  /// Computes the query permutation, scores every stored point with the
-  /// O(k) rank-array footrule, selects the `budget` footrule-closest
-  /// candidates with std::nth_element (partial selection — the N-budget
-  /// unverified scores are never fully ordered), sorts only the
-  /// selected slice into the canonical (footrule, id) order, and
-  /// verifies it.  The candidate sequence is identical to fully
-  /// ordering the database by (footrule, id) and taking the first
-  /// `budget`, i.e. to the original full-sort formulation.
+  /// Computes the query permutation, the footrule of each distinct
+  /// table row (N work), and from the rows' point counts the footrule
+  /// at which the `budget` is reached.  One pass over the ids then
+  /// counting-sorts every point scoring at most that footrule into its
+  /// footrule's slots, in ascending id order, and the slice is
+  /// verified.  The candidate sequence is identical to fully ordering
+  /// the database by (footrule, id) and taking the first `budget`.
   void ScanByFootrule(const QueryContext& query, size_t budget,
                       SearchContext* context) const {
     QueryStats* stats = context->stats();
@@ -276,42 +325,75 @@ class DistPermIndex : public SearchIndex<P> {
       query_ranks[query_perm[r]] = static_cast<uint8_t>(r);
     }
 
-    std::vector<std::pair<uint32_t, uint32_t>>& scored =
-        QueryScratch::ForThread().scored;
-    scored.clear();
-    scored.reserve(points_.size());
-    const uint8_t* inv = inv_ranks_.data();
-    for (size_t i = 0; i < points_.size(); ++i) {
-      const int f = core::FootruleFromRanks(query_ranks, inv + i * k, k);
-      scored.emplace_back(static_cast<uint32_t>(f),
-                          static_cast<uint32_t>(i));
-    }
-    budget = std::min(budget, scored.size());
-    if (budget < scored.size()) {
-      std::nth_element(scored.begin(), scored.begin() + budget,
-                       scored.end());
-    }
-    std::sort(scored.begin(), scored.begin() + budget);
-
     // Candidates past the verification budget are dropped on their
     // footrule score alone; everything inside it pays a true distance.
-    stats->pruning_eliminated += scored.size() - budget;
+    const size_t n = points_.size();
+    budget = std::min(budget, n);
+    stats->pruning_eliminated += n - budget;
+    if (budget == 0) return;
+
+    // slot[f] first counts the points scoring footrule f, then becomes
+    // the next free candidate slot of footrule f.
+    QueryScratch& scratch = QueryScratch::ForThread();
+    std::vector<uint16_t>& row_footrule = scratch.row_footrule;
+    row_footrule.resize(row_points_.size());
+    uint32_t slot[kFootruleBuckets] = {};
+    for (size_t r = 0; r < row_points_.size(); ++r) {
+      const int f = core::FootruleFromRanks(query_ranks, &table_[r * k], k);
+      row_footrule[r] = static_cast<uint16_t>(f);
+      slot[f] += row_points_[r];
+    }
+    // Footrules below the threshold fit the budget whole; the threshold
+    // footrule takes its lowest ids up to the budget.
+    size_t threshold = 0;
+    for (uint32_t start = 0;; ++threshold) {
+      const uint32_t count = slot[threshold];
+      slot[threshold] = start;
+      if (start + count >= budget) break;
+      start += count;
+    }
+    std::vector<uint32_t>& candidates = scratch.candidates;
+    candidates.resize(budget);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t f = row_footrule[ids_[i]];
+      if (f < threshold || (f == threshold && slot[f] < budget)) {
+        candidates[slot[f]++] = static_cast<uint32_t>(i);
+      }
+    }
 
     for (size_t v = 0; v < budget; ++v) {
       if (context->StopAfterBudget()) return;
-      const size_t id = scored[v].second;
+      const size_t id = candidates[v];
       context->Emit(id, this->QueryDist(query, id, stats));
       ++stats->candidates_verified;
     }
   }
 
+  /// Recomputes each table row's point count from ids_.
+  void CountRowPoints() {
+    row_points_.assign(DistinctPermutationCount(), 0);
+    for (uint32_t id : ids_) {
+      DP_CHECK(id < row_points_.size());
+      ++row_points_[id];
+    }
+  }
+
+  /// Each of the k sites adds at most prefix_ to a footrule, so every
+  /// footrule lies in [0, kMaxRank64Sites^2].
+  static constexpr size_t kFootruleBuckets =
+      core::kMaxRank64Sites * core::kMaxRank64Sites + 1;
+
   PointStore<P> sites_;  // copies of the sites, in selection order
   size_t prefix_ = 0;
-  /// Row i holds the inverted permutation of point i: entry `site` is
-  /// the site's rank, or prefix_length() for sites outside a stored
-  /// prefix.  Flat n x k layout, one cache-resident O(k) pass per
-  /// (query, point) footrule.
-  std::vector<uint8_t> inv_ranks_;
+  /// The N distinct inverted permutations, k bytes per row in order of
+  /// first use: entry `site` is the site's rank, or prefix_length() for
+  /// sites outside a stored prefix.
+  std::vector<uint8_t> table_;
+  /// Point i's permutation is table row ids_[i].
+  std::vector<uint32_t> ids_;
+  /// Points per table row, derived from ids_; query-time selection
+  /// counts footrules per distinct row instead of per point.
+  std::vector<uint32_t> row_points_;
   std::atomic<double> fraction_;
 };
 

@@ -3,11 +3,11 @@
 // The engine layer answers batches by fanning (query, shard) tasks onto
 // a fixed worker pool (util::ThreadPool), so the same few threads run
 // millions of queries.  Each index query needs transient buffers — a
-// block of kernel scores, an array of (footrule, id) candidates, an
-// array of (lower bound, id) pairs — that used to be heap-allocated per
-// call.  QueryScratch keeps one instance of each per thread: buffers
-// grow to the high-water mark of the queries that thread serves and are
-// then reused allocation-free.
+// block of kernel scores, one footrule per distinct permutation and the
+// counting-sorted candidate ids, an array of (lower bound, id) pairs —
+// that used to be heap-allocated per call.  QueryScratch keeps one
+// instance of each per thread: buffers grow to the high-water mark of
+// the queries that thread serves and are then reused allocation-free.
 //
 // Contract: a query implementation may use the scratch only within one
 // Impl call (no state may live across calls — queries stay reentrant
@@ -28,8 +28,11 @@ namespace index {
 struct QueryScratch {
   /// Kernel scores for one block of rows (linear scan).
   std::vector<double> distance_block;
-  /// (footrule, id) candidate ranking (distperm index).
-  std::vector<std::pair<uint32_t, uint32_t>> scored;
+  /// The query's footrule to each distinct table row, and the ids
+  /// selected in (footrule, id) order (distperm index).  The shard's
+  /// table itself is shared read-only by every thread.
+  std::vector<uint16_t> row_footrule;
+  std::vector<uint32_t> candidates;
   /// (lower bound, id) verification order (LAESA).
   std::vector<std::pair<double, size_t>> bounds;
   /// Pooled kNN collector: SearchIndex::Search re-arms it per call via

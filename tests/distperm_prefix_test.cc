@@ -88,8 +88,9 @@ TEST(DistPermPrefix, StoresPrefixesOnly) {
               core::PermutationPrefixFromDistances(distances, 4))
         << i;
   }
-  // The rank table keeps one byte per site, prefix or not.
-  EXPECT_EQ(index.IndexBits(), 8u * 300u * 10u);
+  // A table row keeps one rank byte per site, prefix or not.
+  const uint64_t rows = index.DistinctPermutationCount();
+  EXPECT_EQ(index.IndexBits(), 8u * (rows * 10u + 4u * rows + 4u * 300u));
 }
 
 TEST(DistPermPrefix, PrefixConsistentWithFullIndex) {

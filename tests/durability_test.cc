@@ -651,10 +651,13 @@ TEST(Durability, InconsistentDistPermStateIsRefusedNotFatal) {
   const SectionMaker faithful = Tampered([](DistPermState*) {});
   const std::vector<Case> cases = {
       {"faithful copy", {}, faithful, nullptr},
-      {"shard_sizes disagree with the rank arrays",
+      {"shard_sizes disagree with the table ids",
        {{"shard_sizes", "31,29"}},
        faithful,
-       "ranks for"},
+       "table ids for"},
+      {"id count differs from the shard size", {},
+       Tampered([](DistPermState* state) { state->ids.pop_back(); }),
+       "table ids for"},
       {"site count far beyond the section",
        {},
        [](DistPermState) {
@@ -665,9 +668,33 @@ TEST(Durability, InconsistentDistPermStateIsRefusedNotFatal) {
        "malformed"},
       {"rank above the prefix", {},
        Tampered([](DistPermState* state) {
-         state->inv_ranks[7] = static_cast<uint8_t>(state->prefix + 1);
+         state->table[7] = static_cast<uint8_t>(state->prefix + 1);
        }),
        "exceeds prefix"},
+      {"duplicate rank in a table row", {},
+       Tampered([](DistPermState* state) {
+         const size_t k = state->sites.size();
+         std::fill(state->table.begin() + k, state->table.begin() + 2 * k,
+                   uint8_t{0});
+       }),
+       "rank 0 repeats in table row 1"},
+      {"table row missing a rank", {},
+       Tampered([](DistPermState* state) {
+         state->table[0] = static_cast<uint8_t>(state->prefix);
+       }),
+       "5 of 6 ranks present in table row 0"},
+      {"table of partial rows", {},
+       Tampered([](DistPermState* state) { state->table.pop_back(); }),
+       "not whole rows"},
+      {"id past the table", {},
+       Tampered([](DistPermState* state) {
+         state->ids[3] =
+             static_cast<uint32_t>(state->table.size() / state->sites.size());
+       }),
+       "of point 3 is past the"},
+      {"empty table with points", {},
+       Tampered([](DistPermState* state) { state->table.clear(); }),
+       "past the 0-row table"},
       {"zero prefix", {},
        Tampered([](DistPermState* state) { state->prefix = 0; }),
        "prefix 0"},
@@ -745,17 +772,19 @@ TEST(Durability, OlderSnapshotFormatIsRefused) {
                                       *built.value())
                   .ok());
   const std::string old = dir + "/old.snap";
-  ASSERT_TRUE(RewriteSnapshot(*built.value(), good, old,
-                              {{"format", "generation.v1"}},
-                              Tampered([](DistPermState*) {}))
-                  .ok());
-  const util::Status status = ReadBack(old);
-  ASSERT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("format is 'generation.v1'"),
-            std::string::npos)
-      << status;
-  EXPECT_NE(status.message().find(kGenerationFormat), std::string::npos)
-      << status;
+  for (const std::string format : {"generation.v1", "generation.v2"}) {
+    ASSERT_TRUE(RewriteSnapshot(*built.value(), good, old,
+                                {{"format", format}},
+                                Tampered([](DistPermState*) {}))
+                    .ok());
+    const util::Status status = ReadBack(old);
+    ASSERT_FALSE(status.ok()) << format;
+    EXPECT_NE(status.message().find("format is '" + format + "'"),
+              std::string::npos)
+        << status;
+    EXPECT_NE(status.message().find(kGenerationFormat), std::string::npos)
+        << status;
+  }
 }
 
 }  // namespace

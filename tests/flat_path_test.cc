@@ -155,13 +155,12 @@ TEST(FlatPath, DistPermMatchesScalarPathBitExactly) {
   }
 }
 
-// Reimplementation of the seed's candidate ranking — per-pair footrule
-// over the stored permutations, counting-sorted over the full footrule
-// range — to pin that the nth_element partial selection visits the
-// exact same candidates in the exact same order.
-std::vector<uint32_t> SeedCandidateOrder(const DistPermIndex<Vector>& index,
-                                         const Vector& query,
-                                         size_t budget) {
+// Reference candidate ranking — per-pair footrule over the stored
+// permutations, bucketed over the full footrule range with ids
+// ascending — the (footrule, id) order the index's counting sort over
+// distinct permutations must reproduce.
+std::vector<uint32_t> ReferenceCandidateOrder(
+    const DistPermIndex<Vector>& index, const Vector& query, size_t budget) {
   const auto& metric = index.metric();
   const size_t k = index.sites().size();
   std::vector<double> distances(k);
@@ -193,32 +192,56 @@ std::vector<uint32_t> SeedCandidateOrder(const DistPermIndex<Vector>& index,
   return order;
 }
 
+// The ids an infinite-radius range query verifies under a budget of
+// `max_distance_computations`, sorted.  Such a query returns exactly
+// the verified ids; a budget b >= k verifies the first b - k candidates.
+std::vector<uint32_t> VerifiedIds(const DistPermIndex<Vector>& index,
+                                  const Vector& query,
+                                  uint64_t max_distance_computations) {
+  auto request = SearchRequest<Vector>::Range(
+      query, std::numeric_limits<double>::infinity());
+  request.max_distance_computations = max_distance_computations;
+  std::vector<uint32_t> ids;
+  for (const SearchResult& r : index.Search(request).results) {
+    ids.push_back(static_cast<uint32_t>(r.id));
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
 TEST(FlatPath, DistPermPartialSelectionMatchesSeedOrdering) {
-  for (size_t prefix : {0u, 4u}) {
-    util::Rng data_rng(400 + prefix);
-    auto data = dataset::UniformCube(300, 5, &data_rng);
-    auto queries = QueryPoints(8, 5, &data_rng);
-    util::Rng site_rng(21);
-    const double fraction = 0.15;
-    DistPermIndex<Vector> index(data, metric::LpMetric::L2(), 10,
-                                &site_rng, fraction, prefix);
-    const size_t budget = static_cast<size_t>(
-        fraction * static_cast<double>(data.size()));
-    for (const Vector& q : queries) {
-      // The verified candidate set and order are observable through a
-      // range query with infinite radius: it returns exactly the
-      // verified ids with their true distances.
-      auto results = index.Search(index::SearchRequest<Vector>::Range(
-          q, std::numeric_limits<double>::infinity())).results;
-      std::vector<uint32_t> expect = SeedCandidateOrder(index, q, budget);
-      ASSERT_EQ(results.size(), expect.size());
-      std::vector<uint32_t> got;
-      for (const SearchResult& r : results) {
-        got.push_back(static_cast<uint32_t>(r.id));
+  const size_t n = 300;
+  util::Rng data_rng(400);
+  auto data = dataset::UniformCube(n, 5, &data_rng);
+  auto queries = QueryPoints(4, 5, &data_rng);
+  // k = 4 puts many points on every footrule, so the threshold
+  // footrule is tied; 0.5 / n leaves a budget of one candidate.
+  for (size_t k : {4u, 10u}) {
+    for (size_t prefix : {size_t{0}, size_t{1}, k - 1}) {
+      for (double fraction : {0.5 / n, 0.15, 1.0}) {
+        util::Rng site_rng(21);
+        DistPermIndex<Vector> index(data, metric::LpMetric::L2(), k,
+                                    &site_rng, fraction, prefix);
+        const size_t budget = std::max<size_t>(
+            1, static_cast<size_t>(fraction * static_cast<double>(n)));
+        for (const Vector& q : queries) {
+          const std::vector<uint32_t> expect =
+              ReferenceCandidateOrder(index, q, budget);
+          ASSERT_EQ(expect.size(), budget);
+          // Each budget k + j verifies exactly the first j candidates,
+          // so every prefix of the order is pinned, not just the set.
+          for (size_t j = 1; j <= budget; ++j) {
+            std::vector<uint32_t> first(expect.begin(), expect.begin() + j);
+            std::sort(first.begin(), first.end());
+            ASSERT_EQ(VerifiedIds(index, q, k + j), first)
+                << "k " << k << " prefix " << prefix << " fraction "
+                << fraction << " candidate " << j;
+          }
+          std::vector<uint32_t> all = expect;
+          std::sort(all.begin(), all.end());
+          EXPECT_EQ(VerifiedIds(index, q, 0), all);
+        }
       }
-      std::sort(expect.begin(), expect.end());
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, expect);
     }
   }
 }

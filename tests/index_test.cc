@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "dataset/string_gen.h"
@@ -220,13 +221,16 @@ TEST(DistPerm, ApproximateRecallReasonable) {
   EXPECT_GT(static_cast<double>(hits) / static_cast<double>(total), 0.6);
 }
 
-TEST(DistPerm, StorageIsOneRankBytePerSite) {
+TEST(DistPerm, StorageIsOneTableRowPerDistinctPermutation) {
   util::Rng rng(18);
   auto data = dataset::UniformCube(100, 2, &rng);
   util::Rng site_rng(19);
   DistPermIndex<Vector> index(data, L2(), 5, &site_rng);
-  // n x k inverted-rank bytes.
-  EXPECT_EQ(index.IndexBits(), 8u * 100u * 5u);
+  // N rows of k rank bytes and a 32-bit point count each, plus one
+  // 32-bit table id per point; in the plane N stays below n.
+  const uint64_t rows = index.DistinctPermutationCount();
+  EXPECT_LT(rows, 100u);
+  EXPECT_EQ(index.IndexBits(), 8u * (rows * 5u + 4u * rows + 4u * 100u));
 }
 
 TEST(DistPerm, StoredPermutationsMatchFreshComputation) {
