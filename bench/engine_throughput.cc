@@ -1,9 +1,9 @@
-// Batch engine throughput, cooperative cross-shard pruning, and
-// parallel shard construction.  Emits a machine-readable JSON report
-// (BENCH_engine.json by default) so CI can track the engine's perf
-// trajectory next to the kernel numbers.
+// Batch engine throughput, parallel shard construction, live ingest,
+// observability, durability, serving, and replication.  Emits a
+// machine-readable JSON report (BENCH_engine.json by default) so CI can
+// track the engine's perf trajectory next to the kernel numbers.
 //
-// Three sections:
+// Seven sections:
 //
 //  1. Throughput sweep — shard count x worker threads x index type:
 //     batch wall-clock, queries/second, speedup over the 1-thread
@@ -11,28 +11,18 @@
 //     evaluations, and recall against the exact linear scan.  Two
 //     invariants are checked on every row ("cost" column): the
 //     engine's distance counts with T threads must equal the counts
-//     with 1 thread (independent scheduling never perturbs the paper's
+//     with 1 thread (independent shard tasks never perturb the paper's
 //     cost model), and linear-scan shards must cost exactly n per
 //     query.
 //
-//  2. Cooperative pruning — at 8 shards on a clustered dim-16 workload
-//     with near-data queries (the regime metric indexes are for), kNN
-//     fan-out with a shared k-th-distance bound (kCooperative and
-//     kSeedFirst) versus the independent fan-out: per-query distance
-//     computations and the reduction.  Merged results must stay
-//     bit-identical; measured on a 1-thread engine so the counts are
-//     deterministic.  The run fails unless the best exact-index
-//     reduction reaches 25% (hardware-independent, so it is gated even
-//     in --smoke; --no-strict reports without asserting).
-//
-//  3. Parallel build — ShardedDatabase::BuildFromRegistry wall time at
+//  2. Parallel build — ShardedDatabase::BuildFromRegistry wall time at
 //     1/2/4/8 build threads for an AESA (O(n^2)) and a LAESA (O(nk))
 //     table build: speedup over the serial build, with
 //     build_distance_computations and IndexBits required identical at
 //     every thread count (builds are deterministic).  Speedup is
 //     hardware-dependent and reported, not gated.
 //
-//  4. Live ingest — a LiveDatabase serving the same batch continuously
+//  3. Live ingest — a LiveDatabase serving the same batch continuously
 //     while a writer thread streams inserts (~1k/s) and background
 //     compactions fold the delta into new generations: q/s during the
 //     whole ingest window (delta scans + compaction CPU + writer
@@ -48,7 +38,7 @@
 //     bit-identical check; --no-strict reports everything without
 //     asserting.
 //
-//  5. Observability — steady-state q/s of a metrics-off engine versus
+//  4. Observability — steady-state q/s of a metrics-off engine versus
 //     the same engine wired into an obs::MetricsRegistry, interleaved
 //     rounds with best-of per mode: overhead_fraction must stay <= 3%
 //     (wall-clock, so --smoke reports without asserting; the CI
@@ -56,7 +46,7 @@
 //     exact — bit-identical results with spans that partition each
 //     query's distance count.
 //
-//  6. Durability — the cost of the write-ahead log and the payoff of
+//  5. Durability — the cost of the write-ahead log and the payoff of
 //     snapshots.  (a) Insert throughput of a durable store
 //     (fsync=batched) versus the identical in-memory store: the WAL
 //     ingest rate must hold >= 60% of the in-memory rate.  (b)
@@ -69,7 +59,7 @@
 //     two ratios are wall-clock, so --smoke reports them for the
 //     CI-side JSON check without asserting in-process.
 //
-//  7. Serving — the network front door versus the in-process engine
+//  6. Serving — the network front door versus the in-process engine
 //     it fronts: the same batch answered by LiveDatabase::RunBatch on
 //     one thread, over a loopback TCP connection with the perm cache
 //     bypassed (kRequestNoCache), and from the warmed
@@ -82,7 +72,7 @@
 //     both are wall-clock, so --smoke defers them to the CI-side JSON
 //     check.
 //
-//  8. Replication — wire catch-up versus local recovery over the same
+//  7. Replication — wire catch-up versus local recovery over the same
 //     WAL delta: a primary seeded with the base dataset plus an
 //     unfolded R-record delta is (a) reopened locally (recovery
 //     replays the delta) and (b) tailed by a fresh replica that
@@ -133,7 +123,6 @@
 using distperm::engine::QueryEngine;
 using distperm::engine::QuerySpec;
 using distperm::engine::ShardedDatabase;
-using distperm::index::ShardScheduling;
 using distperm::metric::Metric;
 using distperm::metric::Vector;
 using distperm::util::Rng;
@@ -168,17 +157,6 @@ struct ThroughputRow {
   double dist_per_query = 0.0;
   bool cost_ok = true;
   double recall = 0.0;
-};
-
-struct CooperativeRow {
-  std::string index;
-  size_t shards = 0;
-  double naive = 0.0;       // per-query distance computations
-  double cooperative = 0.0;
-  double seed_first = 0.0;
-  double reduction_pct = 0.0;
-  double seed_first_reduction_pct = 0.0;
-  bool results_match = true;
 };
 
 struct BuildRow {
@@ -262,10 +240,9 @@ struct ServingResult {
 };
 
 bool WriteJson(const std::string& path, size_t points, size_t queries,
-               size_t dim, size_t coop_dim, size_t k, uint64_t seed,
+               size_t dim, size_t build_dim, size_t k, uint64_t seed,
                bool smoke, size_t hardware,
                const std::vector<ThroughputRow>& throughput,
-               const std::vector<CooperativeRow>& cooperative,
                const std::vector<BuildRow>& builds,
                const LiveIngestResult& live,
                const IncrementalCompactionResult& incremental,
@@ -282,7 +259,7 @@ bool WriteJson(const std::string& path, size_t points, size_t queries,
   out << "  \"schema\": \"BENCH_engine\",\n";
   out << "  \"config\": {\"points\": " << points
       << ", \"queries\": " << queries << ", \"dim\": " << dim
-      << ", \"coop_dim\": " << coop_dim << ", \"k\": " << k
+      << ", \"build_dim\": " << build_dim << ", \"k\": " << k
       << ", \"seed\": " << seed
       << ", \"smoke\": " << (smoke ? "true" : "false")
       << ", \"hardware_threads\": " << hardware << "},\n";
@@ -298,20 +275,6 @@ bool WriteJson(const std::string& path, size_t points, size_t queries,
         << ", \"cost_ok\": " << (r.cost_ok ? "true" : "false")
         << ", \"recall\": " << Fixed(r.recall, 4) << "}"
         << (i + 1 < throughput.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"cooperative\": [\n";
-  for (size_t i = 0; i < cooperative.size(); ++i) {
-    const CooperativeRow& r = cooperative[i];
-    out << "    {\"index\": \"" << r.index << "\", \"shards\": " << r.shards
-        << ", \"naive_dist_per_query\": " << Fixed(r.naive, 1)
-        << ", \"cooperative_dist_per_query\": " << Fixed(r.cooperative, 1)
-        << ", \"seed_first_dist_per_query\": " << Fixed(r.seed_first, 1)
-        << ", \"reduction_pct\": " << Fixed(r.reduction_pct, 1)
-        << ", \"seed_first_reduction_pct\": "
-        << Fixed(r.seed_first_reduction_pct, 1)
-        << ", \"results_match\": " << (r.results_match ? "true" : "false")
-        << "}" << (i + 1 < cooperative.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"parallel_build\": [\n";
@@ -556,86 +519,14 @@ int main(int argc, char** argv) {
                  "sequential execution\n";
   }
 
-  // ---------------------------------------------- cooperative pruning
-  // Clustered dim-16 data with near-data queries: the workload where a
-  // k-th-distance bound has pruning power.  Counts come from a 1-thread
-  // engine, so they are deterministic and hardware-independent.
-  const size_t coop_dim = std::max<size_t>(dim, 16);
-  const size_t coop_shards = 8;
-  Rng coop_rng(seed + 1);
-  auto clustered = distperm::dataset::ClusteredCloud(
-      points, coop_dim, std::max<size_t>(8, points / 60), 0.01, &coop_rng);
-  std::vector<QuerySpec<Vector>> coop_batch;
-  for (size_t q = 0; q < queries; ++q) {
-    Vector point = clustered[coop_rng.NextBounded(clustered.size())];
-    for (double& c : point) c += coop_rng.NextDouble(-0.005, 0.005);
-    coop_batch.push_back(QuerySpec<Vector>::Knn(point, k));
-  }
-
-  std::cout << "\ncooperative cross-shard pruning: clustered n=" << points
-            << ", d=" << coop_dim << ", " << coop_shards
-            << " shards, k=" << k << " (1-thread engine, exact counts)\n\n";
-  distperm::util::TablePrinter coop_table;
-  coop_table.SetHeader({"index", "naive d/q", "coop d/q", "seed1st d/q",
-                        "saved", "seed1st saved", "results"});
-  std::vector<CooperativeRow> coop_rows;
-  bool coop_results_ok = true;
-  double best_reduction = 0.0;
-  std::vector<std::string> coop_specs = {"vp-tree", "laesa:k=16"};
-  // AESA's matrix is quadratic; bench it on a capped slice.
-  const size_t aesa_points = std::min<size_t>(points, 1500);
-  for (const std::string& spec : coop_specs) {
-    auto built = ShardedDatabase<Vector>::BuildFromRegistry(
-        clustered, l2, coop_shards, spec, seed);
-    if (!built.ok()) {
-      std::cerr << "failed to build '" << spec << "': " << built.status()
-                << "\n";
-      return 1;
-    }
-    QueryEngine<Vector> engine(&built.value(), 1);
-    auto policy_batch = coop_batch;
-    auto run = [&](ShardScheduling policy) {
-      for (auto& q : policy_batch) q.shard_scheduling = policy;
-      return engine.RunBatch(policy_batch);
-    };
-    auto naive = run(ShardScheduling::kIndependent);
-    auto coop = run(ShardScheduling::kCooperative);
-    auto seed1 = run(ShardScheduling::kSeedFirst);
-
-    CooperativeRow row;
-    row.index = spec;
-    row.shards = coop_shards;
-    const double q_count = static_cast<double>(queries);
-    row.naive =
-        static_cast<double>(naive.stats.distance_computations) / q_count;
-    row.cooperative =
-        static_cast<double>(coop.stats.distance_computations) / q_count;
-    row.seed_first =
-        static_cast<double>(seed1.stats.distance_computations) / q_count;
-    row.reduction_pct = 100.0 * (1.0 - row.cooperative / row.naive);
-    row.seed_first_reduction_pct =
-        100.0 * (1.0 - row.seed_first / row.naive);
-    row.results_match =
-        coop.results == naive.results && seed1.results == naive.results;
-    coop_results_ok = coop_results_ok && row.results_match;
-    best_reduction = std::max(
-        best_reduction,
-        std::max(row.reduction_pct, row.seed_first_reduction_pct));
-    coop_table.AddRow({spec, Fixed(row.naive, 1), Fixed(row.cooperative, 1),
-                       Fixed(row.seed_first, 1),
-                       Fixed(row.reduction_pct, 1) + "%",
-                       Fixed(row.seed_first_reduction_pct, 1) + "%",
-                       row.results_match ? "OK" : "MISMATCH"});
-    coop_rows.push_back(row);
-  }
-  coop_table.Print(std::cout);
-  std::cout << "\ncooperative: best exact-index reduction "
-            << Fixed(best_reduction, 1) << "% (gate: >= 25%), results "
-            << (coop_results_ok ? "bit-identical to the naive fan-out"
-                                : "MISMATCH")
-            << "\n";
-
   // ------------------------------------------------- parallel builds
+  // Clustered dim-16 data, 8 shards.  AESA's matrix is quadratic, so it
+  // builds over a capped slice.
+  const size_t build_dim = std::max<size_t>(dim, 16);
+  Rng build_rng(seed + 1);
+  auto clustered = distperm::dataset::ClusteredCloud(
+      points, build_dim, std::max<size_t>(8, points / 60), 0.01, &build_rng);
+  const size_t aesa_points = std::min<size_t>(points, 1500);
   std::cout << "\nparallel shard construction (8 shards, wall time of "
                "BuildFromRegistry):\n\n";
   distperm::util::TablePrinter build_table;
@@ -1611,7 +1502,6 @@ int main(int argc, char** argv) {
                  "is deferred to the multi-core CI runner\n";
   }
 
-  const bool reduction_ok = best_reduction >= 25.0;
   // The ratio is the bench's only wall-clock gate, so --smoke (CI on
   // shared runners) checks just the count/equality half; full runs
   // enforce the 70% floor.
@@ -1659,20 +1549,17 @@ int main(int argc, char** argv) {
       replication.converged &&
       (smoke || !replication.gated ||
        replication.catchup_ratio_pct >= 50.0);
-  const bool pass = cost_model_ok && coop_results_ok && build_counts_ok &&
-                    reduction_ok && ingest_ok && incremental_ok && obs_ok &&
-                    durability_ok && serving_ok && replication_ok;
+  const bool pass = cost_model_ok && build_counts_ok && ingest_ok &&
+                    incremental_ok && obs_ok && durability_ok && serving_ok &&
+                    replication_ok;
   const bool wrote =
-      WriteJson(out_path, points, queries, dim, coop_dim, k, seed, smoke,
-                hardware, throughput_rows, coop_rows, build_rows, live_row,
+      WriteJson(out_path, points, queries, dim, build_dim, k, seed, smoke,
+                hardware, throughput_rows, build_rows, live_row,
                 inc_row, obs_row, durability, serving, replication, pass);
   if (!pass || !wrote) {
     std::cout << "\nRESULT: "
               << (strict ? "FAIL" : "WARN (--no-strict)")
               << " — cost_model=" << (cost_model_ok ? "ok" : "bad")
-              << " coop_results=" << (coop_results_ok ? "ok" : "bad")
-              << " coop_reduction="
-              << (reduction_ok ? "ok" : "below 25%")
               << " build_determinism=" << (build_counts_ok ? "ok" : "bad")
               << " live_ingest=" << (ingest_ok ? "ok" : "below 70% or bad")
               << " incremental_compaction="

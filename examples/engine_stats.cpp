@@ -114,16 +114,13 @@ int main(int argc, char** argv) {
   expected_distances += after.stats.distance_computations;
 
   // 3. One traced query on a caller-owned engine sharing the registry:
-  //    the spans name each shard's window, cost, and the cooperative
-  //    bound it saw.
+  //    the spans name each shard's window, cost, and the radius bound
+  //    it searched under.
   QueryEngine<Vector> engine(2);
   engine.EnableMetrics(&registry);
   Vector probe(dim, 0.5);
-  auto traced = live.RunBatch(
-      engine,
-      {QuerySpec<Vector>::Knn(probe, 8)
-           .WithShardScheduling(distperm::index::ShardScheduling::kCooperative)
-           .WithTrace()});
+  auto traced =
+      live.RunBatch(engine, {QuerySpec<Vector>::Knn(probe, 8).WithTrace()});
   auto untraced =
       live.RunBatch(engine, {QuerySpec<Vector>::Knn(probe, 8)});
   expected_distances += traced.stats.distance_computations +
@@ -138,13 +135,13 @@ int main(int argc, char** argv) {
             << " spans, times relative to batch start):\n\n";
   distperm::util::TablePrinter span_table;
   span_table.SetHeader({"span", "start us", "stop us", "distances",
-                        "bound in", "bound out"});
+                        "bound"});
   for (const auto& span : trace.spans) {
     span_table.AddRow({span.delta ? "delta" : "shard " +
                                                   std::to_string(span.shard),
                        Us(span.start_seconds), Us(span.stop_seconds),
                        std::to_string(span.distance_computations),
-                       Bound(span.bound_entry), Bound(span.bound_exit)});
+                       Bound(span.bound)});
   }
   span_table.Print(std::cout);
 

@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
                  "distances sum to each query's total):\n";
     distperm::util::TablePrinter spans;
     spans.SetHeader({"query", "span", "start us", "stop us", "distances",
-                     "bound in", "bound out"});
+                     "bound"});
     for (size_t q = 0; q < batch.size(); ++q) {
       for (const auto& span : out.traces[q].spans) {
         spans.AddRow({std::to_string(q),
@@ -171,7 +171,7 @@ int main(int argc, char** argv) {
                                  : "shard " + std::to_string(span.shard),
                       us(span.start_seconds), us(span.stop_seconds),
                       std::to_string(span.distance_computations),
-                      bound(span.bound_entry), bound(span.bound_exit)});
+                      bound(span.bound)});
       }
     }
     spans.Print(std::cout);

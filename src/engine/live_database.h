@@ -23,8 +23,8 @@
 // recovery and replicas reproduce it exactly.  A query merges the log
 // into its answer exactly: delta hits are measured (and charged to the
 // query's distance accounting), removed ids are filtered out of the
-// generation's results, and — via the shared-bound plumbing — the
-// delta's k-th distance caps the generation search's pruning radius
+// generation's results, and — via the request's initial_radius_bound —
+// the delta's k-th distance caps the generation search's pruning radius
 // before it starts.  Once the window outgrows the `delta_index_min`
 // knob, the writer publishes per-shard side-indexes over the window's
 // prefix (built with the `delta_index` spec knobs) so the delta leg
@@ -693,7 +693,7 @@ class LiveDatabase {
         delta_span.distance_computations = delta_cost[q];
         // The bound the delta leg handed the generation search (or
         // +inf when the delta could not cap it).
-        delta_span.bound_exit = adjusted[q].initial_radius_bound;
+        delta_span.bound = adjusted[q].initial_radius_bound;
         spans.insert(spans.begin(), delta_span);
       }
     }

@@ -12,31 +12,15 @@
 // QueryStats slot and summed after the batch barrier, so concurrency
 // never perturbs the paper's cost-model accounting.
 //
-// Cooperative kNN fan-out: a kNN-mode query whose shard_scheduling is
-// kCooperative or kSeedFirst owns one cache-line-padded
-// index::SharedSearchBound.  Every shard task reads it as an extra
-// pruning cap on entry to each Radius() check and publishes its
-// collector's k-th distance as it fills, so the whole fan-out converges
-// toward single-index query cost instead of paying shards x the
-// pruning-free cost.  kSeedFirst runs one seed shard to completion
-// before submitting the rest, which then start from an already-tight
-// bound.  For exact indexes the merged results are bit-identical to the
-// independent (and to the single-index) answer — only which distances
-// get computed changes, never which neighbours come back — because the
-// shared bound can only overestimate the global k-th distance.  Which
-// evaluations are saved depends on task interleaving, so per-query
-// distance counts of cooperative runs are scheduling-dependent;
-// kIndependent (the default) keeps the seed behavior of exactly
-// reproducible counts.
-//
-// Distance budgets shard naively by default: each shard task receives
-// the request's max_distance_computations unchanged, so a budgeted
-// query's total cost is bounded by shards x budget and `truncated[q]`
-// reports whether any shard stopped early.  With
-// split_distance_budget, the budget is instead ceil-divided across the
-// shards (remainder to the first shards, shards whose slice is zero
-// skip their search and report truncation), bounding the query's total
-// cost by the budget itself.
+// Fan-out: every shard task searches its shard with the request
+// exactly as given — the same initial_radius_bound (the one way a
+// bound known before the search reaches a shard: the perm cache and
+// the live path's delta leg seed it) and the full
+// max_distance_computations.  A budgeted query's total cost is
+// therefore bounded by shards x budget, and `truncated[q]` reports
+// whether any shard stopped early.  No shard task reads another's
+// progress, so per-query distance counts are independent of thread
+// count and interleaving.
 //
 // Allocation behavior: the pool's threads are fixed for the engine's
 // lifetime, so the per-thread index::QueryScratch buffers (kernel score
@@ -53,7 +37,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -147,8 +130,6 @@ class QueryEngine {
     metrics_.rejected = registry->GetCounter("engine_queries_rejected_total");
     metrics_.truncated =
         registry->GetCounter("engine_queries_truncated_total");
-    metrics_.split_budget =
-        registry->GetCounter("engine_queries_split_budget_total");
     metrics_.shard_tasks = registry->GetCounter("engine_shard_tasks_total");
     metrics_.distance_computations =
         registry->GetCounter("engine_distance_computations_total");
@@ -156,8 +137,6 @@ class QueryEngine {
         registry->GetCounter("engine_pruning_eliminated_total");
     metrics_.candidates_verified =
         registry->GetCounter("engine_candidates_verified_total");
-    metrics_.bound_tightenings =
-        registry->GetCounter("engine_coop_bound_tightenings_total");
     metrics_.queue_wait =
         registry->GetHistogram("engine_task_queue_wait_seconds");
     metrics_.task_run = registry->GetHistogram("engine_task_run_seconds");
@@ -211,32 +190,8 @@ class QueryEngine {
       out.statuses[q] = index::ValidateRequest(batch[q], db.dim());
     }
 
-    // Per-query spec pointers: cooperative queries get one engine-owned
-    // request copy with their SharedSearchBound hook installed; every
-    // other query references the caller's batch directly, so the
-    // default path copies no query points.  (Per-shard copies happen
-    // only when a split budget forces a differing field.)
-    std::vector<index::SharedSearchBound> bounds(query_count);
-    std::vector<const QuerySpec<P>*> specs(query_count);
-    size_t cooperative_count = 0;
-    for (size_t q = 0; q < query_count; ++q) {
-      if (Cooperative(batch[q], shard_count)) ++cooperative_count;
-    }
-    std::vector<QuerySpec<P>> cooperative_specs;
-    cooperative_specs.reserve(cooperative_count);  // addresses must hold
-    for (size_t q = 0; q < query_count; ++q) {
-      if (Cooperative(batch[q], shard_count)) {
-        cooperative_specs.push_back(batch[q]);
-        cooperative_specs.back().shared_bound = &bounds[q];
-        specs[q] = &cooperative_specs.back();
-      } else {
-        specs[q] = &batch[q];
-      }
-    }
-
     // One slot per (query, shard) task: no two tasks share a slot, so
-    // workers never contend on anything but the per-query countdown and
-    // (for cooperative queries) the padded shared bound.
+    // workers never contend on anything but the per-query countdown.
     std::vector<index::SearchResponse> partials(query_count * shard_count);
     std::vector<PaddedCounter> tasks_left(query_count);
     for (auto& counter : tasks_left) {
@@ -254,7 +209,7 @@ class QueryEngine {
     std::vector<TaskTiming> trace_slots(
         any_trace ? query_count * shard_count : 0);
     const auto slot_for = [&](size_t q, size_t s) -> TaskTiming* {
-      if (trace_slots.empty() || !specs[q]->collect_trace) return nullptr;
+      if (trace_slots.empty() || !batch[q].collect_trace) return nullptr;
       return &trace_slots[q * shard_count + s];
     };
 
@@ -264,43 +219,18 @@ class QueryEngine {
     // records them, skip the clock reads so the metrics-off submit loop
     // stays as cheap as before.
     const bool stamp_submits = metrics_.enabled || any_trace;
-    const auto submit_now = [stamp_submits, start]() {
-      return stamp_submits ? std::chrono::steady_clock::now() : start;
-    };
 
     for (size_t q = 0; q < query_count; ++q) {
       if (!out.statuses[q].ok()) continue;
-      if (specs[q]->shard_scheduling == index::ShardScheduling::kSeedFirst &&
-          specs[q]->shared_bound != nullptr) {
-        // Two-phase: the seed shard task submits the rest of the
-        // fan-out when it completes (the pool allows Submit from within
-        // a task), so every other shard starts from its bound.
-        pool_.Submit([this, &db, &specs, &partials, &tasks_left,
-                      &latencies, &slot_for, &submit_now, start,
-                      shard_count, q]() {
-          RunShardTask(db, specs, partials, tasks_left, latencies, start,
-                       /*submit=*/start, slot_for(q, 0), shard_count, q,
-                       /*s=*/0);
-          for (size_t s = 1; s < shard_count; ++s) {
-            const auto submit = submit_now();
-            pool_.Submit([this, &db, &specs, &partials, &tasks_left,
-                          &latencies, &slot_for, start, submit, shard_count,
-                          q, s]() {
-              RunShardTask(db, specs, partials, tasks_left, latencies,
-                           start, submit, slot_for(q, s), shard_count, q,
-                           s);
-            });
-          }
-        });
-        continue;
-      }
       for (size_t s = 0; s < shard_count; ++s) {
-        const auto submit = submit_now();
-        pool_.Submit([this, &db, &specs, &partials, &tasks_left,
-                      &latencies, &slot_for, start, submit, shard_count, q,
+        const auto submit =
+            stamp_submits ? std::chrono::steady_clock::now() : start;
+        TaskTiming* timing = slot_for(q, s);
+        pool_.Submit([this, &db, &batch, &partials, &tasks_left,
+                      &latencies, start, submit, timing, shard_count, q,
                       s]() {
-          RunShardTask(db, specs, partials, tasks_left, latencies, start,
-                       submit, slot_for(q, s), shard_count, q, s);
+          RunShardTask(db, batch, partials, tasks_left, latencies, start,
+                       submit, timing, shard_count, q, s);
         });
       }
     }
@@ -343,7 +273,7 @@ class QueryEngine {
       out.per_query_distance_computations[q] = distances;
       out.stats.distance_computations += distances;
 
-      if (specs[q]->collect_trace && !trace_slots.empty()) {
+      if (batch[q].collect_trace && !trace_slots.empty()) {
         // One span per shard task; the per-task distance counts are
         // the partials' own QueryStats, so the spans partition the
         // query's total exactly.
@@ -354,7 +284,7 @@ class QueryEngine {
           spans.push_back(
               {s, /*delta=*/false, timing.start, timing.stop,
                partials[q * shard_count + s].stats.distance_computations,
-               timing.bound_entry, timing.bound_exit});
+               batch[q].initial_radius_bound});
         }
         std::sort(spans.begin(), spans.end(),
                   [](const obs::SearchTrace::Span& a,
@@ -370,7 +300,7 @@ class QueryEngine {
     out.stats.wall_seconds = Seconds(start, std::chrono::steady_clock::now());
     out.stats.latency = SummarizeLatencies(std::move(executed_latencies));
 
-    if (metrics_.enabled) RecordBatchMetrics(batch, bounds, latencies, out);
+    if (metrics_.enabled) RecordBatchMetrics(batch, latencies, out);
     return out;
   }
 
@@ -387,8 +317,6 @@ class QueryEngine {
   struct TaskTiming {
     double start = 0.0;
     double stop = 0.0;
-    double bound_entry = std::numeric_limits<double>::infinity();
-    double bound_exit = std::numeric_limits<double>::infinity();
   };
 
   /// The engine's instruments, all nullable: EnableMetrics fills them,
@@ -399,29 +327,25 @@ class QueryEngine {
     obs::Counter* queries = nullptr;
     obs::Counter* rejected = nullptr;
     obs::Counter* truncated = nullptr;
-    obs::Counter* split_budget = nullptr;
     obs::Counter* shard_tasks = nullptr;
     obs::Counter* distance_computations = nullptr;
     obs::Counter* pruning_eliminated = nullptr;
     obs::Counter* candidates_verified = nullptr;
-    obs::Counter* bound_tightenings = nullptr;
     obs::Histogram* queue_wait = nullptr;
     obs::Histogram* task_run = nullptr;
     obs::Histogram* query_latency = nullptr;
   };
 
   /// Folds one finished batch into the registry: query/truncation
-  /// counters, per-query latency observations, the cost-model totals,
-  /// and the cooperative bounds' tightening counts.  Runs on the
-  /// calling thread after the batch barrier, off the task hot path.
+  /// counters, per-query latency observations, and the cost-model
+  /// totals.  Runs on the calling thread after the batch barrier, off
+  /// the task hot path.
   void RecordBatchMetrics(const std::vector<QuerySpec<P>>& batch,
-                          const std::vector<index::SharedSearchBound>& bounds,
                           const std::vector<double>& latencies,
                           const BatchOutput& out) {
     uint64_t executed = 0;
     uint64_t rejected = 0;
     uint64_t truncated = 0;
-    uint64_t split_budget = 0;
     for (size_t q = 0; q < batch.size(); ++q) {
       if (!out.statuses[q].ok()) {
         ++rejected;
@@ -429,16 +353,11 @@ class QueryEngine {
       }
       ++executed;
       if (out.truncated[q]) ++truncated;
-      if (batch[q].split_distance_budget &&
-          batch[q].max_distance_computations != 0) {
-        ++split_budget;
-      }
       metrics_.query_latency->Record(latencies[q]);
     }
     metrics_.queries->Add(executed);
     if (rejected != 0) metrics_.rejected->Add(rejected);
     if (truncated != 0) metrics_.truncated->Add(truncated);
-    if (split_budget != 0) metrics_.split_budget->Add(split_budget);
     metrics_.distance_computations->Add(out.stats.distance_computations);
     if (out.stats.pruning_eliminated != 0) {
       metrics_.pruning_eliminated->Add(out.stats.pruning_eliminated);
@@ -446,42 +365,16 @@ class QueryEngine {
     if (out.stats.candidates_verified != 0) {
       metrics_.candidates_verified->Add(out.stats.candidates_verified);
     }
-    uint64_t tightenings = 0;
-    for (const index::SharedSearchBound& bound : bounds) {
-      tightenings += bound.tightenings.load(std::memory_order_relaxed);
-    }
-    if (tightenings != 0) metrics_.bound_tightenings->Add(tightenings);
-  }
-
-  /// True iff this request runs its shard fan-out cooperatively: a kNN
-  /// mode (range queries have nothing to share), more than one shard,
-  /// and a cooperative scheduling policy.
-  static bool Cooperative(const QuerySpec<P>& spec, size_t shard_count) {
-    return spec.shard_scheduling != index::ShardScheduling::kIndependent &&
-           spec.mode != QueryType::kRange && shard_count > 1;
-  }
-
-  /// Shard s's distance budget: the full request budget by default, or
-  /// its ceil-divided slice (remainder to the first shards) under
-  /// split_distance_budget.
-  static uint64_t ShardBudget(const QuerySpec<P>& spec, size_t s,
-                              size_t shard_count) {
-    const uint64_t budget = spec.max_distance_computations;
-    if (!spec.split_distance_budget || budget == 0) return budget;
-    const uint64_t base = budget / shard_count;
-    const uint64_t extra = budget % shard_count;
-    return base + (s < extra ? 1 : 0);
   }
 
   /// One (query, shard) task: searches the shard, maps local ids to
   /// global ids, stores the partial, and stamps the query latency when
   /// it is the last of the query's tasks to finish.  When metrics or a
   /// trace slot want timing, the task additionally reads the clock on
-  /// entry/exit (and the cooperative bound, for the trace) — around
-  /// the search, never inside it, so instrumented results stay
-  /// bit-identical.
+  /// entry/exit — around the search, never inside it, so instrumented
+  /// results stay bit-identical.
   void RunShardTask(const ShardedDatabase<P>& db,
-                    const std::vector<const QuerySpec<P>*>& specs,
+                    const std::vector<QuerySpec<P>>& batch,
                     std::vector<index::SearchResponse>& partials,
                     std::vector<PaddedCounter>& tasks_left,
                     std::vector<double>& latencies,
@@ -489,7 +382,6 @@ class QueryEngine {
                     std::chrono::steady_clock::time_point submit,
                     TaskTiming* timing, size_t shard_count, size_t q,
                     size_t s) {
-    const QuerySpec<P>& spec = *specs[q];
     const bool timed = metrics_.enabled || timing != nullptr;
     std::chrono::steady_clock::time_point task_start{};
     if (timed) {
@@ -497,27 +389,9 @@ class QueryEngine {
       if (metrics_.queue_wait != nullptr) {
         metrics_.queue_wait->Record(Seconds(submit, task_start));
       }
-      if (timing != nullptr) {
-        timing->start = Seconds(start, task_start);
-        timing->bound_entry =
-            spec.shared_bound != nullptr
-                ? spec.shared_bound->Load()
-                : std::numeric_limits<double>::infinity();
-      }
+      if (timing != nullptr) timing->start = Seconds(start, task_start);
     }
-    index::SearchResponse response;
-    const uint64_t budget = ShardBudget(spec, s, shard_count);
-    if (spec.max_distance_computations != 0 && budget == 0) {
-      // A split budget smaller than the shard count starves this
-      // shard entirely: spend nothing, report the truncation.
-      response.truncated = true;
-    } else if (budget != spec.max_distance_computations) {
-      QuerySpec<P> shard_spec = spec;
-      shard_spec.max_distance_computations = budget;
-      response = db.shard(s).Search(shard_spec);
-    } else {
-      response = db.shard(s).Search(spec);
-    }
+    index::SearchResponse response = db.shard(s).Search(batch[q]);
     const size_t offset = db.shard_offset(s);
     for (index::SearchResult& r : response.results) r.id += offset;
     partials[q * shard_count + s] = std::move(response);
@@ -526,13 +400,7 @@ class QueryEngine {
       if (metrics_.task_run != nullptr) {
         metrics_.task_run->Record(Seconds(task_start, task_stop));
       }
-      if (timing != nullptr) {
-        timing->stop = Seconds(start, task_stop);
-        timing->bound_exit =
-            spec.shared_bound != nullptr
-                ? spec.shared_bound->Load()
-                : std::numeric_limits<double>::infinity();
-      }
+      if (timing != nullptr) timing->stop = Seconds(start, task_stop);
     }
     if (metrics_.shard_tasks != nullptr) metrics_.shard_tasks->Increment();
     // The last shard task to finish stamps the query's latency.

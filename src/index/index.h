@@ -80,8 +80,7 @@ class SearchIndex {
     SearchContext context(request.mode, request.radius,
                           request.max_distance_computations,
                           &response.stats, collector,
-                          request.initial_radius_bound,
-                          request.shared_bound);
+                          request.initial_radius_bound);
     SearchImpl(request, points_.MakeQuery(request.point), &context);
     response.results = context.TakeResults();
     response.truncated = context.truncated();

@@ -15,18 +15,6 @@ const char* SearchModeName(SearchMode mode) {
   return "unknown";
 }
 
-const char* ShardSchedulingName(ShardScheduling policy) {
-  switch (policy) {
-    case ShardScheduling::kIndependent:
-      return "independent";
-    case ShardScheduling::kCooperative:
-      return "cooperative";
-    case ShardScheduling::kSeedFirst:
-      return "seed-first";
-  }
-  return "unknown";
-}
-
 void SortResults(std::vector<SearchResult>* results) {
   std::sort(results->begin(), results->end(),
             [](const SearchResult& a, const SearchResult& b) {

@@ -16,7 +16,6 @@
 #define DISTPERM_INDEX_SEARCH_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -79,26 +78,6 @@ enum class SearchMode : uint8_t {
 /// Human-readable mode name ("knn", "range", "knn-within-radius").
 const char* SearchModeName(SearchMode mode);
 
-/// How the engine schedules one query's shard tasks.  Single-index
-/// searches ignore the field; the engine applies it per request.
-enum class ShardScheduling : uint8_t {
-  /// Naive fan-out: every shard searches from scratch.  The engine's
-  /// original behavior and the default.
-  kIndependent = 0,
-  /// Cooperative fan-out: all shard tasks start at once and share one
-  /// lock-free upper bound on the query's k-th neighbour distance, so a
-  /// shard can prune against the best radius any shard has seen so far.
-  kCooperative = 1,
-  /// Cooperative two-phase: one seed shard runs to completion first and
-  /// publishes its k-th distance; the remaining shards then fan out
-  /// against that already-tight bound.
-  kSeedFirst = 2,
-};
-
-/// Human-readable policy name ("independent", "cooperative",
-/// "seed-first").
-const char* ShardSchedulingName(ShardScheduling policy);
-
 /// Delta-merge hook for live stores (engine::LiveDatabase).  A live
 /// query runs in two legs: the pinned generation's index search (whose
 /// SearchContext prunes against the delta's k-th distance through
@@ -114,46 +93,6 @@ void MergeDeltaResults(std::vector<SearchResult>* base,
                        const std::function<bool(size_t)>& is_removed,
                        std::vector<SearchResult> delta_hits,
                        SearchMode mode, size_t k);
-
-/// Lock-free shared upper bound on a query's k-th neighbour distance,
-/// padded to a cache line so per-query bounds in an engine batch never
-/// false-share.  Shard tasks read it through SearchContext::Radius()
-/// and tighten it as their collectors fill.  The invariant that makes
-/// cooperative pruning exact: every published value is some shard's
-/// current k-th-best distance, which can only overestimate the global
-/// k-th distance — so pruning strictly beyond the bound can never
-/// discard a true global neighbour.
-struct alignas(64) SharedSearchBound {
-  std::atomic<double> value{std::numeric_limits<double>::infinity()};
-  /// Successful tightenings (CAS wins that lowered the bound) — the
-  /// engine folds this into its cooperative-tightening counter after
-  /// the batch barrier.  Both atomics share the bound's padded line,
-  /// and tightenings are rare once the bound converges, so the counter
-  /// adds no contention to the read-mostly fan-out.
-  std::atomic<uint64_t> tightenings{0};
-
-  double Load() const { return value.load(std::memory_order_relaxed); }
-
-  /// Lowers the bound to `candidate` when that improves it (lock-free
-  /// compare-exchange min; concurrent updaters never block).
-  void UpdateMin(double candidate) {
-    double current = value.load(std::memory_order_relaxed);
-    while (candidate < current) {
-      if (value.compare_exchange_weak(current, candidate,
-                                      std::memory_order_release,
-                                      std::memory_order_relaxed)) {
-        tightenings.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-  }
-
-  /// Re-arms the bound (engine-side, before a batch's tasks start).
-  void Reset(double v = std::numeric_limits<double>::infinity()) {
-    value.store(v, std::memory_order_relaxed);
-    tightenings.store(0, std::memory_order_relaxed);
-  }
-};
 
 /// One query: a mode, a point, and the mode's parameters, plus optional
 /// execution knobs.  Construct with the factories (Knn, Range,
@@ -192,30 +131,13 @@ struct SearchRequest {
   /// >= 0 and not NaN; +infinity (the default) is a no-op.  Range-mode
   /// searches ignore the field (their radius already bounds them).
   double initial_radius_bound = std::numeric_limits<double>::infinity();
-  /// Engine scheduling policy for this query's shard fan-out (see
-  /// ShardScheduling).  Ignored outside QueryEngine::RunBatch; range
-  /// queries always run independently (every shard must report all of
-  /// its in-range points, so there is nothing to share).
-  ShardScheduling shard_scheduling = ShardScheduling::kIndependent;
-  /// When true, the engine splits max_distance_computations across the
-  /// shards (ceil-divide, remainder to the first shards) so the query's
-  /// total cost is bounded by the budget itself.  When false (default),
-  /// every shard task receives the full budget — the engine's original
-  /// behavior, bounded by shards x budget.  No effect without a budget.
-  bool split_distance_budget = false;
   /// When true, QueryEngine::RunBatch attaches an obs::SearchTrace to
   /// this query's BatchOutput slot: one span per shard task (plus the
   /// delta leg on the live path) with timing, distance counts, and the
-  /// cooperative bound on entry/exit.  Observation only — results and
+  /// radius bound the span searched under.  Observation only — results and
   /// distance accounting are bit-identical with tracing on.  Ignored
   /// by single-index Search().
   bool collect_trace = false;
-  /// Engine-internal hook: when non-null, the search reads this shared
-  /// bound as an extra radius cap and publishes its collector's k-th
-  /// distance into it.  QueryEngine::RunBatch installs one per
-  /// cooperative query; callers never set it directly (the pointee must
-  /// outlive the search).
-  SharedSearchBound* shared_bound = nullptr;
 
   static SearchRequest Knn(P point, size_t k) {
     SearchRequest request;
@@ -254,16 +176,6 @@ struct SearchRequest {
 
   SearchRequest& WithInitialRadiusBound(double bound) {
     initial_radius_bound = bound;
-    return *this;
-  }
-
-  SearchRequest& WithShardScheduling(ShardScheduling policy) {
-    shard_scheduling = policy;
-    return *this;
-  }
-
-  SearchRequest& WithSplitDistanceBudget(bool split = true) {
-    split_distance_budget = split;
     return *this;
   }
 
@@ -431,28 +343,22 @@ class KnnCollector {
 /// branch on the mode themselves, so one loop serves every mode.
 ///
 /// The pruning radius additionally caps itself at the request's
-/// initial_radius_bound and (when the engine installed one) the live
-/// SharedSearchBound, so every index's pruning — block-min score
+/// initial_radius_bound, so every index's pruning — block-min score
 /// filtering, ball pruning, lower-bound elimination — starts from the
-/// best k-th distance seen anywhere and keeps tightening against it.
-/// Both caps apply only to the kNN modes: a range search must report
-/// every in-range point regardless of what other shards found.
+/// best k-th distance known before the search.  The cap applies only to
+/// the kNN modes: a range search must report every in-range point.
 class SearchContext {
  public:
   /// `collector` must be non-null for the kNN modes (it is pooled from
   /// QueryScratch by SearchIndex::Search) and is unused for kRange.
-  /// `initial_bound` and `shared` come from the request (defaults: no
-  /// cap, no shared bound).
+  /// `initial_bound` is the request's initial_radius_bound.
   SearchContext(SearchMode mode, double radius, uint64_t budget,
                 QueryStats* stats, KnnCollector* collector,
-                double initial_bound =
-                    std::numeric_limits<double>::infinity(),
-                SharedSearchBound* shared = nullptr)
+                double initial_bound)
       : mode_(mode),
         radius_(radius),
         budget_(budget),
         initial_bound_(initial_bound),
-        shared_(shared),
         stats_(stats),
         collector_(collector) {}
 
@@ -462,10 +368,7 @@ class SearchContext {
   /// Where implementations charge their metric evaluations.
   QueryStats* stats() const { return stats_; }
 
-  /// Offers a verified (id, true distance) pair to the result set.  In
-  /// the kNN modes a full collector's k-th distance is published into
-  /// the shared bound (when one is installed) so concurrent shard tasks
-  /// inherit the tightest radius seen anywhere.
+  /// Offers a verified (id, true distance) pair to the result set.
   void Emit(size_t id, double distance) {
     switch (mode_) {
       case SearchMode::kRange:
@@ -473,13 +376,9 @@ class SearchContext {
         break;
       case SearchMode::kKnn:
         collector_->Offer(id, distance);
-        PublishBound();
         break;
       case SearchMode::kKnnWithinRadius:
-        if (distance <= radius_) {
-          collector_->Offer(id, distance);
-          PublishBound();
-        }
+        if (distance <= radius_) collector_->Offer(id, distance);
         break;
     }
   }
@@ -487,15 +386,15 @@ class SearchContext {
   /// Current pruning radius: any point farther than this cannot enter
   /// the result set.  Fixed for kRange; shrinks as the collector fills
   /// for the kNN modes, where it is additionally capped by the
-  /// request's initial bound and the live shared bound.
+  /// request's initial bound.
   double Radius() const {
     switch (mode_) {
       case SearchMode::kRange:
         return radius_;
       case SearchMode::kKnn:
-        return CappedKnnRadius(collector_->Radius());
+        return std::min(collector_->Radius(), initial_bound_);
       case SearchMode::kKnnWithinRadius:
-        return CappedKnnRadius(std::min(radius_, collector_->Radius()));
+        return std::min({radius_, collector_->Radius(), initial_bound_});
     }
     return radius_;  // unreachable; placates -Wreturn-type
   }
@@ -528,29 +427,10 @@ class SearchContext {
   std::vector<SearchResult> TakeResults();
 
  private:
-  double CappedKnnRadius(double radius) const {
-    if (radius > initial_bound_) radius = initial_bound_;
-    if (shared_ != nullptr) {
-      const double shared = shared_->Load();
-      if (shared < radius) radius = shared;
-    }
-    return radius;
-  }
-
-  /// Publishes the collector's k-th distance once it holds k results —
-  /// any shard's k-th-best can only overestimate the global k-th
-  /// distance, so the shared minimum stays a valid pruning cap.
-  void PublishBound() {
-    if (shared_ == nullptr) return;
-    if (collector_->size() < collector_->k()) return;
-    shared_->UpdateMin(collector_->Radius());
-  }
-
   const SearchMode mode_;
   const double radius_;
   const uint64_t budget_;
   const double initial_bound_;
-  SharedSearchBound* const shared_;
   QueryStats* const stats_;
   KnnCollector* const collector_;
   std::vector<SearchResult> range_results_;

@@ -43,7 +43,7 @@ namespace distperm {
 namespace net {
 
 inline constexpr uint32_t kFrameMagic = 0x314E5044;  // "DPN1"
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderSize = 16;
 /// Hard cap on one frame's payload; ParseFrame rejects anything larger
 /// before buffering it, so a hostile length field cannot balloon a
@@ -204,10 +204,10 @@ class PayloadReader {
 
 // ---------------------------------------------------- search messages
 
-/// Request flag bits (u8 on the wire).
-inline constexpr uint8_t kRequestSplitBudget = 1u << 0;
-/// Client asks the server to bypass its perm cache for this request
-/// (used by benches to measure the uncached path on a warm server).
+/// The one request flag bit (u8 on the wire; DecodeSearchRequest
+/// rejects every other bit): the client asks the server to bypass its
+/// perm cache for this request (used by benches to measure the uncached
+/// path on a warm server).
 inline constexpr uint8_t kRequestNoCache = 1u << 1;
 
 /// A decoded search request plus the wire-only knobs that have no
@@ -223,11 +223,7 @@ void EncodeSearchRequest(std::string* out,
                          const index::SearchRequest<P>& request,
                          bool no_cache = false) {
   out->push_back(static_cast<char>(request.mode));
-  out->push_back(static_cast<char>(request.shard_scheduling));
-  uint8_t flags = 0;
-  if (request.split_distance_budget) flags |= kRequestSplitBudget;
-  if (no_cache) flags |= kRequestNoCache;
-  out->push_back(static_cast<char>(flags));
+  out->push_back(static_cast<char>(no_cache ? kRequestNoCache : 0));
   storage::PutFixed64(out, request.k);
   storage::PutDouble(out, request.radius);
   storage::PutFixed64(out, request.max_distance_computations);
@@ -241,7 +237,6 @@ util::Result<DecodedSearchRequest<P>> DecodeSearchRequest(
     const uint8_t* data, size_t size) {
   PayloadReader reader(data, size);
   const uint8_t mode = reader.U8();
-  const uint8_t scheduling = reader.U8();
   const uint8_t flags = reader.U8();
   DecodedSearchRequest<P> decoded;
   index::SearchRequest<P>& request = decoded.request;
@@ -259,14 +254,11 @@ util::Result<DecodedSearchRequest<P>> DecodeSearchRequest(
     return util::Status::InvalidArgument(
         "net: unknown search mode " + std::to_string(mode));
   }
-  if (scheduling >
-      static_cast<uint8_t>(index::ShardScheduling::kSeedFirst)) {
+  if ((flags & ~kRequestNoCache) != 0) {
     return util::Status::InvalidArgument(
-        "net: unknown shard scheduling " + std::to_string(scheduling));
+        "net: unknown search request flags " + std::to_string(flags));
   }
   request.mode = static_cast<index::SearchMode>(mode);
-  request.shard_scheduling = static_cast<index::ShardScheduling>(scheduling);
-  request.split_distance_budget = (flags & kRequestSplitBudget) != 0;
   decoded.no_cache = (flags & kRequestNoCache) != 0;
   return decoded;
 }

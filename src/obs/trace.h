@@ -5,13 +5,12 @@
 // per shard task (plus, on the live path, one span for the delta-log
 // scan), ordered by start time.  Spans carry exactly what is needed to
 // explain a slow query shard by shard — where the time went, where the
-// distance budget went, and how the cooperative bound looked when the
-// task entered and left.
+// distance budget went, and which radius bound the task searched under.
 //
-// Tracing is observation only: the engine reads clocks and the shared
-// bound around the search but changes nothing inside it, so results
-// and distance counts are bit-identical with tracing on.  The spans'
-// distance counts partition the query's total exactly: summing
+// Tracing is observation only: the engine reads clocks around the
+// search but changes nothing inside it, so results and distance counts
+// are bit-identical with tracing on.  The spans' distance counts
+// partition the query's total exactly: summing
 // Span::distance_computations reproduces the query's
 // per_query_distance_computations (regression-tested in
 // tests/engine_test.cc).
@@ -45,10 +44,10 @@ struct SearchTrace {
     /// Metric evaluations this span charged.  Summed over a query's
     /// spans this equals the query's total distance count exactly.
     uint64_t distance_computations = 0;
-    /// The cooperative shared bound when the task started and when it
-    /// finished (+infinity when no bound was installed or published).
-    double bound_entry = std::numeric_limits<double>::infinity();
-    double bound_exit = std::numeric_limits<double>::infinity();
+    /// For a shard span, the initial_radius_bound it searched under; for
+    /// the delta span, the bound the delta leg handed on to the shard
+    /// searches.  +infinity when no bound was known.
+    double bound = std::numeric_limits<double>::infinity();
   };
 
   std::vector<Span> spans;

@@ -134,12 +134,14 @@ class ReplicaServer {
   ReplicaServer& operator=(const ReplicaServer&) = delete;
 
   /// Starts listening (0 = ephemeral) and launches the tail thread.
+  /// Call before Run() (see SearchServer::Start).
   util::Status Start(uint16_t port) {
     DP_RETURN_IF_ERROR(server_->Start(port));
     client_->Start();
     return util::Status::OK();
   }
 
+  /// Binds the metrics port; call before Run().
   util::Status StartMetrics(uint16_t port) {
     return server_->StartMetrics(port);
   }

@@ -198,7 +198,9 @@ class SearchServer {
   SearchServer(const SearchServer&) = delete;
   SearchServer& operator=(const SearchServer&) = delete;
 
-  /// Binds the search port (0 = ephemeral; see port()).
+  /// Binds the search port (0 = ephemeral; see port()).  Call before
+  /// Run(): it registers the listener with the event loop, which only
+  /// the loop thread may touch once Run() has started.
   util::Status Start(uint16_t port) {
     auto listener = net::Listener::Bind(port);
     if (!listener.ok()) return listener.status();
@@ -208,6 +210,7 @@ class SearchServer {
   }
 
   /// Binds the plaintext metrics port (GET /metrics, GET /statz).
+  /// Like Start(), call before Run().
   util::Status StartMetrics(uint16_t port) {
     auto listener = net::Listener::Bind(port);
     if (!listener.ok()) return listener.status();

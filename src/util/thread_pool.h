@@ -28,10 +28,9 @@ namespace util {
 /// owning thread.  Submit() is thread-safe: it may be called from the
 /// owning thread, from any other thread (live-ingest writers schedule
 /// background compactions from arbitrary threads), or from within a
-/// running task (the engine's two-phase scheduling submits a query's
-/// fan-out from its seed task).  A task's submissions happen before the
-/// task is counted finished, so Wait() cannot wake until the chained
-/// work has drained too.  Tasks must not call Wait().
+/// running task.  A task's submissions happen before the task is
+/// counted finished, so Wait() cannot wake until the chained work has
+/// drained too.  Tasks must not call Wait().
 ///
 /// Shutdown interacts safely with Submit-from-task: the destructor's
 /// shutdown flag lets idle workers exit once the queue is empty, but a

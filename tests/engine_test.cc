@@ -117,12 +117,11 @@ TEST(ThreadPool, WaitWithNoTasksReturnsImmediately) {
   pool.Wait();
 }
 
-// Regression for destructor vs. Submit-from-task (allowed since the
-// engine's two-phase scheduling): destroying the pool while running
-// tasks are still submitting chained work must drain every submission
-// — idle workers may exit early on the shutdown flag, but a task's own
-// worker always picks its chain up, so nothing is dropped.  Run under
-// TSan by the CI tsan job.
+// Regression for destructor vs. Submit-from-task: destroying the pool
+// while running tasks are still submitting chained work must drain
+// every submission — idle workers may exit early on the shutdown flag,
+// but a task's own worker always picks its chain up, so nothing is
+// dropped.  Run under TSan by the CI tsan job.
 TEST(ThreadPool, DestructorDrainsChainsStillSubmitting) {
   std::atomic<int> counter{0};
   for (int round = 0; round < 20; ++round) {
@@ -608,7 +607,8 @@ TEST(QueryEngine, LatencySummaryWithSingleExecutedQuery) {
 // results and identical distance accounting to the untraced batch, and
 // each traced query's spans partition its distance count exactly — one
 // span per shard, spans ordered by start time, every span's window
-// inside the batch wall clock.
+// inside the batch wall clock, every span carrying the request's
+// initial_radius_bound.
 TEST(QueryEngine, TraceSpansPartitionDistanceCountsExactly) {
   util::Rng rng(49);
   auto data = dataset::UniformCube(320, 3, &rng);
@@ -623,6 +623,7 @@ TEST(QueryEngine, TraceSpansPartitionDistanceCountsExactly) {
     plain.push_back(q % 2 == 0 ? QuerySpec<Vector>::Knn(point, 5)
                                : QuerySpec<Vector>::Range(point, 0.25));
   }
+  plain[0].WithInitialRadiusBound(0.5);
   std::vector<QuerySpec<Vector>> traced = plain;
   for (auto& spec : traced) spec.WithTrace();
 
@@ -647,6 +648,7 @@ TEST(QueryEngine, TraceSpansPartitionDistanceCountsExactly) {
       ASSERT_LT(span.shard, shards);
       EXPECT_FALSE(seen[span.shard]);  // one span per shard
       seen[span.shard] = true;
+      EXPECT_EQ(span.bound, traced[q].initial_radius_bound);
       EXPECT_GE(span.start_seconds, 0.0);
       EXPECT_LE(span.start_seconds, span.stop_seconds);
       EXPECT_LE(span.stop_seconds, out.stats.wall_seconds);
@@ -655,37 +657,6 @@ TEST(QueryEngine, TraceSpansPartitionDistanceCountsExactly) {
       }
     }
   }
-}
-
-// Tracing a cooperative fan-out records the shared bound at span entry
-// and exit; the bound can only tighten, and results stay exact.
-TEST(QueryEngine, TraceRecordsCooperativeBoundTightening) {
-  util::Rng rng(50);
-  auto data = dataset::UniformCube(400, 3, &rng);
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), 4,
-                                           VpFactory<Vector>(13));
-  QueryEngine<Vector> engine(&db, 4);
-  LinearScanIndex<Vector> scan(data, L2());
-
-  Vector point = {0.4, 0.5, 0.6};
-  auto out = engine.RunBatch(
-      {QuerySpec<Vector>::Knn(point, 5).WithShardScheduling(index::ShardScheduling::kCooperative).WithTrace()});
-  ASSERT_TRUE(out.all_ok());
-  EXPECT_EQ(out.results[0],
-            scan.Search(QuerySpec<Vector>::Knn(point, 5)).results);
-  const obs::SearchTrace& trace = out.traces[0];
-  ASSERT_EQ(trace.spans.size(), 4u);
-  EXPECT_EQ(trace.total_distance_computations(),
-            out.per_query_distance_computations[0]);
-  for (const auto& span : trace.spans) {
-    EXPECT_LE(span.bound_exit, span.bound_entry) << span.shard;
-  }
-  // Some shard finished with the bound pulled down to a finite radius.
-  double tightest = std::numeric_limits<double>::infinity();
-  for (const auto& span : trace.spans) {
-    tightest = std::min(tightest, span.bound_exit);
-  }
-  EXPECT_TRUE(std::isfinite(tightest));
 }
 
 // EnableMetrics wires the engine into a registry: after a batch the
@@ -746,31 +717,27 @@ TEST(QueryEngine, EnableMetricsPopulatesRegistry) {
       << json;
 }
 
-// Metrics record cooperative bound tightenings and the pruning
-// statistics indexes report; a LAESA-sharded engine exercises both.
-TEST(QueryEngine, MetricsCoverPruningAndCooperativeSeries) {
+// Metrics record the pruning statistics indexes report; a LAESA-sharded
+// engine exercises them.
+TEST(QueryEngine, MetricsCoverPruningSeries) {
   util::Rng rng(52);
   auto data = dataset::UniformCube(300, 3, &rng);
   auto db = ShardedDatabase<Vector>::Build(data, L2(), 4,
                                            LaesaFactory<Vector>(7, 6));
-  obs::MetricsRegistry registry("coop");
+  obs::MetricsRegistry registry("pruning");
   QueryEngine<Vector> engine(&db, 4);
   engine.EnableMetrics(&registry);
 
   std::vector<QuerySpec<Vector>> batch;
   for (int q = 0; q < 6; ++q) {
     Vector point = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
-    batch.push_back(QuerySpec<Vector>::Knn(point, 4).WithShardScheduling(index::ShardScheduling::kCooperative));
+    batch.push_back(QuerySpec<Vector>::Knn(point, 4));
   }
   auto out = engine.RunBatch(batch);
   ASSERT_TRUE(out.all_ok());
   EXPECT_EQ(registry.GetCounter("engine_pruning_eliminated_total")->Value(),
             out.stats.pruning_eliminated);
   EXPECT_GT(out.stats.pruning_eliminated, 0u);
-  // Each query's fan-out publishes its k-th distance at least once.
-  EXPECT_GE(
-      registry.GetCounter("engine_coop_bound_tightenings_total")->Value(),
-      batch.size());
 }
 
 TEST(BatchStatsHelpers, AverageRecall) {

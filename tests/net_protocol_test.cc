@@ -95,14 +95,22 @@ TEST(NetProtocol, BadMagicIsError) {
   EXPECT_EQ(error.code(), util::StatusCode::kInvalidArgument);
 }
 
+// A newer peer and an older (v1) peer are both refused, with a message
+// naming the peer's version.
 TEST(NetProtocol, VersionSkewIsError) {
-  std::string bytes = Frame(MessageType::kPing, "");
-  bytes[4] = static_cast<char>(kProtocolVersion + 1);
-  FrameView view;
-  size_t frame_size = 0;
-  util::Status error;
-  ASSERT_EQ(Parse(bytes, &view, &frame_size, &error), FrameParse::kError);
-  EXPECT_NE(error.message().find("version"), std::string::npos);
+  for (const int version : {kProtocolVersion + 1, kProtocolVersion - 1}) {
+    std::string bytes = Frame(MessageType::kPing, "");
+    bytes[4] = static_cast<char>(version);
+    FrameView view;
+    size_t frame_size = 0;
+    util::Status error;
+    ASSERT_EQ(Parse(bytes, &view, &frame_size, &error), FrameParse::kError)
+        << version;
+    EXPECT_NE(error.message().find("version"), std::string::npos);
+    EXPECT_NE(error.message().find("v" + std::to_string(version)),
+              std::string::npos)
+        << error.message();
+  }
 }
 
 TEST(NetProtocol, OversizedLengthIsRejectedBeforeBuffering) {
@@ -174,8 +182,6 @@ TEST(NetProtocol, SearchRequestRoundTripVector) {
   request.max_distance_computations = 123;
   request.approx_candidate_fraction = 0.375;
   request.initial_radius_bound = 2.25;
-  request.shard_scheduling = index::ShardScheduling::kCooperative;
-  request.split_distance_budget = true;
 
   std::string payload;
   EncodeSearchRequest(&payload, request, /*no_cache=*/true);
@@ -192,8 +198,6 @@ TEST(NetProtocol, SearchRequestRoundTripVector) {
   EXPECT_EQ(got.approx_candidate_fraction,
             request.approx_candidate_fraction);
   EXPECT_EQ(got.initial_radius_bound, request.initial_radius_bound);
-  EXPECT_EQ(got.shard_scheduling, request.shard_scheduling);
-  EXPECT_TRUE(got.split_distance_budget);
 }
 
 TEST(NetProtocol, SearchRequestRoundTripString) {
@@ -223,13 +227,16 @@ TEST(NetProtocol, SearchRequestRejectsUnknownEnums) {
                      bad.size())
                      .ok());
   }
-  {
+  // Every flag bit but kRequestNoCache is malformed.
+  for (int bit = 0; bit < 8; ++bit) {
+    const uint8_t flag = static_cast<uint8_t>(1u << bit);
+    if (flag == kRequestNoCache) continue;
     std::string bad = payload;
-    bad[1] = 99;  // scheduling
-    EXPECT_FALSE(DecodeSearchRequest<Vector>(
-                     reinterpret_cast<const uint8_t*>(bad.data()),
-                     bad.size())
-                     .ok());
+    bad[1] = static_cast<char>(flag | kRequestNoCache);  // flags
+    auto decoded = DecodeSearchRequest<Vector>(
+        reinterpret_cast<const uint8_t*>(bad.data()), bad.size());
+    ASSERT_FALSE(decoded.ok()) << bit;
+    EXPECT_EQ(decoded.status().code(), util::StatusCode::kInvalidArgument);
   }
   // Trailing junk is an error, not silently ignored.
   payload.push_back('x');

@@ -278,8 +278,8 @@ TEST(ObsMetrics, SearchTraceSumsSpans) {
   SearchTrace trace;
   EXPECT_TRUE(trace.empty());
   EXPECT_EQ(trace.total_distance_computations(), 0u);
-  trace.spans.push_back({0, false, 0.0, 1.0, 10, 0.0, 0.0});
-  trace.spans.push_back({1, true, 0.5, 2.0, 32, 0.0, 0.0});
+  trace.spans.push_back({0, false, 0.0, 1.0, 10, 0.0});
+  trace.spans.push_back({1, true, 0.5, 2.0, 32, 0.0});
   EXPECT_FALSE(trace.empty());
   EXPECT_EQ(trace.total_distance_computations(), 42u);
 }

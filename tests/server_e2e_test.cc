@@ -80,7 +80,7 @@ struct TestServer {
 std::unique_ptr<TestServer> StartServer(
     const std::string& spec, size_t n, size_t dim, uint64_t seed,
     typename SearchServer<Vector>::Options options = {},
-    const std::string& wal_dir = "") {
+    const std::string& wal_dir = "", bool with_metrics_port = false) {
   auto ts = std::make_unique<TestServer>();
   ts->metrics = std::make_unique<obs::MetricsRegistry>("server_e2e");
   util::Rng rng(seed);
@@ -112,6 +112,12 @@ std::unique_ptr<TestServer> StartServer(
   auto started = ts->server->Start(0);
   EXPECT_TRUE(started.ok()) << started;
   if (!started.ok()) return nullptr;
+  // Listeners register with the event loop, so bind them before Run().
+  if (with_metrics_port) {
+    auto metrics_started = ts->server->StartMetrics(0);
+    EXPECT_TRUE(metrics_started.ok()) << metrics_started;
+    if (!metrics_started.ok()) return nullptr;
+  }
   SearchServer<Vector>* server = ts->server.get();
   ts->thread = std::thread([server]() { server->Run(); });
   return ts;
@@ -136,21 +142,14 @@ std::vector<SearchRequest<Vector>> MixedBatch(size_t dim, uint64_t seed) {
       case 1:
         batch.push_back(SearchRequest<Vector>::Range(probes[i], 0.4));
         break;
-      case 2: {
-        SearchRequest<Vector> request =
-            SearchRequest<Vector>::KnnWithinRadius(probes[i], 3, 0.8);
-        request.shard_scheduling = index::ShardScheduling::kCooperative;
-        batch.push_back(request);
+      case 2:
+        batch.push_back(
+            SearchRequest<Vector>::KnnWithinRadius(probes[i], 3, 0.8));
         break;
-      }
-      default: {
-        SearchRequest<Vector> request =
-            SearchRequest<Vector>::Knn(probes[i], 4);
-        request.max_distance_computations = 150;
-        request.split_distance_budget = true;
-        batch.push_back(request);
+      default:
+        batch.push_back(
+            SearchRequest<Vector>::Knn(probes[i], 4).WithDistanceBudget(150));
         break;
-      }
     }
   }
   return batch;
@@ -573,9 +572,9 @@ TEST(ServerE2E, MetricsEndpointServesExpositionAndStatz) {
   SearchServer<Vector>::Options options;
   options.perm_cache_capacity = 256;
   options.perm_cache_sites = 6;
-  auto ts = StartServer("vp-tree", 300, 4, 14, options);
+  auto ts = StartServer("vp-tree", 300, 4, 14, options, /*wal_dir=*/"",
+                        /*with_metrics_port=*/true);
   ASSERT_NE(ts, nullptr);
-  ASSERT_TRUE(ts->server->StartMetrics(0).ok());
   const uint16_t metrics_port = ts->server->metrics_port();
   ASSERT_NE(metrics_port, 0);
 
