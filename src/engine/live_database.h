@@ -25,12 +25,15 @@
 // query's distance accounting), removed ids are filtered out of the
 // generation's results, and — via the request's initial_radius_bound —
 // the delta's k-th distance caps the generation search's pruning radius
-// before it starts.  Once the window outgrows the `delta_index_min`
-// knob, the writer publishes per-shard side-indexes over the window's
-// prefix (built with the `delta_index` spec knobs) so the delta leg
-// stops being a flat scan; the uncovered tail stays a scan.  The
-// window is bounded by `delta_scan_limit`: a full buffer pushes back
-// on writers (OutOfRange) instead of degrading readers.
+// before it starts.  Every `delta_index_min` writes, the writer covers
+// the new stretch of the window with side-indexes (built with the
+// `delta_index` spec knobs) so the delta leg stops being a flat scan;
+// the uncovered tail stays a scan.  Each shard keeps its side-indexes
+// as a logarithmic stack of immutable runs (Bentley & Saxe's
+// static-to-dynamic transformation), so upkeep per write grows with
+// the log of the window, not the window.  The window is bounded by
+// `delta_scan_limit`: a full buffer pushes back on writers
+// (OutOfRange) instead of degrading readers.
 //
 // Compact() folds base ⊕ delta into generation N+1 incrementally:
 // only the shards whose delta slice is non-empty (a base removal in
@@ -236,27 +239,42 @@ struct LiveCompactionStats {
 template <typename P>
 class LiveDatabase {
  private:
-  /// Per-shard side-indexes over the covered prefix of the delta log:
-  /// each shard's routed, alive inserts get a small registry-built
-  /// index (the `delta_index` knobs) so the per-query delta leg stops
-  /// being a flat scan of the whole window.  Immutable once published;
-  /// entry pointers stay valid because DeltaLog chunks never move and
-  /// the State that carries this set also carries the log.
+  /// Side-indexes over the covered prefix of the delta log, so the
+  /// per-query delta leg stops being a flat scan of the whole window.
+  /// Each shard keeps a stack of runs, the logarithmic method of
+  /// Bentley & Saxe ("Decomposable searching problems I", J. Algorithms
+  /// 1980): a publication gives every shard that received inserts one
+  /// new run over them, and that run absorbs the stack's trailing runs
+  /// while they are no larger than it (a binary counter), so a covered
+  /// insert is rebuilt O(log window) times in all.  Range and kNN
+  /// search decompose over runs, so the answers stay exact.  A set is
+  /// immutable once published and shares its untouched runs with its
+  /// predecessor; entry pointers stay valid because DeltaLog chunks
+  /// never move and the State that carries this set also carries the
+  /// log.
   struct SideIndexSet {
     /// Log position the set covers; entries at and past this index are
     /// flat-scanned by queries (the uncovered tail).
     size_t covers = 0;
-    struct ShardSide {
-      /// Index over `entries`'s points (local id j = entries[j]), or
-      /// null when the shard had too few inserts or its side build
-      /// failed — queries then scan `entries` flat.
+    struct Run {
+      /// Registry-built index (the `delta_index` knobs) over `entries`'s
+      /// points, local id j = entries[j]; null when the build failed —
+      /// queries then scan `entries` flat.
       std::unique_ptr<index::SearchIndex<P>> index;
-      /// Covered inserts routed to this shard, alive as of `covers`,
-      /// in arrival order.  Inserts removed after the set was built
-      /// are filtered at query time against the pinned overlay.
+      /// Inserts routed to the run's shard that were alive when the run
+      /// was built, in arrival (= id) order.  Inserts removed later are
+      /// filtered at query time against the pinned overlay, and dropped
+      /// when a newer run absorbs this one.
       std::vector<const typename DeltaLog<P>::Entry*> entries;
     };
-    std::vector<ShardSide> shards;
+    /// Per shard, its runs oldest (and largest) first.
+    std::vector<std::vector<std::shared_ptr<const Run>>> shards;
+
+    size_t run_count() const {
+      size_t count = 0;
+      for (const auto& runs : shards) count += runs.size();
+      return count;
+    }
   };
 
   struct State {
@@ -525,12 +543,12 @@ class LiveDatabase {
     // tighten shard pruning instead of only adding work.
     //
     // With a published side-index set, the covered prefix is served by
-    // the per-shard side-indexes (exact, with an over-fetch covering
-    // entries removed after the set was built) and only the uncovered
-    // tail is flat-scanned; without one, the whole window is.  Both
-    // paths produce the identical hit set — the side spec is exact and
-    // the collector's (distance, id) tie-break is order-independent —
-    // so publishing a side set never changes an answer, only its cost.
+    // the shards' side runs (exact, with an over-fetch covering entries
+    // removed after a run was built) and only the uncovered tail is
+    // flat-scanned; without one, the whole window is.  Both paths
+    // produce the identical hit set — the side spec is exact and the
+    // collector's (distance, id) tie-break is order-independent — so
+    // publishing a side set never changes an answer, only its cost.
     const SideIndexSet* side = state.side.get();
     std::vector<const typename DeltaLog<P>::Entry*> tail_inserts;
     if (side != nullptr) {
@@ -545,11 +563,15 @@ class LiveDatabase {
       }
     }
     // Upper bound on covered side entries filtered at query time (an
-    // insert removed after the set was built): every such id is a
-    // removed non-base id.  Requesting k + this many from a shard's
-    // side-index guarantees its k nearest alive entries survive the
-    // filter, which keeps the side kNN path exact.
+    // insert removed after its run was built): every such id is a
+    // removed non-base id.  Requesting k + this many from a run
+    // guarantees its k nearest alive entries survive the filter, which
+    // keeps the side kNN path exact.
     const size_t side_spare = overlay.removed.size() - overlay.removed_base;
+    // The uncovered part of the window, scanned flat before any run so
+    // that its hits can already bound the runs' kNN searches.
+    const std::vector<const typename DeltaLog<P>::Entry*>& flat_inserts =
+        side != nullptr ? tail_inserts : overlay.inserts;
     std::vector<QuerySpec<P>> adjusted(batch);
     std::vector<std::vector<index::SearchResult>> delta_hits(query_count);
     std::vector<uint64_t> delta_cost(query_count, 0);
@@ -570,36 +592,46 @@ class LiveDatabase {
                                     std::chrono::steady_clock::now())};
         }
       };
+      // Searches one side run with `request`, handing its alive hits to
+      // `offer`; a run without an index, or whose search fails, has its
+      // alive entries measured one by one through `scan` instead.
+      const auto search_run = [&](const typename SideIndexSet::Run& run,
+                                  const QuerySpec<P>& request,
+                                  const auto& offer, const auto& scan) {
+        if (run.index != nullptr) {
+          index::SearchResponse resp = run.index->Search(request);
+          if (resp.status.ok()) {
+            delta_cost[q] += resp.stats.distance_computations;
+            for (const index::SearchResult& r : resp.results) {
+              const auto* entry = run.entries[r.id];
+              if (overlay.removed.count(entry->id) != 0) continue;
+              offer(entry->id, r.distance);
+            }
+            return;
+          }
+        }
+        for (const auto* entry : run.entries) {
+          if (overlay.removed.count(entry->id) == 0) scan(entry);
+        }
+      };
       if (spec.mode == QueryType::kRange) {
         const auto range_scan = [&](const typename DeltaLog<P>::Entry* entry) {
           const double d = metric_(spec.point, entry->point);
           ++delta_cost[q];
           if (d <= spec.radius) delta_hits[q].push_back({entry->id, d});
         };
+        for (const auto* entry : flat_inserts) range_scan(entry);
         if (side != nullptr) {
-          for (const auto& ss : side->shards) {
-            if (ss.entries.empty()) continue;
-            if (ss.index != nullptr) {
-              index::SearchResponse resp = ss.index->Search(
-                  index::SearchRequest<P>::Range(spec.point, spec.radius));
-              if (resp.status.ok()) {
-                delta_cost[q] += resp.stats.distance_computations;
-                for (const index::SearchResult& r : resp.results) {
-                  const auto* entry = ss.entries[r.id];
-                  if (overlay.removed.count(entry->id) != 0) continue;
-                  delta_hits[q].push_back({entry->id, r.distance});
-                }
-                continue;
-              }
-            }
-            for (const auto* entry : ss.entries) {
-              if (overlay.removed.count(entry->id) != 0) continue;
-              range_scan(entry);
+          const QuerySpec<P> request =
+              QuerySpec<P>::Range(spec.point, spec.radius);
+          const auto offer = [&](size_t id, double d) {
+            delta_hits[q].push_back({id, d});
+          };
+          for (const auto& runs : side->shards) {
+            for (const auto& run : runs) {
+              search_run(*run, request, offer, range_scan);
             }
           }
-          for (const auto* entry : tail_inserts) range_scan(entry);
-        } else {
-          for (const auto* entry : overlay.inserts) range_scan(entry);
         }
         stamp();
         continue;
@@ -614,34 +646,27 @@ class LiveDatabase {
         }
         collector.Offer(entry->id, d);
       };
+      for (const auto* entry : flat_inserts) knn_scan(entry);
       if (side != nullptr) {
         const size_t want = spec.k + side_spare;
-        for (const auto& ss : side->shards) {
-          if (ss.entries.empty()) continue;
-          if (ss.index != nullptr) {
-            index::SearchResponse resp = ss.index->Search(
-                spec.mode == QueryType::kKnnWithinRadius
-                    ? index::SearchRequest<P>::KnnWithinRadius(
-                          spec.point, want, spec.radius)
-                    : index::SearchRequest<P>::Knn(spec.point, want));
-            if (resp.status.ok()) {
-              delta_cost[q] += resp.stats.distance_computations;
-              for (const index::SearchResult& r : resp.results) {
-                const auto* entry = ss.entries[r.id];
-                if (overlay.removed.count(entry->id) != 0) continue;
-                collector.Offer(entry->id, r.distance);
-              }
-              continue;
+        QuerySpec<P> request =
+            spec.mode == QueryType::kKnnWithinRadius
+                ? QuerySpec<P>::KnnWithinRadius(spec.point, want, spec.radius)
+                : QuerySpec<P>::Knn(spec.point, want);
+        const auto offer = [&collector](size_t id, double d) {
+          collector.Offer(id, d);
+        };
+        for (const auto& runs : side->shards) {
+          for (const auto& run : runs) {
+            // Once k hits are in hand, their k-th distance bounds every
+            // further run's useful hits — the argument that seeds the
+            // generation leg below — so each run prunes against it.
+            if (collector.size() == spec.k) {
+              request.initial_radius_bound = collector.Radius();
             }
-          }
-          for (const auto* entry : ss.entries) {
-            if (overlay.removed.count(entry->id) != 0) continue;
-            knn_scan(entry);
+            search_run(*run, request, offer, knn_scan);
           }
         }
-        for (const auto* entry : tail_inserts) knn_scan(entry);
-      } else {
-        for (const auto* entry : overlay.inserts) knn_scan(entry);
       }
       if (collector.size() == spec.k) {
         adjusted[q].initial_radius_bound =
@@ -745,7 +770,7 @@ class LiveDatabase {
           log_->committed(), record);
     }
     if (inserts_ != nullptr) inserts_->Increment();
-    MaybeRebuildSideIndexLocked();
+    MaybeExtendSideIndexLocked();
     MaybeScheduleAutoCompactLocked();
     return id;
   }
@@ -787,7 +812,7 @@ class LiveDatabase {
           log_->committed(), record);
     }
     if (removes_ != nullptr) removes_->Increment();
-    MaybeRebuildSideIndexLocked();
+    MaybeExtendSideIndexLocked();
     MaybeScheduleAutoCompactLocked();
     return util::Status::OK();
   }
@@ -854,7 +879,7 @@ class LiveDatabase {
     } else {
       if (inserts_ != nullptr) inserts_->Increment();
     }
-    MaybeRebuildSideIndexLocked();
+    MaybeExtendSideIndexLocked();
     MaybeScheduleAutoCompactLocked();
     return util::Status::OK();
   }
@@ -1543,10 +1568,12 @@ class LiveDatabase {
     }
     {
       // Replay bypassed the write path's side-index upkeep; catch up
-      // once so a recovered store serves with the same side set a live
-      // store of the same window would have.
+      // once, which covers the replayed window with one run per shard.
+      // A live store of the same window answers identically, but its
+      // stack may hold several runs per shard, so per-query distance
+      // counts can differ between the two.
       std::lock_guard<std::mutex> lock(db->write_mutex_);
-      db->MaybeRebuildSideIndexLocked();
+      db->MaybeExtendSideIndexLocked();
     }
     DP_RETURN_IF_ERROR(
         db->OpenWalForGeneration(gen_number, /*truncate=*/false, next_seq));
@@ -1674,6 +1701,8 @@ class LiveDatabase {
         registry->GetCounter("live_compaction_shards_rebuilt_total");
     compaction_shards_shared_ =
         registry->GetCounter("live_compaction_shards_shared_total");
+    side_points_built_ =
+        registry->GetCounter("live_side_index_points_built_total");
     // Durability instruments: registered unconditionally (they stay at
     // zero for in-memory stores) so dashboards see a stable series set.
     wal_instruments_.appends_total = registry->GetCounter("wal_appends_total");
@@ -1688,6 +1717,12 @@ class LiveDatabase {
     callback_handles_.push_back(registry->RegisterCallback(
         "live_pinned_generations",
         [this]() { return static_cast<double>(AliveGenerationCount()); }));
+    callback_handles_.push_back(registry->RegisterCallback(
+        "live_side_index_runs", [this]() {
+          const std::shared_ptr<const State> state = state_.load();
+          return static_cast<double>(
+              state->side != nullptr ? state->side->run_count() : 0);
+        }));
     engine_.EnableMetrics(registry);
   }
 
@@ -1956,43 +1991,66 @@ class LiveDatabase {
     return static_cast<uint32_t>(s);
   }
 
-  /// Rebuilds and republishes the delta side-index set once the window
-  /// has grown delta_index_min_ entries past the covered prefix;
-  /// caller holds write_mutex_.  Republishes into the SAME (generation,
-  /// log) state — queries pinned before or after answer identically
-  /// (the side-indexes are exact over covered inserts and everything
-  /// uncovered is flat-scanned); only the per-query scan cost moves.
-  void MaybeRebuildSideIndexLocked() {
+  /// Covers the window's new stretch with side runs and republishes the
+  /// side-index set once the window has grown delta_index_min_ entries
+  /// past the covered prefix; caller holds write_mutex_.  Only the new
+  /// entries are routed, and only the shards they reach get a new run,
+  /// which absorbs the stack's trailing runs no larger than itself —
+  /// every other run carries over by shared_ptr.  Republishes into the
+  /// SAME (generation, log) state: queries pinned before or after
+  /// answer identically (the runs are exact over covered inserts and
+  /// everything uncovered is flat-scanned); only the per-query scan
+  /// cost moves.
+  void MaybeExtendSideIndexLocked() {
     if (delta_index_min_ == 0) return;
     const size_t committed = log_->committed();
     const size_t covered =
         writer_side_ != nullptr ? writer_side_->covers : 0;
-    if (committed < delta_index_min_ ||
-        committed - covered < delta_index_min_) {
-      return;
+    if (committed - covered < delta_index_min_) return;
+    const auto alive = [this](const typename DeltaLog<P>::Entry* entry) {
+      return writer_removed_.count(entry->id) == 0;
+    };
+    std::vector<std::vector<const typename DeltaLog<P>::Entry*>> fresh(
+        shard_count_);
+    for (size_t i = covered; i < committed; ++i) {
+      const typename DeltaLog<P>::Entry& entry = log_->entry(i);
+      if (entry.is_remove || !alive(&entry)) continue;
+      DP_CHECK(entry.shard < shard_count_);
+      fresh[entry.shard].push_back(&entry);
     }
     auto side = std::make_shared<SideIndexSet>();
     side->covers = committed;
-    side->shards.resize(shard_count_);
-    // One scan for the removed set, one to route the alive inserts.
-    std::unordered_set<size_t> removed;
-    for (size_t i = 0; i < committed; ++i) {
-      const typename DeltaLog<P>::Entry& entry = log_->entry(i);
-      if (entry.is_remove) removed.insert(entry.id);
-    }
-    for (size_t i = 0; i < committed; ++i) {
-      const typename DeltaLog<P>::Entry& entry = log_->entry(i);
-      if (entry.is_remove || removed.count(entry.id) != 0) continue;
-      DP_CHECK(entry.shard < shard_count_);
-      side->shards[entry.shard].entries.push_back(&entry);
+    if (writer_side_ != nullptr) {
+      side->shards = writer_side_->shards;
+    } else {
+      side->shards.resize(shard_count_);
     }
     for (size_t s = 0; s < shard_count_; ++s) {
-      auto& shard_side = side->shards[s];
-      if (shard_side.entries.empty()) continue;
+      if (fresh[s].empty()) continue;
+      // Binary-counter rule: the new run absorbs trailing runs while
+      // each is no larger than the run grown so far.  Absorbed runs are
+      // older, so their survivors go first, keeping arrival order.
+      auto& runs = side->shards[s];
+      size_t keep = runs.size();
+      size_t size = fresh[s].size();
+      while (keep > 0 && runs[keep - 1]->entries.size() <= size) {
+        size += runs[--keep]->entries.size();
+      }
+      auto run = std::make_shared<typename SideIndexSet::Run>();
+      run->entries.reserve(size);
+      for (size_t r = keep; r < runs.size(); ++r) {
+        for (const auto* entry : runs[r]->entries) {
+          if (alive(entry)) run->entries.push_back(entry);
+        }
+      }
+      run->entries.insert(run->entries.end(), fresh[s].begin(),
+                          fresh[s].end());
+      runs.resize(keep);
       std::vector<P> points;
-      points.reserve(shard_side.entries.size());
-      for (const auto* entry : shard_side.entries) {
-        points.push_back(entry->point);
+      points.reserve(run->entries.size());
+      for (const auto* entry : run->entries) points.push_back(entry->point);
+      if (side_points_built_ != nullptr) {
+        side_points_built_->Add(points.size());
       }
       // A stream distinct from the base shards' (seed_ + 1).  The side
       // spec is exact by default, so this seed never shapes results —
@@ -2000,11 +2058,11 @@ class LiveDatabase {
       auto built = ShardedDatabase<P>::CreateShard(
           side_spec_, seed_ + 1, s,
           index::PointStore<P>(std::move(points), metric_));
-      if (built.ok()) {
-        shard_side.index = std::move(built).value();
-      }
-      // On failure the index stays null and queries scan `entries`
-      // flat — a bad delta_index spec degrades serving, never breaks it.
+      if (built.ok()) run->index = std::move(built).value();
+      // On failure the index stays null and queries scan the run's
+      // entries flat — a bad delta_index spec degrades serving, never
+      // breaks it.
+      runs.push_back(std::move(run));
     }
     writer_side_ = std::move(side);
     state_.store(std::make_shared<const State>(
@@ -2035,7 +2093,7 @@ class LiveDatabase {
   const size_t delta_scan_limit_;
   const size_t auto_compact_threshold_;
   /// Window size at which the delta side-indexes engage (and the
-  /// rebuild cadence as the window keeps growing); 0 disables them.
+  /// publication cadence as the window keeps growing); 0 disables them.
   const size_t delta_index_min_;
   /// Registry spec for the per-shard side-indexes (delta_index knobs).
   const std::string side_spec_;
@@ -2075,7 +2133,7 @@ class LiveDatabase {
   /// the log so Remove can tag its record in O(1).
   std::unordered_map<size_t, uint32_t> writer_insert_shard_;
   /// The side-index set last published (null before the window reaches
-  /// delta_index_min_); kept to compare covers against the log.
+  /// delta_index_min_); the next publication extends its run stacks.
   std::shared_ptr<const SideIndexSet> writer_side_;
   /// Replication tap (under write_mutex_, like everything above).
   ReplicationListener* listener_ = nullptr;
@@ -2093,6 +2151,9 @@ class LiveDatabase {
   obs::Histogram* compaction_folded_entries_ = nullptr;
   obs::Counter* compaction_shards_rebuilt_ = nullptr;
   obs::Counter* compaction_shards_shared_ = nullptr;
+  /// Points fed to side-run builds (a merge counts every point it
+  /// rebuilds).
+  obs::Counter* side_points_built_ = nullptr;
   std::vector<uint64_t> callback_handles_;
   mutable std::mutex generations_mutex_;
   std::vector<std::weak_ptr<const Generation<P>>> tracked_generations_;

@@ -92,7 +92,7 @@ struct LiveSpecOptions {
   /// storage::FsyncPolicy by the engine; kept as a string here so the
   /// index layer stays independent of the storage layer.
   std::string fsync = "batched";
-  /// Registry spec for the per-shard delta side-indexes built over
+  /// Registry spec for the per-shard delta side runs built over
   /// routed delta slices (parameterized by delta_index_k below).
   /// "laesa" (the default) keeps the delta leg exact; "distperm-prefix"
   /// trades exactness for the paper's candidate filtering.  The side
@@ -103,9 +103,10 @@ struct LiveSpecOptions {
   size_t delta_index_k = 4;
   /// Pending delta entries below which queries keep the flat linear
   /// scan (side-indexes aren't worth building for a handful of
-  /// entries) — also the rebuild cadence: side-indexes are refreshed
-  /// every delta_index_min new entries.  0 disables side-indexes
-  /// entirely.  Must be <= delta_scan_limit when non-zero.
+  /// entries) — also the publication cadence: every delta_index_min
+  /// new entries are covered by one new side run per touched shard.
+  /// 0 disables side-indexes entirely.  Must be <= delta_scan_limit
+  /// when non-zero.
   size_t delta_index_min = 256;
 };
 

@@ -66,8 +66,11 @@ const std::vector<std::string> kApproxSpecs = {
 
 // The live knobs every sequence runs under.  delta_scan_limit is wide
 // enough that a 30-op script never hits backpressure; delta_index_min
-// alternates per seed between 8 (side-indexes kick in quickly) and 0
-// (disabled) so both delta legs face the same differential.
+// cycles per seed through 0 (side-indexes disabled), 1 (a run per
+// write, so stacks merge constantly), 8 (runs engage after a few
+// writes) and 32 (above a 30-op window: the threshold never trips), so
+// every delta leg and several run-stack shapes face the same
+// differential.
 std::string WithLiveKnobs(const std::string& spec, size_t delta_index_min) {
   std::string out = spec;
   out += spec.find(':') == std::string::npos ? ":" : ",";
@@ -317,7 +320,8 @@ void RunDifferentialSequence(
     const std::function<P(util::Rng*)>& make_point,
     const std::function<std::vector<ProbeQuery<P>>(util::Rng*)>&
         make_probes) {
-  const size_t delta_index_min = store_seed % 3 == 0 ? 0 : 8;
+  constexpr size_t kSideMins[] = {0, 1, 8, 32};
+  const size_t delta_index_min = kSideMins[store_seed % 4];
   const std::string spec = WithLiveKnobs(base_spec, delta_index_min);
   // Ids are never reused within a window and tail inserts are renamed
   // below base+inserts, so this bounds every id the store can hold.

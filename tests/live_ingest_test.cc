@@ -769,6 +769,235 @@ TEST(LiveIngest, MetricsRecordWritesCompactionsAndGauges) {
             out.stats.distance_computations);
 }
 
+// The value a text exposition reports for an unlabelled series.
+double ExposedValue(const std::string& text, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const size_t at = ("\n" + text).find(key);
+  EXPECT_NE(at, std::string::npos) << name << " missing from\n" << text;
+  if (at == std::string::npos) return -1.0;
+  return std::stod(text.substr(at - 1 + key.size()));
+}
+
+// Side-index upkeep is the logarithmic method's, counted exactly: each
+// publication builds one run per touched shard and merges only runs no
+// larger than it, so a covered insert is rebuilt O(log depth) times and
+// the points built per record stay flat as the window deepens (a
+// whole-window rebuild per publication makes them grow linearly, about
+// 4x between these two depths).
+TEST(LiveIngest, SideRunUpkeepIsLogarithmicInDepth) {
+  util::Rng rng(414);
+  auto data = dataset::UniformCube(400, 3, &rng);
+  obs::MetricsRegistry registry("side_upkeep");
+  LiveOptions options;
+  options.metrics = &registry;
+  auto live_result = LiveDatabase<Vector>::Open(
+      data, L2(), 4, "vp-tree:delta_scan_limit=16384,delta_index_min=256",
+      57, options);
+  ASSERT_TRUE(live_result.ok()) << live_result.status();
+  auto& live = *live_result.value();
+  const obs::Counter* built =
+      registry.GetCounter("live_side_index_points_built_total");
+
+  const auto insert_until = [&](size_t n) {
+    while (live.delta_entries() < n) {
+      Vector point(3);
+      for (double& c : point) c = rng.NextDouble();
+      ASSERT_TRUE(live.Insert(point).ok());
+    }
+  };
+  const auto log2_ceil = [](size_t x) {
+    size_t bits = 0;
+    while ((size_t{1} << bits) < x) ++bits;
+    return bits;
+  };
+  insert_until(4096);
+  const uint64_t built_4k = built->Value();
+  insert_until(16384);
+  const uint64_t built_16k = built->Value();
+
+  EXPECT_GE(built_4k, 4096u);  // every covered insert is built at least once
+  EXPECT_LE(built_4k, 4096u * (log2_ceil(4096 / 256) + 2));
+  EXPECT_LE(built_16k, 16384u * (log2_ceil(16384 / 256) + 2));
+  const double per_record_4k = static_cast<double>(built_4k) / 4096.0;
+  const double per_record_16k = static_cast<double>(built_16k) / 16384.0;
+  EXPECT_LE(per_record_16k, 1.5 * per_record_4k)
+      << per_record_4k << " points built per record at 4k, "
+      << per_record_16k << " at 16k";
+
+  // The published stacks stay logarithmic in the 64 publications, not
+  // linear; a fold drops them with the log they covered.
+  const double runs =
+      ExposedValue(registry.TextExposition(), "live_side_index_runs");
+  EXPECT_GE(runs, 4.0);
+  EXPECT_LE(runs, 4.0 * static_cast<double>(log2_ceil(16384 / 256) + 2));
+  ASSERT_TRUE(live.Compact().ok());
+  EXPECT_EQ(ExposedValue(registry.TextExposition(), "live_side_index_runs"),
+            0.0);
+}
+
+// Side runs never change an answer: a store publishing runs every 8
+// writes and a store scanning its whole window flat run the same
+// script, and at every publication their range, kNN and
+// kNN-within-radius answers are bit-identical.  The script removes
+// delta inserts a run already covers, so queries filter covered
+// entries (side_spare over-fetch across several runs) and merges drop
+// them; base removes make the generation leg over-fetch too.  The runs
+// may only save distance computations, never add them.
+TEST(LiveIngest, SideRunsAnswerLikeTheFlatScanAtEveryPublication) {
+  constexpr size_t kDim = 3;
+  constexpr size_t kShards = 2;
+  constexpr size_t kMin = 8;
+  util::Rng rng(415);
+  // A small base, so most of every answer comes out of the delta leg.
+  auto data = dataset::UniformCube(64, kDim, &rng);
+  obs::MetricsRegistry registry("side_exact");
+  LiveOptions options;
+  options.metrics = &registry;
+  auto side_result = LiveDatabase<Vector>::Open(
+      data, L2(), kShards,
+      "vp-tree:delta_scan_limit=2048,delta_index_min=" + std::to_string(kMin),
+      58, options);
+  auto flat_result = LiveDatabase<Vector>::Open(
+      data, L2(), kShards, "vp-tree:delta_scan_limit=2048,delta_index_min=0",
+      58);
+  ASSERT_TRUE(side_result.ok()) << side_result.status();
+  ASSERT_TRUE(flat_result.ok()) << flat_result.status();
+  auto& side = *side_result.value();
+  auto& flat = *flat_result.value();
+
+  // Alive delta inserts as (id, log position); a position below the
+  // covered prefix means a run holds the insert.
+  std::vector<std::pair<size_t, size_t>> pending;
+  size_t base_removes = 0;
+  size_t covered_removes = 0;
+  size_t checks = 0;
+  double most_runs = 0.0;
+  uint64_t side_cost = 0;
+  uint64_t flat_cost = 0;
+  for (size_t op = 0; op < 720; ++op) {
+    const size_t position = side.delta_entries();
+    const size_t covered = position / kMin * kMin;
+    const uint64_t roll = rng.NextBounded(100);
+    size_t target = pending.size();
+    if (roll < 30) {
+      for (size_t tries = 0; tries < 8 && !pending.empty(); ++tries) {
+        const size_t pick = rng.NextBounded(pending.size());
+        if (pending[pick].second < covered) {
+          target = pick;
+          break;
+        }
+      }
+    }
+    if (target < pending.size()) {
+      const size_t id = pending[target].first;
+      ASSERT_TRUE(side.Remove(id).ok());
+      ASSERT_TRUE(flat.Remove(id).ok());
+      pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(target));
+      ++covered_removes;
+    } else if (roll < 34 && base_removes < 24) {
+      const size_t id = base_removes * 2;  // distinct base ids
+      ASSERT_TRUE(side.Remove(id).ok());
+      ASSERT_TRUE(flat.Remove(id).ok());
+      ++base_removes;
+    } else {
+      Vector point(kDim);
+      for (double& c : point) c = rng.NextDouble();
+      auto id = side.Insert(point);
+      ASSERT_TRUE(id.ok()) << id.status();
+      auto flat_id = flat.Insert(point);
+      ASSERT_TRUE(flat_id.ok()) << flat_id.status();
+      ASSERT_EQ(id.value(), flat_id.value());
+      pending.emplace_back(id.value(), position);
+    }
+    if (side.delta_entries() % kMin != 0) continue;  // no publication
+
+    ++checks;
+    most_runs = std::max(
+        most_runs,
+        ExposedValue(registry.TextExposition(), "live_side_index_runs"));
+    std::vector<QuerySpec<Vector>> batch;
+    for (int q = 0; q < 3; ++q) {
+      Vector point(kDim);
+      for (double& c : point) c = rng.NextDouble();
+      batch.push_back(QuerySpec<Vector>::Knn(point, size_t{4} << q));
+      batch.push_back(QuerySpec<Vector>::Range(point, 0.1 + 0.05 * q));
+      batch.push_back(QuerySpec<Vector>::KnnWithinRadius(point, 8, 0.2));
+    }
+    auto got = side.RunBatch(batch);
+    auto want = flat.RunBatch(batch);
+    ASSERT_TRUE(got.all_ok()) << "op " << op;
+    ASSERT_TRUE(want.all_ok()) << "op " << op;
+    for (size_t q = 0; q < batch.size(); ++q) {
+      ASSERT_EQ(got.results[q], want.results[q]) << "op " << op << " query "
+                                                 << q;
+    }
+    side_cost += got.stats.distance_computations;
+    flat_cost += want.stats.distance_computations;
+  }
+  EXPECT_GE(checks, 80u);
+  EXPECT_GE(covered_removes, 100u);
+  EXPECT_GE(base_removes, 10u);
+  EXPECT_GT(most_runs, static_cast<double>(kShards));  // several runs a shard
+  EXPECT_LE(side_cost, flat_cost);
+}
+
+// Recovery replays the WAL without side upkeep and then covers the
+// whole window at once: one run per shard, where the live store that
+// wrote the same window holds a deeper stack.  Answers match; only the
+// stack shape (and so the distance counts) may differ.
+TEST(LiveIngest, RecoveryCoversTheWindowWithOneRunPerShard) {
+  storage::Env* env = storage::Env::Default();
+  const std::string dir = ::testing::TempDir() + "/live_side_recovery";
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  if (auto listing = env->ListDir(dir); listing.ok()) {
+    for (const std::string& file : listing.value()) {
+      env->DeleteFile(dir + "/" + file);
+    }
+  }
+  const std::string spec =
+      "vp-tree:delta_index_min=8,wal_dir=" + dir + ",fsync=batched";
+  util::Rng rng(416);
+  auto data = dataset::UniformCube(200, 2, &rng);
+  std::vector<QuerySpec<Vector>> batch;
+  for (int q = 0; q < 4; ++q) {
+    Vector point = {rng.NextDouble(), rng.NextDouble()};
+    batch.push_back(QuerySpec<Vector>::Knn(point, 4));
+    batch.push_back(QuerySpec<Vector>::Range(point, 0.15));
+  }
+  std::vector<std::vector<SearchResult>> live_answers;
+  {
+    obs::MetricsRegistry registry("side_live");
+    LiveOptions options;
+    options.metrics = &registry;
+    auto opened = LiveDatabase<Vector>::Open(data, L2(), 3, spec, 59, options);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    LiveDatabase<Vector>& live = *opened.value();
+    for (size_t i = 0; i < 120; ++i) {
+      auto id = live.Insert({rng.NextDouble(), rng.NextDouble()});
+      ASSERT_TRUE(id.ok());
+      if (i % 10 == 9) {
+        ASSERT_TRUE(live.Remove(id.value() - 5).ok());
+      }
+    }
+    EXPECT_GT(ExposedValue(registry.TextExposition(), "live_side_index_runs"),
+              3.0);
+    auto out = live.RunBatch(batch);
+    ASSERT_TRUE(out.all_ok());
+    live_answers = out.results;
+    ASSERT_TRUE(live.SyncWal().ok());
+  }
+  obs::MetricsRegistry registry("side_recovered");
+  LiveOptions options;
+  options.metrics = &registry;
+  auto reopened = LiveDatabase<Vector>::Open({}, L2(), 3, spec, 59, options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(ExposedValue(registry.TextExposition(), "live_side_index_runs"),
+            3.0);
+  auto out = reopened.value()->RunBatch(batch);
+  ASSERT_TRUE(out.all_ok());
+  EXPECT_EQ(out.results, live_answers);
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace distperm
