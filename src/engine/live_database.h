@@ -16,12 +16,17 @@
 // generation's ShardedDatabase explicitly, so one batch executes
 // against exactly one generation end to end.
 //
-// Writes (Insert/Remove) append to the delta log under a writer mutex.
-// Each entry is routed to the shard that owns it (nearest shard
-// centroid for vectors, a content hash for strings — see
-// engine/shard_router.h); the routing travels in the WAL record, so
-// recovery and replicas reproduce it exactly.  A query merges the log
-// into its answer exactly: delta hits are measured (and charged to the
+// Writes append to the delta log under a writer mutex through one
+// commit path: Insert, Remove and a replica's ApplyReplicated all pass
+// the same check (shard tag in range, insert dimension, remove target
+// live), then one commit step logs the WAL record, appends the entry
+// and runs the upkeep; WAL replay passes the same check and the same
+// append, without re-logging, counters or upkeep.  Each entry is
+// routed to the shard that owns it (nearest shard centroid for
+// vectors, a content hash for strings — see engine/shard_router.h);
+// the routing travels in the WAL record, so recovery and replicas
+// reproduce it exactly.  A query merges the log into its answer
+// exactly: delta hits are measured (and charged to the
 // query's distance accounting), removed ids are filtered out of the
 // generation's results, and — via the request's initial_radius_bound —
 // the delta's k-th distance caps the generation search's pruning radius
@@ -286,6 +291,57 @@ class LiveDatabase {
     std::shared_ptr<const SideIndexSet> side;
   };
 
+  /// The write side of one generation's delta window, all under
+  /// write_mutex_: the generation writes route against and the log they
+  /// append to (the same objects as the published State's, held here so
+  /// the write path never takes the state slot), plus the mirrors that
+  /// validate and tag writes in O(1).  A fold or resync builds its
+  /// successor aside and installs it whole.
+  struct Writer {
+    explicit Writer(std::shared_ptr<const Generation<P>> gen)
+        : generation(std::move(gen)),
+          base_size(generation->size()),
+          log(std::make_shared<DeltaLog<P>>()) {}
+
+    std::shared_ptr<const Generation<P>> generation;
+    size_t base_size;
+    std::shared_ptr<DeltaLog<P>> log;
+    /// Owning shard of pending insert base_size + j, at index j.
+    std::vector<uint32_t> insert_shard;
+    std::unordered_set<size_t> removed;
+    /// The side-index set last published (null before the window
+    /// reaches delta_index_min_); the next publication extends its run
+    /// stacks.
+    std::shared_ptr<const SideIndexSet> side;
+
+    bool Live(size_t id) const {
+      return id < base_size + insert_shard.size() && removed.count(id) == 0;
+    }
+
+    /// Owning shard of a live id: a base id's owner comes from the
+    /// slice layout, a pending insert's from the routing recorded at
+    /// its append.
+    uint32_t ShardOf(size_t id) const {
+      if (id < base_size) return ShardForId(generation->database(), id);
+      return insert_shard[id - base_size];
+    }
+
+    /// Appends `op` to the log, assigning an insert the next id, and
+    /// returns the entry's id.  The caller has checked the op and the
+    /// log's capacity.
+    size_t Append(WalOp<P> op) {
+      size_t id = static_cast<size_t>(op.id);
+      if (op.is_remove) {
+        removed.insert(id);
+      } else {
+        id = base_size + insert_shard.size();
+        insert_shard.push_back(op.shard);
+      }
+      DP_CHECK(log->Append({op.is_remove, id, op.shard, std::move(op.point)}));
+      return id;
+    }
+  };
+
   /// Atomic publication slot for the serving state — functionally
   /// std::atomic<std::shared_ptr<const State>>, hand-rolled because
   /// libstdc++'s _Sp_atomic unlocks its reader path with a relaxed
@@ -360,9 +416,7 @@ class LiveDatabase {
     /// and building a fresh database over these slices (see
     /// MaterializeSlices) yield bit-identical search behavior.
     std::vector<P> Materialize() const {
-      std::vector<P> data;
-      MaterializeWindow(*state_, delta_end_, &data, nullptr);
-      return data;
+      return Concatenate(MaterializeSlices());
     }
 
     /// The view's dataset as the per-shard slices compaction folds it
@@ -372,10 +426,7 @@ class LiveDatabase {
     /// the store's (spec, seed) is the full-rebuild reference an
     /// incremental compaction must match bit-for-bit.
     std::vector<std::vector<P>> MaterializeSlices() const {
-      std::vector<std::vector<P>> slices;
-      std::vector<bool> dirty;
-      MaterializeRouted(*state_, delta_end_, &slices, &dirty, nullptr);
-      return slices;
+      return MaterializeRouted(*state_, BuildOverlay(*state_, delta_end_));
     }
 
     /// The point behind a live id in this view — how a serving layer
@@ -740,39 +791,15 @@ class LiveDatabase {
   /// NOT applied.
   util::Result<size_t> Insert(P point) {
     std::lock_guard<std::mutex> lock(write_mutex_);
-    util::Status valid = ValidateInsertLocked(point);
+    WalOp<P> op;
+    op.point = std::move(point);
+    util::Status valid = CheckOpLocked(op);
     if (!valid.ok()) return valid;
-    util::Status room = EnsureRoomLocked();
-    if (!room.ok()) return room;
     // Route against the serving generation: the routing decides which
     // shard this insert dirties at the next fold, and travels in the
     // WAL record so recovery and replicas reproduce it exactly.
-    const uint32_t shard = writer_generation_->router().Route(point);
-    std::string record;
-    if (wal_ != nullptr || listener_ != nullptr) {
-      record = EncodeWalInsert<P>(point, shard);  // before the point moves
-    }
-    if (wal_ != nullptr) {
-      util::Status logged = wal_->Append(record);
-      if (!logged.ok()) return logged;
-    }
-    const size_t id = writer_base_size_ + writer_inserts_;
-    NoteDimLocked(index::PointDimension(point));
-    DP_CHECK(log_->Append({/*is_remove=*/false, id, shard, std::move(point)}));
-    ++writer_inserts_;
-    writer_insert_shard_.emplace(id, shard);
-    published_delta_depth_.store(log_->committed(),
-                                 std::memory_order_relaxed);
-    mutation_clock_.fetch_add(1, std::memory_order_relaxed);
-    if (listener_ != nullptr) {
-      listener_->OnRecord(
-          published_generation_.load(std::memory_order_relaxed),
-          log_->committed(), record);
-    }
-    if (inserts_ != nullptr) inserts_->Increment();
-    MaybeExtendSideIndexLocked();
-    MaybeScheduleAutoCompactLocked();
-    return id;
+    op.shard = writer_.generation->router().Route(op.point);
+    return CommitLocked(std::move(op), nullptr);
   }
 
   /// Removes the live point with `id` (a base point or a pending
@@ -781,40 +808,14 @@ class LiveDatabase {
   /// OutOfRange when the delta is full.  WAL-before-commit as Insert.
   util::Status Remove(size_t id) {
     std::lock_guard<std::mutex> lock(write_mutex_);
-    if (id >= writer_base_size_ + writer_inserts_ ||
-        writer_removed_.count(id) != 0) {
-      return util::Status::NotFound(
-          "LiveDatabase: no live point with id " + std::to_string(id));
-    }
-    util::Status room = EnsureRoomLocked();
-    if (!room.ok()) return room;
-    // The remove dirties the shard that owns its target: a base id's
-    // owner comes from the generation's slice layout, a pending
-    // insert's from the routing recorded when it was appended.
-    const uint32_t shard = ShardForLiveIdLocked(id);
-    std::string record;
-    if (wal_ != nullptr || listener_ != nullptr) {
-      record = EncodeWalRemove<P>(id, shard);
-    }
-    if (wal_ != nullptr) {
-      util::Status logged = wal_->Append(record);
-      if (!logged.ok()) return logged;
-    }
-    DP_CHECK(log_->Append({/*is_remove=*/true, id, shard, P{}}));
-    writer_removed_.insert(id);
-    published_delta_depth_.store(log_->committed(),
-                                 std::memory_order_relaxed);
-    mutation_clock_.fetch_add(1, std::memory_order_relaxed);
-    remove_clock_.fetch_add(1, std::memory_order_relaxed);
-    if (listener_ != nullptr) {
-      listener_->OnRecord(
-          published_generation_.load(std::memory_order_relaxed),
-          log_->committed(), record);
-    }
-    if (removes_ != nullptr) removes_->Increment();
-    MaybeExtendSideIndexLocked();
-    MaybeScheduleAutoCompactLocked();
-    return util::Status::OK();
+    WalOp<P> op;
+    op.is_remove = true;
+    op.id = id;
+    util::Status valid = CheckOpLocked(op);
+    if (!valid.ok()) return valid;
+    // The remove dirties the shard that owns its target.
+    op.shard = writer_.ShardOf(id);
+    return CommitLocked(std::move(op), nullptr).status();
   }
 
   /// Replication fast path: applies one WAL record received from a
@@ -828,60 +829,10 @@ class LiveDatabase {
     std::lock_guard<std::mutex> lock(write_mutex_);
     // The primary's routing is authoritative — re-deriving it here
     // could only agree (the routers are built from bit-identical
-    // generations), so trust the tag and just bound-check it.
-    if (op.shard >= shard_count_) {
-      return util::Status::InvalidArgument(
-          "ApplyReplicated: record routes to shard " +
-          std::to_string(op.shard) + " of " + std::to_string(shard_count_));
-    }
-    if (op.is_remove) {
-      const size_t id = static_cast<size_t>(op.id);
-      if (id >= writer_base_size_ + writer_inserts_ ||
-          writer_removed_.count(id) != 0) {
-        return util::Status::NotFound(
-            "LiveDatabase: no live point with id " + std::to_string(id));
-      }
-    } else {
-      util::Status valid = ValidateInsertLocked(op.point);
-      if (!valid.ok()) return valid;
-    }
-    util::Status room = EnsureRoomLocked();
-    if (!room.ok()) return room;
-    if (wal_ != nullptr) {
-      util::Status logged = wal_->Append(record);
-      if (!logged.ok()) return logged;
-    }
-    if (op.is_remove) {
-      const size_t id = static_cast<size_t>(op.id);
-      DP_CHECK(log_->Append({/*is_remove=*/true, id, op.shard, P{}}));
-      writer_removed_.insert(id);
-    } else {
-      const size_t id = writer_base_size_ + writer_inserts_;
-      NoteDimLocked(index::PointDimension(op.point));
-      DP_CHECK(log_->Append(
-          {/*is_remove=*/false, id, op.shard, std::move(op.point)}));
-      ++writer_inserts_;
-      writer_insert_shard_.emplace(id, op.shard);
-    }
-    published_delta_depth_.store(log_->committed(),
-                                 std::memory_order_relaxed);
-    mutation_clock_.fetch_add(1, std::memory_order_relaxed);
-    if (op.is_remove) {
-      remove_clock_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (listener_ != nullptr) {
-      listener_->OnRecord(
-          published_generation_.load(std::memory_order_relaxed),
-          log_->committed(), record);
-    }
-    if (op.is_remove) {
-      if (removes_ != nullptr) removes_->Increment();
-    } else {
-      if (inserts_ != nullptr) inserts_->Increment();
-    }
-    MaybeExtendSideIndexLocked();
-    MaybeScheduleAutoCompactLocked();
-    return util::Status::OK();
+    // generations), so trust the tag once the check has bounded it.
+    util::Status valid = CheckOpLocked(op);
+    if (!valid.ok()) return valid;
+    return CommitLocked(std::move(op), &record).status();
   }
 
   /// Forces everything acked so far onto disk regardless of fsync
@@ -906,13 +857,10 @@ class LiveDatabase {
     ReplicationSeed seed;
     seed.generation =
         published_generation_.load(std::memory_order_relaxed);
-    const size_t len = log_->committed();
+    const size_t len = writer_.log->committed();
     seed.records.reserve(len);
     for (size_t i = 0; i < len; ++i) {
-      const typename DeltaLog<P>::Entry& entry = log_->entry(i);
-      seed.records.push_back(
-          entry.is_remove ? EncodeWalRemove<P>(entry.id, entry.shard)
-                          : EncodeWalInsert<P>(entry.point, entry.shard));
+      seed.records.push_back(EncodeWrite(writer_.log->entry(i)));
     }
     return seed;
   }
@@ -944,40 +892,16 @@ class LiveDatabase {
     const uint64_t new_generation = generation->number();
     std::unique_ptr<storage::WalWriter> next_wal;
     if (env_ != nullptr) {
-      storage::WalWriter::Options wal_options;
-      wal_options.policy = fsync_policy_;
-      wal_options.instruments = wal_instruments_;
-      auto opened = storage::WalWriter::Open(
-          env_, StorePath(WalFileName(new_generation)), /*truncate=*/true,
-          /*first_seq=*/1, wal_options);
+      auto opened = OpenWal(new_generation, /*truncate=*/true,
+                            /*first_seq=*/1);
       if (!opened.ok()) return opened.status();
       next_wal = std::move(opened).value();
     }
-    if (registry_ != nullptr) TrackGeneration(generation);
-    auto next_log = std::make_shared<DeltaLog<P>>();
-    writer_base_size_ = generation->size();
-    writer_inserts_ = 0;
-    writer_removed_.clear();
-    writer_insert_shard_.clear();
-    writer_generation_ = generation;
-    NoteDimLocked(generation->database().dim());
-    writer_side_ = nullptr;
-    auto next = std::make_shared<const State>(
-        State{std::move(generation), next_log, nullptr});
-    state_.store(std::move(next));
-    log_ = std::move(next_log);
-    published_generation_.store(new_generation, std::memory_order_relaxed);
-    published_delta_depth_.store(0, std::memory_order_relaxed);
-    mutation_clock_.fetch_add(1, std::memory_order_relaxed);
+    InstallWriterLocked(Writer(std::move(generation)), std::move(next_wal));
     remove_clock_.fetch_add(1, std::memory_order_relaxed);
-    if (env_ != nullptr) {
-      if (wal_ != nullptr) wal_->Close();
-      wal_ = std::move(next_wal);
-      wal_generation_ = new_generation;
-      if (old_generation != new_generation) {
-        env_->DeleteFile(StorePath(WalFileName(old_generation)));
-        env_->DeleteFile(StorePath(SnapshotFileName(old_generation)));
-      }
+    if (env_ != nullptr && old_generation != new_generation) {
+      env_->DeleteFile(StorePath(WalFileName(old_generation)));
+      env_->DeleteFile(StorePath(SnapshotFileName(old_generation)));
     }
     return util::Status::OK();
   }
@@ -1045,10 +969,11 @@ class LiveDatabase {
     // replays deterministically on replicas and recovery.  The shape
     // pass is copy-free, so the common skewed fold materializes only
     // the dirty slices.
+    const Overlay overlay = BuildOverlay(*state, end);
     std::vector<size_t> slice_sizes;
     std::vector<bool> dirty;
     FoldIdRemap id_remap;
-    RoutedShape(*state, end, &slice_sizes, &dirty, &id_remap);
+    RoutedShape(*state, overlay, &slice_sizes, &dirty, &id_remap);
     size_t total = 0;
     for (const size_t n : slice_sizes) total += n;
     bool rebalance = total == 0;
@@ -1056,22 +981,15 @@ class LiveDatabase {
       if (total > 0 && n == 0) rebalance = true;
     }
 
-    std::vector<std::vector<P>> slices;
-    std::vector<bool> routed_dirty;
-    MaterializeRouted(*state, end, &slices, &routed_dirty, nullptr,
-                      rebalance ? nullptr : &dirty);
+    std::vector<std::vector<P>> slices =
+        MaterializeRouted(*state, overlay, rebalance ? nullptr : &dirty);
 
     std::shared_ptr<const Generation<P>> next_generation;
     if (rebalance) {
-      std::vector<P> final_data;
-      final_data.reserve(total);
-      for (auto& slice : slices) {
-        for (auto& point : slice) final_data.push_back(std::move(point));
-      }
       util::Result<std::shared_ptr<const Generation<P>>> built =
-          Generation<P>::Build(std::move(final_data), metric_, shard_count_,
-                               index_spec_, seed_, new_generation,
-                               build_threads_);
+          Generation<P>::Build(Concatenate(std::move(slices)), metric_,
+                               shard_count_, index_spec_, seed_,
+                               new_generation, build_threads_);
       if (!built.ok()) {
         if (compaction_failures_ != nullptr) {
           compaction_failures_->Increment();
@@ -1138,7 +1056,6 @@ class LiveDatabase {
           ShardedDatabase<P>::FromShards(std::move(new_shards)),
           index_spec_, seed_, new_generation, std::move(epochs));
     }
-    if (registry_ != nullptr) TrackGeneration(next_generation);
 
     const bool durable = env_ != nullptr;
     const std::string snapshot_path =
@@ -1176,75 +1093,47 @@ class LiveDatabase {
         return error;
       };
       if (durable) {
-        storage::WalWriter::Options wal_options;
-        wal_options.policy = fsync_policy_;
-        wal_options.instruments = wal_instruments_;
-        auto opened = storage::WalWriter::Open(
-            env_, StorePath(WalFileName(new_generation)), /*truncate=*/true,
-            /*first_seq=*/1, wal_options);
+        auto opened = OpenWal(new_generation, /*truncate=*/true,
+                              /*first_seq=*/1);
         if (!opened.ok()) return fail_rotation(opened.status());
         next_wal = std::move(opened).value();
       }
 
+      Writer next(std::move(next_generation));
       const size_t len = state->log->committed();
-      auto next_log = std::make_shared<DeltaLog<P>>();
-      const size_t next_base = next_generation->size();
-      size_t tail_inserts = 0;
-      std::unordered_set<size_t> tail_removed;
-      std::unordered_map<size_t, size_t> tail_map;
-      std::unordered_map<size_t, uint32_t> tail_shard;
+      std::unordered_map<size_t, size_t> tail_map;  // old id -> new id
       std::vector<std::string> carried;  // re-encoded tail, for OnRotate
       for (size_t i = end; i < len; ++i) {
         const typename DeltaLog<P>::Entry& entry = state->log->entry(i);
+        WalOp<P> op;
+        op.is_remove = entry.is_remove;
         if (!entry.is_remove) {
-          const size_t new_id = next_base + tail_inserts;
-          tail_map.emplace(entry.id, new_id);
           // Re-route against the NEW generation's layout: the carried
           // entry now dirties a shard of generation N+1.  Replicas
           // replay the same CompactPrefix over a bit-identical state,
           // so their re-encoded tails match byte for byte.
-          const uint32_t shard =
-              next_generation->router().Route(entry.point);
-          tail_shard.emplace(new_id, shard);
-          if (next_wal != nullptr || listener_ != nullptr) {
-            std::string record = EncodeWalInsert<P>(entry.point, shard);
-            if (next_wal != nullptr) {
-              util::Status logged = next_wal->Append(record);
-              if (!logged.ok()) return fail_rotation(logged);
-            }
-            if (listener_ != nullptr) carried.push_back(std::move(record));
-          }
-          DP_CHECK(next_log->Append({false, new_id, shard, entry.point}));
-          ++tail_inserts;
-          continue;
-        }
-        // Writer-side validation guarantees the target survived the
-        // folded window, so it maps into the new space (a tail insert
-        // replayed above, else a base survivor or folded insert via
-        // the closed-form remap).
-        size_t new_id = 0;
-        if (const auto tail_mapped = tail_map.find(entry.id);
-            tail_mapped != tail_map.end()) {
-          new_id = tail_mapped->second;
+          op.shard = next.generation->router().Route(entry.point);
+          op.point = entry.point;
         } else {
-          new_id = id_remap.At(entry.id);
-        }
-        uint32_t shard = 0;
-        if (new_id < next_base) {
-          shard = ShardForId(next_generation->database(), new_id);
-        } else {
-          shard = tail_shard.at(new_id);
+          // Writer-side validation guarantees the target survived the
+          // folded window, so it maps into the new space (a tail insert
+          // replayed above, else a base survivor or folded insert via
+          // the closed-form remap).
+          const auto tail_mapped = tail_map.find(entry.id);
+          op.id = tail_mapped != tail_map.end() ? tail_mapped->second
+                                                : id_remap.At(entry.id);
+          op.shard = next.ShardOf(op.id);
         }
         if (next_wal != nullptr || listener_ != nullptr) {
-          std::string record = EncodeWalRemove<P>(new_id, shard);
+          std::string record = EncodeWrite(op);
           if (next_wal != nullptr) {
             util::Status logged = next_wal->Append(record);
             if (!logged.ok()) return fail_rotation(logged);
           }
           if (listener_ != nullptr) carried.push_back(std::move(record));
         }
-        DP_CHECK(next_log->Append({true, new_id, shard, P{}}));
-        tail_removed.insert(new_id);
+        const size_t new_id = next.Append(std::move(op));
+        if (!entry.is_remove) tail_map.emplace(entry.id, new_id);
       }
       if (durable) {
         util::Status synced = next_wal->Sync();
@@ -1255,31 +1144,10 @@ class LiveDatabase {
         util::Status dir_synced = env_->SyncDir(wal_dir_);
         if (!dir_synced.ok()) return fail_rotation(dir_synced);
       }
-      writer_generation_ = next_generation;
-      writer_side_ = nullptr;
-      auto next = std::make_shared<const State>(
-          State{std::move(next_generation), next_log, nullptr});
-      state_.store(std::move(next));
-      log_ = std::move(next_log);
-      writer_base_size_ = next_base;
-      writer_inserts_ = tail_inserts;
-      writer_removed_ = std::move(tail_removed);
-      writer_insert_shard_.clear();
-      for (const auto& [new_id, shard] : tail_shard) {
-        writer_insert_shard_.emplace(new_id, shard);
-      }
-      published_generation_.store(new_generation, std::memory_order_relaxed);
-      published_delta_depth_.store(log_->committed(),
-                                   std::memory_order_relaxed);
       // A swap remaps ids, so cached result sets keyed on the old
-      // numbering must stop serving: bump the mutation clock even
-      // though the live point set is unchanged.
-      mutation_clock_.fetch_add(1, std::memory_order_relaxed);
-      if (durable) {
-        if (wal_ != nullptr) wal_->Close();  // old log is about to retire
-        wal_ = std::move(next_wal);
-        wal_generation_ = new_generation;
-      }
+      // numbering must stop serving: the install bumps the mutation
+      // clock even though the live point set is unchanged.
+      InstallWriterLocked(std::move(next), std::move(next_wal));
       if (listener_ != nullptr) {
         listener_->OnRotate(new_generation, end, std::move(carried));
       }
@@ -1426,16 +1294,14 @@ class LiveDatabase {
         delta_index_min_(live.delta_index_min),
         side_spec_(SideSpecString(live)),
         build_threads_(options.build_threads),
-        writer_base_size_(generation->size()),
-        log_(std::make_shared<DeltaLog<P>>()),
+        writer_(std::move(generation)),
         engine_(options.query_threads) {
-    TrackGeneration(generation);
-    published_generation_.store(generation->number(),
+    TrackGeneration(writer_.generation);
+    published_generation_.store(writer_.generation->number(),
                                 std::memory_order_relaxed);
-    writer_generation_ = generation;
-    NoteDimLocked(generation->database().dim());
+    NoteDimLocked(writer_.generation->database().dim());
     state_.store(std::make_shared<const State>(
-        State{std::move(generation), log_, nullptr}));
+        State{writer_.generation, writer_.log, nullptr}));
     if (options.metrics != nullptr) EnableMetrics(options.metrics);
   }
 
@@ -1485,98 +1351,93 @@ class LiveDatabase {
     }
     std::sort(snapshots.rbegin(), snapshots.rend());  // newest first
 
+    std::shared_ptr<const Generation<P>> generation;
     if (snapshots.empty()) {
       // Fresh store.  Ordering: the snapshot is published before the
       // WAL opens, so a crash anywhere in here leaves either nothing
       // (re-open fresh) or a recoverable generation 1.
-      util::Result<std::shared_ptr<const Generation<P>>> generation =
+      util::Result<std::shared_ptr<const Generation<P>>> built =
           Generation<P>::Build(std::move(data), metric, shard_count,
                                index_spec, seed, /*number=*/1,
                                options.build_threads);
-      if (!generation.ok()) return generation.status();
-      std::unique_ptr<LiveDatabase> db(new LiveDatabase(
-          std::move(generation).value(), metric, shard_count, index_spec,
-          seed, live, options));
-      db->AttachStorage(env, live.wal_dir, policy.value());
-      DP_RETURN_IF_ERROR(db->WriteSnapshotTimed(
-          *db->state_.load()->generation,
-          db->StorePath(SnapshotFileName(1)), /*atomic=*/true));
-      DP_RETURN_IF_ERROR(db->OpenWalForGeneration(1, /*truncate=*/true,
-                                                  /*first_seq=*/1));
-      db->DeleteStrayStoreFiles(listing.value(), /*keep_generation=*/1);
-      return db;
-    }
-
-    // Recovery.
-    if (!data.empty()) {
-      return util::Status::InvalidArgument(
-          "LiveDatabase: opening an existing durable store requires empty "
-          "seed data (the on-disk store IS the data)");
-    }
-    util::Status last_error = util::Status::IoError(
-        "LiveDatabase: no loadable snapshot in " + live.wal_dir);
-    std::shared_ptr<const Generation<P>> generation;
-    for (uint64_t gen : snapshots) {
-      auto loaded = ReadGenerationSnapshot<P>(
-          env, live.wal_dir + "/" + SnapshotFileName(gen), metric,
-          shard_count, index_spec, seed, options.build_threads);
-      if (loaded.ok()) {
-        generation = std::move(loaded).value();
-        break;
+      if (!built.ok()) return built.status();
+      generation = std::move(built).value();
+    } else {
+      // Recovery.
+      if (!data.empty()) {
+        return util::Status::InvalidArgument(
+            "LiveDatabase: opening an existing durable store requires "
+            "empty seed data (the on-disk store IS the data)");
       }
-      last_error = loaded.status();
-      // InvalidArgument is an identity mismatch (wrong spec/seed/shard
-      // count), not corruption: refuse instead of falling back to an
-      // older snapshot that would mismatch the same way.
-      if (last_error.code() == util::StatusCode::kInvalidArgument) {
-        return last_error;
+      util::Status last_error = util::Status::IoError(
+          "LiveDatabase: no loadable snapshot in " + live.wal_dir);
+      for (uint64_t gen : snapshots) {
+        auto loaded = ReadGenerationSnapshot<P>(
+            env, live.wal_dir + "/" + SnapshotFileName(gen), metric,
+            shard_count, index_spec, seed, options.build_threads);
+        if (loaded.ok()) {
+          generation = std::move(loaded).value();
+          break;
+        }
+        last_error = loaded.status();
+        // InvalidArgument is an identity mismatch (wrong spec/seed/shard
+        // count), not corruption: refuse instead of falling back to an
+        // older snapshot that would mismatch the same way.
+        if (last_error.code() == util::StatusCode::kInvalidArgument) {
+          return last_error;
+        }
       }
+      if (generation == nullptr) return last_error;
     }
-    if (generation == nullptr) return last_error;
 
     const uint64_t gen_number = generation->number();
     std::unique_ptr<LiveDatabase> db(new LiveDatabase(
         std::move(generation), metric, shard_count, index_spec, seed, live,
         options));
     db->AttachStorage(env, live.wal_dir, policy.value());
-
-    const std::string wal_path = db->StorePath(WalFileName(gen_number));
     uint64_t next_seq = 1;
-    auto contents = storage::ReadWal(env, wal_path, /*first_seq=*/1);
-    if (contents.ok()) {
-      if (contents.value().torn_tail) {
-        // A frame the crash tore in half; everything before it is
-        // intact, and under fsync=always everything acked is before it.
-        DP_RETURN_IF_ERROR(
-            env->TruncateFile(wal_path, contents.value().valid_bytes));
+    if (snapshots.empty()) {
+      DP_RETURN_IF_ERROR(db->WriteSnapshotTimed(
+          *db->writer_.generation, db->StorePath(SnapshotFileName(1)),
+          /*atomic=*/true));
+    } else {
+      std::lock_guard<std::mutex> lock(db->write_mutex_);
+      const std::string wal_path = db->StorePath(WalFileName(gen_number));
+      auto contents = storage::ReadWal(env, wal_path, /*first_seq=*/1);
+      if (contents.ok()) {
+        if (contents.value().torn_tail) {
+          // A frame the crash tore in half; everything before it is
+          // intact, and under fsync=always everything acked is before it.
+          DP_RETURN_IF_ERROR(
+              env->TruncateFile(wal_path, contents.value().valid_bytes));
+        }
+        for (const storage::WalRecord& record : contents.value().records) {
+          auto op = DecodeWalRecord<P>(record.payload);
+          if (!op.ok()) return op.status();
+          DP_RETURN_IF_ERROR(db->ApplyRecoveredOp(std::move(op).value()));
+        }
+        if (!contents.value().records.empty()) {
+          next_seq = contents.value().records.back().seq + 1;
+        }
+        if (db->recovery_replayed_ != nullptr) {
+          db->recovery_replayed_->Add(contents.value().records.size());
+        }
+      } else if (contents.status().code() != util::StatusCode::kNotFound) {
+        // A missing WAL is fine (a crash between snapshot publication and
+        // WAL creation: zero replay); any other read error is fatal.
+        return contents.status();
       }
-      for (const storage::WalRecord& record : contents.value().records) {
-        auto op = DecodeWalRecord<P>(record.payload);
-        if (!op.ok()) return op.status();
-        DP_RETURN_IF_ERROR(db->ApplyRecoveredOp(std::move(op).value()));
-      }
-      if (!contents.value().records.empty()) {
-        next_seq = contents.value().records.back().seq + 1;
-      }
-      if (db->recovery_replayed_ != nullptr) {
-        db->recovery_replayed_->Add(contents.value().records.size());
-      }
-    } else if (contents.status().code() != util::StatusCode::kNotFound) {
-      // A missing WAL is fine (a crash between snapshot publication and
-      // WAL creation: zero replay); any other read error is fatal.
-      return contents.status();
-    }
-    {
       // Replay bypassed the write path's side-index upkeep; catch up
       // once, which covers the replayed window with one run per shard.
       // A live store of the same window answers identically, but its
       // stack may hold several runs per shard, so per-query distance
       // counts can differ between the two.
-      std::lock_guard<std::mutex> lock(db->write_mutex_);
       db->MaybeExtendSideIndexLocked();
     }
-    DP_RETURN_IF_ERROR(
-        db->OpenWalForGeneration(gen_number, /*truncate=*/false, next_seq));
+    auto wal = db->OpenWal(gen_number, /*truncate=*/snapshots.empty(),
+                           next_seq);
+    if (!wal.ok()) return wal.status();
+    db->wal_ = std::move(wal).value();
     db->DeleteStrayStoreFiles(listing.value(), gen_number);
     return db;
   }
@@ -1605,63 +1466,35 @@ class LiveDatabase {
     return status;
   }
 
-  /// Opens (or continues) wal-<generation> as the store's writer.
-  util::Status OpenWalForGeneration(uint64_t generation, bool truncate,
-                                    uint64_t first_seq) {
+  /// Opens (or, with truncate=false, continues) wal-<generation> under
+  /// the store's fsync policy and instruments.
+  util::Result<std::unique_ptr<storage::WalWriter>> OpenWal(
+      uint64_t generation, bool truncate, uint64_t first_seq) const {
     storage::WalWriter::Options wal_options;
     wal_options.policy = fsync_policy_;
     wal_options.instruments = wal_instruments_;
-    auto opened =
-        storage::WalWriter::Open(env_, StorePath(WalFileName(generation)),
-                                 truncate, first_seq, wal_options);
-    if (!opened.ok()) return opened.status();
-    wal_ = std::move(opened).value();
-    wal_generation_ = generation;
-    return util::Status::OK();
+    return storage::WalWriter::Open(env_, StorePath(WalFileName(generation)),
+                                    truncate, first_seq, wal_options);
   }
 
-  /// Re-applies one recovered WAL operation to the writer state.  Runs
-  /// before the store serves (single-threaded, wal_ still unset — the
-  /// replay must not re-append).  Insert ids are reassigned
-  /// deterministically in replay order, reproducing the original
-  /// assignment; a remove naming a dead id means the log does not
-  /// belong to the snapshot.
+  /// Re-applies one recovered WAL operation: the write path's check
+  /// and append, without the WAL append (the record is already in the
+  /// log being replayed), counters, side-index upkeep or
+  /// auto-compaction.  Insert ids are reassigned deterministically in
+  /// replay order, reproducing the original assignment; an op the
+  /// check refuses means the log does not belong to the snapshot.
+  /// Caller holds write_mutex_.
   util::Status ApplyRecoveredOp(WalOp<P> op) {
-    if (op.shard >= shard_count_) {
-      return util::Status::IoError(
-          "recovery: wal record routes to shard " +
-          std::to_string(op.shard) + " of " + std::to_string(shard_count_) +
-          " — the log does not match the snapshot");
+    util::Status valid = CheckOpLocked(op);
+    if (!valid.ok()) {
+      return util::Status::IoError("recovery: " + valid.message() +
+                                   " — the log does not match the snapshot");
     }
-    if (!op.is_remove) {
-      const size_t id = writer_base_size_ + writer_inserts_;
-      if (!log_->Append({false, id, op.shard, std::move(op.point)})) {
-        return util::Status::OutOfRange(
-            "recovery: delta log capacity exceeded during replay");
-      }
-      ++writer_inserts_;
-      writer_insert_shard_.emplace(id, op.shard);
-      published_delta_depth_.store(log_->committed(),
-                                   std::memory_order_relaxed);
-      mutation_clock_.fetch_add(1, std::memory_order_relaxed);
-      return util::Status::OK();
-    }
-    const size_t id = static_cast<size_t>(op.id);
-    if (id >= writer_base_size_ + writer_inserts_ ||
-        writer_removed_.count(id) != 0) {
-      return util::Status::IoError(
-          "recovery: wal removes id " + std::to_string(id) +
-          " that is not live — the log does not match the snapshot");
-    }
-    if (!log_->Append({true, id, op.shard, P{}})) {
+    if (writer_.log->committed() >= DeltaLog<P>::kCapacity) {
       return util::Status::OutOfRange(
           "recovery: delta log capacity exceeded during replay");
     }
-    writer_removed_.insert(id);
-    published_delta_depth_.store(log_->committed(),
-                                 std::memory_order_relaxed);
-    mutation_clock_.fetch_add(1, std::memory_order_relaxed);
-    remove_clock_.fetch_add(1, std::memory_order_relaxed);
+    AppendLocked(std::move(op));
     return util::Status::OK();
   }
 
@@ -1817,12 +1650,11 @@ class LiveDatabase {
   /// fold decide which shards to rebuild (and whether to rebalance)
   /// before paying to materialize anything beyond the dirty slices,
   /// which is what keeps a skewed fold O(dirty) instead of O(n).
-  /// When requested, also emits the FoldIdRemap — everything it needs
-  /// falls out of the same overlay walk.
-  static void RoutedShape(const State& state, size_t end,
+  /// Also emits the FoldIdRemap — everything it needs falls out of the
+  /// same walk over the window's `overlay`.
+  static void RoutedShape(const State& state, const Overlay& overlay,
                           std::vector<size_t>* sizes,
                           std::vector<bool>* dirty, FoldIdRemap* remap) {
-    const Overlay overlay = BuildOverlay(state, end);
     const ShardedDatabase<P>& db = state.generation->database();
     const size_t shard_count = db.shard_count();
     const size_t base_size = state.generation->size();
@@ -1844,7 +1676,6 @@ class LiveDatabase {
       ++(*sizes)[entry->shard];
       (*dirty)[entry->shard] = true;
     }
-    if (remap == nullptr) return;
 
     remap->base_size = base_size;
     remap->old_offsets.resize(shard_count);
@@ -1874,93 +1705,48 @@ class LiveDatabase {
     }
   }
 
-  /// The view's dataset routed into per-shard slices: slice s holds
+  /// The window's dataset routed into per-shard slices: slice s holds
   /// shard s's base survivors in id order, then the alive inserts
-  /// routed to s in arrival order.  `dirty[s]` is set when the window
-  /// touched shard s (a base removal inside it, or an alive insert
-  /// routed to it) — exactly the shards an incremental fold must
-  /// rebuild; an insert-then-remove pair inside the window dirties
-  /// nothing.  When requested, `id_map` maps every surviving old id to
-  /// its position in the slice concatenation (its global id after a
-  /// fold — valid for any slicing of the same concatenation, which is
-  /// what lets the rebalance fallback reuse it).  A non-null `fill`
-  /// restricts point copying to the flagged shards: an unflagged shard
-  /// is clean by construction (no removals, no routed inserts), its
-  /// slice is left empty, and its id_map entries are still emitted —
-  /// the incremental fold passes its dirty set here so clean shards
-  /// cost no copies.
-  static void MaterializeRouted(const State& state, size_t end,
-                                std::vector<std::vector<P>>* slices,
-                                std::vector<bool>* dirty,
-                                std::unordered_map<size_t, size_t>* id_map,
-                                const std::vector<bool>* fill = nullptr) {
-    const Overlay overlay = BuildOverlay(state, end);
+  /// routed to s in arrival order (`overlay` is the window's).  A
+  /// non-null `fill` restricts point copying to the flagged shards: an
+  /// unflagged shard is clean by construction (no removals, no routed
+  /// inserts) and its slice is left empty — the incremental fold passes
+  /// its dirty set here so clean shards cost no copies.
+  static std::vector<std::vector<P>> MaterializeRouted(
+      const State& state, const Overlay& overlay,
+      const std::vector<bool>* fill = nullptr) {
     const ShardedDatabase<P>& db = state.generation->database();
-    const size_t shard_count = db.shard_count();
-    slices->assign(shard_count, {});
-    dirty->assign(shard_count, false);
-
-    std::vector<std::vector<size_t>> insert_ids(shard_count);
-    for (size_t s = 0; s < shard_count; ++s) {
+    std::vector<std::vector<P>> slices(db.shard_count());
+    for (size_t s = 0; s < db.shard_count(); ++s) {
       if (fill != nullptr && !(*fill)[s]) continue;  // clean: no copies
       const index::PointStore<P>& base = db.shard(s).points();
       const size_t offset = db.shard_offset(s);
-      (*slices)[s].reserve(base.size());
+      slices[s].reserve(base.size());
       for (size_t i = 0; i < base.size(); ++i) {
-        if (overlay.removed.count(offset + i) != 0) {
-          (*dirty)[s] = true;
-          continue;
+        if (overlay.removed.count(offset + i) == 0) {
+          slices[s].push_back(base.Point(i));
         }
-        (*slices)[s].push_back(base.Point(i));
       }
     }
     for (const auto* entry : overlay.inserts) {
-      DP_CHECK(entry->shard < shard_count);
+      DP_CHECK(entry->shard < db.shard_count());
       // Copy: pinned readers keep scanning the log entries.
-      (*slices)[entry->shard].push_back(entry->point);
-      insert_ids[entry->shard].push_back(entry->id);
-      (*dirty)[entry->shard] = true;
+      slices[entry->shard].push_back(entry->point);
     }
-    if (id_map == nullptr) return;
-
-    size_t next_id = 0;
-    for (size_t s = 0; s < shard_count; ++s) {
-      const size_t offset = db.shard_offset(s);
-      const size_t base_size = db.shard(s).size();
-      for (size_t i = 0; i < base_size; ++i) {
-        if (overlay.removed.count(offset + i) != 0) continue;
-        id_map->emplace(offset + i, next_id++);
-      }
-      for (size_t insert_id : insert_ids[s]) {
-        id_map->emplace(insert_id, next_id++);
-      }
-    }
+    return slices;
   }
 
-  /// The view's final dataset — the concatenation of the routed slices
-  /// in shard order — and, when requested, the old-id -> new-position
-  /// map compaction uses to remap the log tail.
-  static void MaterializeWindow(
-      const State& state, size_t end, std::vector<P>* out,
-      std::unordered_map<size_t, size_t>* id_map) {
-    std::vector<std::vector<P>> slices;
-    std::vector<bool> dirty;
-    MaterializeRouted(state, end, &slices, &dirty, id_map);
+  /// The slices' points in shard order — a view's dataset in
+  /// compaction order.
+  static std::vector<P> Concatenate(std::vector<std::vector<P>> slices) {
     size_t total = 0;
     for (const auto& slice : slices) total += slice.size();
-    out->reserve(total);
+    std::vector<P> data;
+    data.reserve(total);
     for (auto& slice : slices) {
-      for (auto& point : slice) out->push_back(std::move(point));
+      for (auto& point : slice) data.push_back(std::move(point));
     }
-  }
-
-  /// InvalidArgument for an insert whose dimension differs from the
-  /// stored points' — rejected before the WAL sees it, so a bad point
-  /// can neither reach a metric nor poison recovery.  Caller holds
-  /// write_mutex_.
-  util::Status ValidateInsertLocked(const P& point) const {
-    return index::ValidateDimension(point, dim_.load(std::memory_order_relaxed),
-                                    "LiveDatabase: inserted point");
+    return data;
   }
 
   /// Records the stored points' dimension the first time one is known.
@@ -1969,19 +1755,6 @@ class LiveDatabase {
     if (dim_.load(std::memory_order_relaxed) == 0) {
       dim_.store(dim, std::memory_order_relaxed);
     }
-  }
-
-  /// Owning shard of a live id under the writer's generation: a base
-  /// id's owner comes from the slice layout, a pending insert's from
-  /// the routing recorded at its append.  Caller holds write_mutex_
-  /// and has validated that the id is live.
-  uint32_t ShardForLiveIdLocked(size_t id) const {
-    if (id < writer_base_size_) {
-      return ShardForId(writer_generation_->database(), id);
-    }
-    auto it = writer_insert_shard_.find(id);
-    DP_CHECK(it != writer_insert_shard_.end());
-    return it->second;
   }
 
   /// The shard whose [offset, offset + size) id range holds base `id`.
@@ -2003,25 +1776,25 @@ class LiveDatabase {
   /// cost moves.
   void MaybeExtendSideIndexLocked() {
     if (delta_index_min_ == 0) return;
-    const size_t committed = log_->committed();
+    const size_t committed = writer_.log->committed();
     const size_t covered =
-        writer_side_ != nullptr ? writer_side_->covers : 0;
+        writer_.side != nullptr ? writer_.side->covers : 0;
     if (committed - covered < delta_index_min_) return;
     const auto alive = [this](const typename DeltaLog<P>::Entry* entry) {
-      return writer_removed_.count(entry->id) == 0;
+      return writer_.removed.count(entry->id) == 0;
     };
     std::vector<std::vector<const typename DeltaLog<P>::Entry*>> fresh(
         shard_count_);
     for (size_t i = covered; i < committed; ++i) {
-      const typename DeltaLog<P>::Entry& entry = log_->entry(i);
+      const typename DeltaLog<P>::Entry& entry = writer_.log->entry(i);
       if (entry.is_remove || !alive(&entry)) continue;
       DP_CHECK(entry.shard < shard_count_);
       fresh[entry.shard].push_back(&entry);
     }
     auto side = std::make_shared<SideIndexSet>();
     side->covers = committed;
-    if (writer_side_ != nullptr) {
-      side->shards = writer_side_->shards;
+    if (writer_.side != nullptr) {
+      side->shards = writer_.side->shards;
     } else {
       side->shards.resize(shard_count_);
     }
@@ -2064,14 +1837,16 @@ class LiveDatabase {
       // breaks it.
       runs.push_back(std::move(run));
     }
-    writer_side_ = std::move(side);
+    writer_.side = std::move(side);
     state_.store(std::make_shared<const State>(
-        State{writer_generation_, log_, writer_side_}));
+        State{writer_.generation, writer_.log, writer_.side}));
   }
 
   /// Backpressure check; caller holds write_mutex_.
   util::Status EnsureRoomLocked() {
-    if (log_->committed() < delta_scan_limit_) return util::Status::OK();
+    if (writer_.log->committed() < delta_scan_limit_) {
+      return util::Status::OK();
+    }
     if (backpressure_ != nullptr) backpressure_->Increment();
     return util::Status::OutOfRange(
         "LiveDatabase: delta buffer full (delta_scan_limit=" +
@@ -2082,8 +1857,109 @@ class LiveDatabase {
   /// auto_compact_threshold knob; caller holds write_mutex_.
   void MaybeScheduleAutoCompactLocked() {
     if (auto_compact_threshold_ == 0) return;
-    if (log_->committed() < auto_compact_threshold_) return;
+    if (writer_.log->committed() < auto_compact_threshold_) return;
     CompactAsync();
+  }
+
+  /// The one validation every write passes — Insert, Remove,
+  /// ApplyReplicated and WAL replay alike: the shard tag names a shard,
+  /// an insert has the stored points' dimension (rejected before the
+  /// WAL sees it, so a bad point can neither reach a metric nor poison
+  /// recovery), and a remove names a live id.  InvalidArgument,
+  /// InvalidArgument and NotFound respectively.  Caller holds
+  /// write_mutex_.
+  util::Status CheckOpLocked(const WalOp<P>& op) const {
+    if (op.shard >= shard_count_) {
+      return util::Status::InvalidArgument(
+          "LiveDatabase: record routes to shard " + std::to_string(op.shard) +
+          " of " + std::to_string(shard_count_));
+    }
+    if (!op.is_remove) {
+      return index::ValidateDimension(op.point,
+                                      dim_.load(std::memory_order_relaxed),
+                                      "LiveDatabase: inserted point");
+    }
+    if (!writer_.Live(static_cast<size_t>(op.id))) {
+      return util::Status::NotFound("LiveDatabase: no live point with id " +
+                                    std::to_string(op.id));
+    }
+    return util::Status::OK();
+  }
+
+  /// Commits a checked, routed op and returns its id: backpressure, then
+  /// the WAL record (the primary's bytes when `prelogged` is given, else
+  /// the op's encoding — built only when a WAL or listener needs it),
+  /// the append, the listener, the counter, side-run upkeep and the
+  /// auto-compaction trigger.  The WAL accepts the record before the
+  /// entry is appended (and thus acked), so no acked write can be
+  /// absent from the log a recovery replays; a WAL error is returned
+  /// and the write is NOT applied.  Caller holds write_mutex_.
+  util::Result<size_t> CommitLocked(WalOp<P> op,
+                                    const std::string* prelogged) {
+    util::Status room = EnsureRoomLocked();
+    if (!room.ok()) return room;
+    std::string encoded;
+    const std::string* record = prelogged;
+    if (record == nullptr && (wal_ != nullptr || listener_ != nullptr)) {
+      encoded = EncodeWrite(op);
+      record = &encoded;
+    }
+    if (wal_ != nullptr) {
+      util::Status logged = wal_->Append(*record);
+      if (!logged.ok()) return logged;
+    }
+    obs::Counter* counter = op.is_remove ? removes_ : inserts_;
+    const size_t id = AppendLocked(std::move(op));
+    if (listener_ != nullptr) {
+      listener_->OnRecord(
+          published_generation_.load(std::memory_order_relaxed),
+          writer_.log->committed(), *record);
+    }
+    if (counter != nullptr) counter->Increment();
+    MaybeExtendSideIndexLocked();
+    MaybeScheduleAutoCompactLocked();
+    return id;
+  }
+
+  /// Writer::Append plus the store-wide mirrors: the stored dimension,
+  /// the delta depth and both clocks.  Caller holds write_mutex_.
+  size_t AppendLocked(WalOp<P> op) {
+    const bool is_remove = op.is_remove;
+    if (!is_remove) NoteDimLocked(index::PointDimension(op.point));
+    const size_t id = writer_.Append(std::move(op));
+    published_delta_depth_.store(writer_.log->committed(),
+                                 std::memory_order_relaxed);
+    mutation_clock_.fetch_add(1, std::memory_order_relaxed);
+    if (is_remove) remove_clock_.fetch_add(1, std::memory_order_relaxed);
+    return id;
+  }
+
+  /// Makes `next` the serving writer — the one swap behind folds and
+  /// resyncs: publishes its State, switches the WAL to `wal` (null for
+  /// in-memory stores; the old log is about to retire), and bumps the
+  /// generation and depth mirrors and the mutation clock (a swap remaps
+  /// ids).  Caller holds write_mutex_.
+  void InstallWriterLocked(Writer next,
+                           std::unique_ptr<storage::WalWriter> wal) {
+    if (registry_ != nullptr) TrackGeneration(next.generation);
+    NoteDimLocked(next.generation->database().dim());
+    state_.store(std::make_shared<const State>(
+        State{next.generation, next.log, nullptr}));
+    writer_ = std::move(next);
+    if (wal_ != nullptr) wal_->Close();
+    wal_ = std::move(wal);
+    published_generation_.store(writer_.generation->number(),
+                                std::memory_order_relaxed);
+    published_delta_depth_.store(writer_.log->committed(),
+                                 std::memory_order_relaxed);
+    mutation_clock_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// The WAL payload for one write: a WalOp or a delta log entry.
+  template <typename Write>
+  static std::string EncodeWrite(const Write& write) {
+    return write.is_remove ? EncodeWalRemove<P>(write.id, write.shard)
+                           : EncodeWalInsert<P>(write.point, write.shard);
   }
 
   const metric::Metric<P> metric_;
@@ -2118,24 +1994,10 @@ class LiveDatabase {
   /// one, never changed after.  0 accepts any dimension.
   std::atomic<size_t> dim_{0};
 
-  /// Writer-side bookkeeping, all under write_mutex_: the current log
-  /// (same object as state_'s), the id counters for assignment, and the
-  /// removed set for O(1) validation.
+  /// Serializes writes; guards writer_ and listener_.
   std::mutex write_mutex_;
-  size_t writer_base_size_;
-  size_t writer_inserts_ = 0;
-  std::unordered_set<size_t> writer_removed_;
-  std::shared_ptr<DeltaLog<P>> log_;
-  /// The generation writes route against — same object as state_'s,
-  /// held separately so the write path never takes the state slot.
-  std::shared_ptr<const Generation<P>> writer_generation_;
-  /// Owning shard of every pending insert (id -> shard), mirrored from
-  /// the log so Remove can tag its record in O(1).
-  std::unordered_map<size_t, uint32_t> writer_insert_shard_;
-  /// The side-index set last published (null before the window reaches
-  /// delta_index_min_); the next publication extends its run stacks.
-  std::shared_ptr<const SideIndexSet> writer_side_;
-  /// Replication tap (under write_mutex_, like everything above).
+  Writer writer_;
+  /// Replication tap.
   ReplicationListener* listener_ = nullptr;
 
   /// Observability (all null/empty when no registry was given): the
@@ -2179,7 +2041,6 @@ class LiveDatabase {
   std::string wal_dir_;
   storage::FsyncPolicy fsync_policy_ = storage::FsyncPolicy::kBatched;
   std::unique_ptr<storage::WalWriter> wal_;
-  uint64_t wal_generation_ = 0;
   storage::WalInstruments wal_instruments_;
   obs::Counter* recovery_replayed_ = nullptr;
   obs::Histogram* snapshot_seconds_ = nullptr;

@@ -83,11 +83,18 @@ class ReplicaServer {
     // Empty directory: pull the primary's current snapshot first, with
     // the same backoff the steady-state tail uses.  A directory that
     // already holds a snapshot recovers locally — even against a dead
-    // primary — and catches up once it connects.
+    // primary — and catches up once it connects.  Only a published
+    // snapshot counts (recovery's own parser decides): a .partial left by
+    // a bootstrap cut short is not a store, and bootstrap resumes it.
     bool has_snapshot = false;
     if (auto listing = env->ListDir(options.dir); listing.ok()) {
       for (const std::string& name : listing.value()) {
-        if (name.rfind("snapshot-", 0) == 0) has_snapshot = true;
+        bool is_snapshot = false;
+        uint64_t generation = 0;
+        if (engine::ParseStoreFileName(name, &is_snapshot, &generation) &&
+            is_snapshot) {
+          has_snapshot = true;
+        }
       }
     }
     if (!has_snapshot) {

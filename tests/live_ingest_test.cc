@@ -45,6 +45,19 @@ using metric::Vector;
 
 metric::Metric<Vector> L2() { return metric::LpMetric::L2(); }
 
+// An empty directory under the test temp dir, for a durable store.
+std::string FreshDir(const std::string& name) {
+  storage::Env* env = storage::Env::Default();
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  EXPECT_TRUE(env->CreateDir(dir).ok());
+  if (auto listing = env->ListDir(dir); listing.ok()) {
+    for (const std::string& file : listing.value()) {
+      env->DeleteFile(dir + "/" + file);
+    }
+  }
+  return dir;
+}
+
 // Exact specs answer identically to a linear scan; approximate ones
 // (distperm family) are only pinned post-compaction, where determinism
 // makes live and fresh builds the same object.
@@ -494,13 +507,7 @@ TEST(LiveIngest, DeltaScanLimitAppliesBackpressure) {
 // dimension it sees.
 TEST(LiveIngest, WrongDimensionWritesAndQueriesAreRejected) {
   storage::Env* env = storage::Env::Default();
-  const std::string dir = ::testing::TempDir() + "/live_wrong_dimension";
-  ASSERT_TRUE(env->CreateDir(dir).ok());
-  if (auto listing = env->ListDir(dir); listing.ok()) {
-    for (const std::string& file : listing.value()) {
-      env->DeleteFile(dir + "/" + file);
-    }
-  }
+  const std::string dir = FreshDir("live_wrong_dimension");
   const std::string spec = "vp-tree:wal_dir=" + dir + ",fsync=always";
   const std::string wal = dir + "/" + WalFileName(1);
   util::Rng rng(412);
@@ -547,6 +554,21 @@ TEST(LiveIngest, WrongDimensionWritesAndQueriesAreRejected) {
   EXPECT_EQ(empty.value()->Insert({1.0, 2.0}).status().code(),
             util::StatusCode::kInvalidArgument);
   EXPECT_EQ(empty.value()->size(), 1u);
+
+  // A durable store whose base generation is empty learns the dimension
+  // from its WAL on recovery, as a live store does from its first insert.
+  const std::string empty_spec =
+      "linear-scan:wal_dir=" + FreshDir("live_wrong_dimension_empty");
+  {
+    auto fresh = LiveDatabase<Vector>::Open({}, L2(), 2, empty_spec, 46);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    ASSERT_TRUE(fresh.value()->Insert({1.0, 2.0, 3.0}).ok());
+  }
+  auto recovered = LiveDatabase<Vector>::Open({}, L2(), 2, empty_spec, 46);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered.value()->Insert({1.0, 2.0}).status().code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_EQ(recovered.value()->size(), 1u);
 }
 
 TEST(LiveIngest, AutoCompactionRunsInBackground) {
@@ -946,14 +968,7 @@ TEST(LiveIngest, SideRunsAnswerLikeTheFlatScanAtEveryPublication) {
 // wrote the same window holds a deeper stack.  Answers match; only the
 // stack shape (and so the distance counts) may differ.
 TEST(LiveIngest, RecoveryCoversTheWindowWithOneRunPerShard) {
-  storage::Env* env = storage::Env::Default();
-  const std::string dir = ::testing::TempDir() + "/live_side_recovery";
-  ASSERT_TRUE(env->CreateDir(dir).ok());
-  if (auto listing = env->ListDir(dir); listing.ok()) {
-    for (const std::string& file : listing.value()) {
-      env->DeleteFile(dir + "/" + file);
-    }
-  }
+  const std::string dir = FreshDir("live_side_recovery");
   const std::string spec =
       "vp-tree:delta_index_min=8,wal_dir=" + dir + ",fsync=batched";
   util::Rng rng(416);
@@ -996,6 +1011,100 @@ TEST(LiveIngest, RecoveryCoversTheWindowWithOneRunPerShard) {
   auto out = reopened.value()->RunBatch(batch);
   ASSERT_TRUE(out.all_ok());
   EXPECT_EQ(out.results, live_answers);
+}
+
+// Collects a store's committed WAL records, as a replication feed does.
+class RecordTap : public ReplicationListener {
+ public:
+  void OnRecord(uint64_t, uint64_t, const std::string& record) override {
+    records.push_back(record);
+  }
+  void OnRotate(uint64_t, uint64_t, std::vector<std::string>) override {}
+  std::vector<std::string> records;
+};
+
+TEST(LiveIngest, ApplyReplicatedReproducesThePrimaryAndRejectsLikeIt) {
+  storage::Env* env = storage::Env::Default();
+  const std::string primary_dir = FreshDir("live_apply_primary");
+  const std::string replica_dir = FreshDir("live_apply_replica");
+  const auto spec = [](const std::string& dir) {
+    return "vp-tree:delta_index_min=8,wal_dir=" + dir + ",fsync=always";
+  };
+  util::Rng rng(417);
+  auto data = dataset::UniformCube(120, 3, &rng);
+  RecordTap tap;
+  auto primary_opened =
+      LiveDatabase<Vector>::Open(data, L2(), 3, spec(primary_dir), 61);
+  auto replica_opened =
+      LiveDatabase<Vector>::Open(data, L2(), 3, spec(replica_dir), 61);
+  ASSERT_TRUE(primary_opened.ok()) << primary_opened.status();
+  ASSERT_TRUE(replica_opened.ok()) << replica_opened.status();
+  LiveDatabase<Vector>& primary = *primary_opened.value();
+  LiveDatabase<Vector>& replica = *replica_opened.value();
+  ASSERT_TRUE(primary.AttachReplicationListener(&tap).records.empty());
+
+  // Mixed script: inserts, removes of base ids, removes of pending
+  // inserts.
+  size_t last_insert = 0;
+  for (size_t i = 0; i < 60; ++i) {
+    if (i % 4 == 3) {
+      ASSERT_TRUE(primary.Remove(i % 8 == 7 ? last_insert : i).ok());
+      continue;
+    }
+    auto id = primary.Insert(
+        {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()});
+    ASSERT_TRUE(id.ok()) << id.status();
+    last_insert = id.value();
+  }
+  ASSERT_EQ(tap.records.size(), 60u);
+  for (const std::string& record : tap.records) {
+    auto op = DecodeWalRecord<Vector>(record);
+    ASSERT_TRUE(op.ok()) << op.status();
+    ASSERT_TRUE(replica.ApplyReplicated(std::move(op).value(), record).ok());
+  }
+
+  const std::string primary_wal = primary_dir + "/" + WalFileName(1);
+  const std::string replica_wal = replica_dir + "/" + WalFileName(1);
+  EXPECT_EQ(env->ReadFile(primary_wal).value(),
+            env->ReadFile(replica_wal).value());
+  EXPECT_EQ(replica.delta_entries(), primary.delta_entries());
+  EXPECT_EQ(replica.mutation_clock(), primary.mutation_clock());
+  EXPECT_EQ(replica.remove_clock(), primary.remove_clock());
+  EXPECT_EQ(replica.size(), primary.size());
+  const auto batch = MixedVectorBatch(3, &rng);
+  auto primary_out = primary.RunBatch(batch);
+  auto replica_out = replica.RunBatch(batch);
+  ASSERT_TRUE(primary_out.all_ok());
+  ASSERT_TRUE(replica_out.all_ok());
+  EXPECT_EQ(replica_out.results, primary_out.results);
+  EXPECT_EQ(replica_out.per_query_distance_computations,
+            primary_out.per_query_distance_computations);
+
+  // A refused record touches neither the WAL nor the clocks.
+  const uint64_t wal_bytes = env->FileSize(replica_wal).value();
+  const uint64_t mutations = replica.mutation_clock();
+  const uint64_t removes = replica.remove_clock();
+  const auto expect_refused = [&](const WalOp<Vector>& op,
+                                  util::StatusCode code) {
+    const std::string record =
+        op.is_remove ? EncodeWalRemove<Vector>(op.id, op.shard)
+                     : EncodeWalInsert<Vector>(op.point, op.shard);
+    EXPECT_EQ(replica.ApplyReplicated(op, record).code(), code);
+    EXPECT_EQ(env->FileSize(replica_wal).value(), wal_bytes);
+    EXPECT_EQ(replica.mutation_clock(), mutations);
+    EXPECT_EQ(replica.remove_clock(), removes);
+  };
+  WalOp<Vector> out_of_range;
+  out_of_range.shard = 3;
+  out_of_range.point = {0.5, 0.5, 0.5};
+  expect_refused(out_of_range, util::StatusCode::kInvalidArgument);
+  WalOp<Vector> dead_remove;
+  dead_remove.is_remove = true;
+  dead_remove.id = 3;  // removed by the script
+  expect_refused(dead_remove, util::StatusCode::kNotFound);
+  WalOp<Vector> wrong_dimension;
+  wrong_dimension.point = {0.5, 0.5};
+  expect_refused(wrong_dimension, util::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

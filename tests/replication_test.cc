@@ -662,6 +662,41 @@ TEST(Replication, SnapshotTransferCutMidStreamResumesFromPartial) {
   EXPECT_EQ(loaded.value()->size(), 2000u);
 }
 
+TEST(Replication, ReplicaRestartedMidBootstrapResumesThePartialSnapshot) {
+  const std::string primary_dir = FreshDir("repl_primary_restart_partial");
+  const std::string replica_dir = FreshDir("repl_replica_restart_partial");
+  auto primary = Primary::Start(primary_dir, 400, 4);
+  ASSERT_NE(primary, nullptr);
+
+  // A replica that died mid-bootstrap leaves only a prefix of the
+  // primary's snapshot, under the .partial name.
+  storage::Env* env = storage::Env::Default();
+  auto snapshot =
+      env->ReadFile(primary_dir + "/" + engine::SnapshotFileName(1));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  ASSERT_GT(snapshot.value().size(), 100u);
+  {
+    auto partial = env->NewWritableFile(
+        replica_dir + "/" + engine::SnapshotFileName(1) + ".partial",
+        /*truncate=*/true);
+    ASSERT_TRUE(partial.ok()) << partial.status();
+    ASSERT_TRUE(partial.value()->Append(snapshot.value().data(), 100).ok());
+    ASSERT_TRUE(partial.value()->Close().ok());
+  }
+
+  // The partial is not a store: reopening must resume the bootstrap,
+  // not recover an empty generation from a directory with no snapshot.
+  obs::MetricsRegistry replica_metrics("replica");
+  auto opened = ReplicaServer<Vector>::Open(
+      L2(), ReplicaOptions(replica_dir, primary->port, &replica_metrics));
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  EXPECT_EQ(opened.value()->db().size(), 400u);
+  EXPECT_EQ(opened.value()->db().generation_number(), 1u);
+  EXPECT_EQ(
+      replica_metrics.GetCounter("replica_snapshot_resumes_total")->Value(),
+      1u);
+}
+
 TEST(Replication, ReadOnlyReplicaRejectsWireWrites) {
   const std::string primary_dir = FreshDir("repl_primary_ro");
   const std::string replica_dir = FreshDir("repl_replica_ro");
