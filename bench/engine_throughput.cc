@@ -33,10 +33,10 @@
 //     The run fails unless ingest-time throughput holds >= 70% of that
 //     reference and the final compacted store answers bit-identically
 //     to a fresh build over its materialized dataset.  The ratio is
-//     the bench's only wall-clock gate, so --smoke (CI on shared
-//     runners) reports it without asserting and gates only the
-//     bit-identical check; --no-strict reports everything without
-//     asserting.
+//     wall-clock, so --smoke reports it without asserting and gates
+//     only the bit-identical check (the CI release-bench job checks the
+//     ratio from the JSON, like every other wall-clock gate);
+//     --no-strict reports everything without asserting.
 //
 //  4. Observability — steady-state q/s of a metrics-off engine versus
 //     the same engine wired into an obs::MetricsRegistry, interleaved
@@ -1502,9 +1502,9 @@ int main(int argc, char** argv) {
                  "is deferred to the multi-core CI runner\n";
   }
 
-  // The ratio is the bench's only wall-clock gate, so --smoke (CI on
-  // shared runners) checks just the count/equality half; full runs
-  // enforce the 70% floor.
+  // The ratio is wall-clock, so --smoke checks just the bit-identity
+  // half and defers the 70% floor to the CI-side JSON check; full runs
+  // enforce it here.
   const bool ingest_ok = (smoke || live_row.ratio_pct >= 70.0) &&
                          live_row.results_match;
   // Bit-identity, the shard accounting, and the distance-computation

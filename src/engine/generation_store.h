@@ -123,6 +123,45 @@ inline bool ParseStoreFileName(const std::string& name, bool* is_snapshot,
   return false;
 }
 
+/// The generations whose published snapshot sits in store directory
+/// `dir`, newest first.  A .tmp or .partial left by a cut-short write
+/// is not a snapshot.
+inline util::Result<std::vector<uint64_t>> ListStoreSnapshots(
+    storage::Env* env, const std::string& dir) {
+  util::Result<std::vector<std::string>> listing = env->ListDir(dir);
+  if (!listing.ok()) return listing.status();
+  std::vector<uint64_t> snapshots;
+  for (const std::string& name : listing.value()) {
+    bool is_snapshot = false;
+    uint64_t generation = 0;
+    if (ParseStoreFileName(name, &is_snapshot, &generation) && is_snapshot) {
+      snapshots.push_back(generation);
+    }
+  }
+  std::sort(snapshots.rbegin(), snapshots.rend());
+  return snapshots;
+}
+
+/// Deletes the store files of every generation but `keep_generation`
+/// from `dir`, and .tmp leftovers — orphans of a crashed rotation.
+/// Best-effort: a failed listing or delete is ignored.
+inline void DeleteStrayStoreFiles(storage::Env* env, const std::string& dir,
+                                  uint64_t keep_generation) {
+  util::Result<std::vector<std::string>> listing = env->ListDir(dir);
+  if (!listing.ok()) return;
+  for (const std::string& name : listing.value()) {
+    bool is_snapshot = false;
+    uint64_t generation = 0;
+    const bool store_file =
+        ParseStoreFileName(name, &is_snapshot, &generation);
+    const bool tmp = name.size() > 4 &&
+                     name.compare(name.size() - 4, 4, ".tmp") == 0;
+    if ((store_file && generation != keep_generation) || tmp) {
+      env->DeleteFile(dir + "/" + name);
+    }
+  }
+}
+
 // --------------------------------------------------------- WAL record codec
 
 /// One decoded live-store WAL operation.  Every record carries the
@@ -654,6 +693,29 @@ util::Result<std::shared_ptr<const Generation<P>>> ReadGenerationSnapshot(
   return Generation<P>::Assemble(std::move(db).value(), index_spec, seed,
                                  number.value(),
                                  std::move(shard_epochs).value());
+}
+
+/// Loads the newest of `snapshots` (ListStoreSnapshots order) in `dir`
+/// that reads back, trying the next older after a corrupt file.  An
+/// identity mismatch (InvalidArgument: wrong spec, seed or shard count)
+/// returns at once — an older snapshot would mismatch the same way.
+template <typename P>
+util::Result<std::shared_ptr<const Generation<P>>> ReadNewestStoreSnapshot(
+    storage::Env* env, const std::string& dir,
+    const std::vector<uint64_t>& snapshots, const metric::Metric<P>& metric,
+    size_t shard_count, const std::string& index_spec, uint64_t seed,
+    size_t build_threads) {
+  util::Status last_error =
+      util::Status::IoError("no loadable snapshot in " + dir);
+  for (uint64_t generation : snapshots) {
+    auto loaded = ReadGenerationSnapshot<P>(
+        env, dir + "/" + SnapshotFileName(generation), metric, shard_count,
+        index_spec, seed, build_threads);
+    if (loaded.ok()) return loaded;
+    last_error = loaded.status();
+    if (last_error.code() == util::StatusCode::kInvalidArgument) break;
+  }
+  return last_error;
 }
 
 }  // namespace engine

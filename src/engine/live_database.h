@@ -1,20 +1,19 @@
 // Live-updatable front over generation-versioned sharded databases.
 //
-// The engine's serving state is a pair published as one immutable
-// State object behind a single atomic slot (a hand-rolled
-// std::atomic<std::shared_ptr> with TSan-verifiable ordering):
+// The engine's serving state is one immutable State object behind a
+// single atomic slot (a hand-rolled std::atomic<std::shared_ptr> with
+// TSan-verifiable ordering):
 //
 //   pin ───► State ──► Generation N   (immutable shards + indexes)
-//                 └──► DeltaLog       (append-only writes since N)
+//                 ├──► DeltaLog       (append-only writes since N)
+//                 └──► SideRuns       (exact indexes over a log prefix)
 //
-// Queries pin the current State with one acquire of that slot (a
-// few-instruction spinlock copy — no mutex, no blocking on writers or
-// compactions): the generation is immutable and the delta log is
-// append-only with a release/acquire committed counter, so a pinned
-// (generation, delta window) view stays frozen no matter how many
-// writes and compactions race past it.  QueryEngine::RunBatch receives the pinned
-// generation's ShardedDatabase explicitly, so one batch executes
-// against exactly one generation end to end.
+// Queries pin the current State with one acquire of that slot (no
+// mutex, no blocking on writers or compactions): the generation is
+// immutable and the delta log (engine/delta_log.h) is append-only with
+// a release/acquire committed counter, so a pinned (generation, delta
+// window) view stays frozen no matter how many writes and compactions
+// race past it.  One batch executes against exactly one generation.
 //
 // Writes append to the delta log under a writer mutex through one
 // commit path: Insert, Remove and a replica's ApplyReplicated all pass
@@ -22,38 +21,26 @@
 // live), then one commit step logs the WAL record, appends the entry
 // and runs the upkeep; WAL replay passes the same check and the same
 // append, without re-logging, counters or upkeep.  Each entry is
-// routed to the shard that owns it (nearest shard centroid for
-// vectors, a content hash for strings — see engine/shard_router.h);
-// the routing travels in the WAL record, so recovery and replicas
+// routed to the shard that owns it (engine/shard_router.h); the
+// routing travels in the WAL record, so recovery and replicas
 // reproduce it exactly.  A query merges the log into its answer
-// exactly: delta hits are measured (and charged to the
-// query's distance accounting), removed ids are filtered out of the
+// exactly: delta hits are measured (and charged to the query's
+// distance accounting), removed ids are filtered out of the
 // generation's results, and — via the request's initial_radius_bound —
-// the delta's k-th distance caps the generation search's pruning radius
-// before it starts.  Every `delta_index_min` writes, the writer covers
-// the new stretch of the window with side-indexes (built with the
-// `delta_index` spec knobs) so the delta leg stops being a flat scan;
-// the uncovered tail stays a scan.  Each shard keeps its side-indexes
-// as a logarithmic stack of immutable runs (Bentley & Saxe's
-// static-to-dynamic transformation), so upkeep per write grows with
-// the log of the window, not the window.  The window is bounded by
-// `delta_scan_limit`: a full buffer pushes back on writers
-// (OutOfRange) instead of degrading readers.
+// the delta's k-th distance caps the generation search's pruning
+// radius.  Every `delta_index_min` writes, the writer covers the new
+// stretch of the window with side runs — exact `laesa:k=4` indexes in
+// a logarithmic stack per shard (engine/side_runs.h) — so the delta leg
+// stops being a flat scan; the uncovered tail stays a scan.  The
+// window is bounded by `delta_scan_limit`: a full buffer pushes back
+// on writers (OutOfRange) instead of degrading readers.
 //
-// Compact() folds base ⊕ delta into generation N+1 incrementally:
-// only the shards whose delta slice is non-empty (a base removal in
-// them or an insert routed to them) are rebuilt — with the same
-// deterministic per-shard registry build as a fresh database, whose
-// RNG stream depends only on (seed, shard) — while untouched shards
-// are shared into the new generation by shared_ptr, at zero build
-// cost.  The result answers bit-identically to a from-scratch build
-// over the equivalent per-shard slices.  The new State swaps in
-// atomically; unconsumed tail writes are carried over, remapped and
-// re-routed into the new generation.  In-flight queries finish on the
-// old generation, which frees itself when its last pin drops (shared
-// shards survive through the successor's reference).  Compaction runs
-// on the caller's thread, or on a background pool thread via
-// CompactAsync() / the `auto_compact_threshold` spec knob.
+// Compact() folds base ⊕ delta into generation N+1 (Fold() in
+// engine/fold.h rebuilds only the dirty shards), writes the snapshot,
+// rotates the WAL and swaps the new State in; unconsumed tail writes
+// are carried over, remapped and re-routed.  In-flight queries finish
+// on the old generation.  Compaction runs on the caller's thread, or
+// in the background via CompactAsync() / `auto_compact_threshold`.
 //
 // Id semantics: ids name positions in the pinned view — [0, base_size)
 // for the generation, base_size + j for the j-th insert in the current
@@ -66,7 +53,6 @@
 #define DISTPERM_ENGINE_LIVE_DATABASE_H_
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -80,11 +66,14 @@
 #include <utility>
 #include <vector>
 
+#include "engine/delta_log.h"
+#include "engine/fold.h"
 #include "engine/generation.h"
 #include "engine/generation_store.h"
 #include "engine/query.h"
 #include "engine/query_engine.h"
 #include "engine/sharded_database.h"
+#include "engine/side_runs.h"
 #include "index/registry.h"
 #include "index/search.h"
 #include "metric/metric.h"
@@ -97,105 +86,6 @@
 
 namespace distperm {
 namespace engine {
-
-/// Append-only write log with lock-free reads.  Appends are serialized
-/// externally (LiveDatabase's writer mutex); readers see a consistent
-/// prefix by acquiring `committed()` once and reading entries below it
-/// — entry contents (and the lazily allocated chunk they live in) are
-/// published by the release store of the counter, and the chunk
-/// directory itself is a fixed array of atomic pointers, so no read
-/// ever races a reallocation.
-template <typename P>
-class DeltaLog {
- public:
-  struct Entry {
-    bool is_remove = false;
-    size_t id = 0;       ///< Assigned id (insert) or target id (remove).
-    uint32_t shard = 0;  ///< Owning shard under the entry's generation.
-    P point{};           ///< The inserted point; default for removes.
-  };
-
-  static constexpr size_t kChunkSize = 256;
-  static constexpr size_t kMaxChunks = 4096;
-  /// Hard capacity (1M entries); delta_scan_limit caps far earlier.
-  static constexpr size_t kCapacity = kChunkSize * kMaxChunks;
-
-  DeltaLog() {
-    for (auto& chunk : chunks_) chunk.store(nullptr, std::memory_order_relaxed);
-  }
-  ~DeltaLog() {
-    for (auto& chunk : chunks_) delete chunk.load(std::memory_order_relaxed);
-  }
-  DeltaLog(const DeltaLog&) = delete;
-  DeltaLog& operator=(const DeltaLog&) = delete;
-
-  /// Number of fully published entries.  Everything below this index is
-  /// immutable and safe to read from any thread.
-  size_t committed() const { return committed_.load(std::memory_order_acquire); }
-
-  /// Entry `i`; the caller must have observed committed() > i.
-  const Entry& entry(size_t i) const {
-    const Chunk* chunk = chunks_[i / kChunkSize].load(std::memory_order_acquire);
-    return chunk->entries[i % kChunkSize];
-  }
-
-  /// Appends one entry.  Single-writer: the caller must hold the
-  /// database's writer mutex.  False when the hard capacity is reached.
-  bool Append(Entry entry) {
-    const size_t n = committed_.load(std::memory_order_relaxed);
-    if (n >= kCapacity) return false;
-    const size_t c = n / kChunkSize;
-    Chunk* chunk = chunks_[c].load(std::memory_order_relaxed);
-    if (chunk == nullptr) {
-      chunk = new Chunk();
-      chunks_[c].store(chunk, std::memory_order_release);
-    }
-    chunk->entries[n % kChunkSize] = std::move(entry);
-    committed_.store(n + 1, std::memory_order_release);
-    return true;
-  }
-
- private:
-  struct Chunk {
-    std::array<Entry, kChunkSize> entries{};
-  };
-  std::atomic<size_t> committed_{0};
-  std::array<std::atomic<Chunk*>, kMaxChunks> chunks_;
-};
-
-/// Observer of a store's logical write stream — the hook a serving
-/// layer uses to feed replicas.  Callbacks fire on the writer's thread
-/// with the write mutex held, in exact commit order; implementations
-/// must be fast (hand off to another thread) and must not call back
-/// into the store.
-class ReplicationListener {
- public:
-  virtual ~ReplicationListener() = default;
-  /// One committed write.  `record` is the exact WAL payload bytes
-  /// (EncodeWalInsert/EncodeWalRemove), `seq` its 1-based WAL sequence
-  /// within `generation` — a replica appending these to its own WAL
-  /// reproduces the primary's log byte for byte.
-  virtual void OnRecord(uint64_t generation, uint64_t seq,
-                        const std::string& record) = 0;
-  /// A generation swap: the first `folded` records of the old window
-  /// were folded into `new_generation`; `carried` holds the unconsumed
-  /// tail re-encoded into the new id space (seqs 1..carried.size() of
-  /// the new generation's WAL).  A replica replays the same fold with
-  /// CompactPrefix(folded) — the deterministic build makes its new
-  /// generation (and tail remap) bit-identical, so `carried` is a
-  /// cross-check, not required input.
-  virtual void OnRotate(uint64_t new_generation, uint64_t folded,
-                        std::vector<std::string> carried) = 0;
-};
-
-/// The stream position a newly attached listener joins at: the serving
-/// generation plus its committed window re-encoded as WAL payloads
-/// (record i carrying seq i+1).  Everything after arrives via
-/// OnRecord/OnRotate with no gap and no overlap.
-struct ReplicationSeed {
-  uint64_t generation = 0;
-  std::vector<std::string> records;
-};
 
 /// Host-side knobs for a LiveDatabase (the delta knobs travel in the
 /// index spec — see index::LiveSpecOptions).
@@ -222,97 +112,36 @@ struct LiveOptions {
   storage::Env* env = nullptr;
 };
 
-/// What one successful compaction did — the incremental accounting the
-/// bench gates on: a fold with one dirty shard of eight must report
-/// shards_rebuilt=1, shards_shared=7, and a build_distance_computations
-/// figure proportional to the dirty slice, not the database.
-struct LiveCompactionStats {
-  uint64_t folded_entries = 0;
-  uint64_t shards_rebuilt = 0;
-  uint64_t shards_shared = 0;
-  /// Metric evaluations spent building the rebuilt shards (shared
-  /// shards contribute zero — their indexes were reused verbatim).
-  uint64_t build_distance_computations = 0;
-  /// True when a shard's slice went empty and the fold fell back to a
-  /// full uniform rebuild to restore balanced (buildable) shards.
-  bool rebalanced = false;
-  double seconds = 0.0;
-};
-
 /// Generation-versioned live store: lock-free pinned reads, mutex-
 /// serialized writes, compaction with atomic generation swap-in.
 template <typename P>
 class LiveDatabase {
  private:
-  /// Side-indexes over the covered prefix of the delta log, so the
-  /// per-query delta leg stops being a flat scan of the whole window.
-  /// Each shard keeps a stack of runs, the logarithmic method of
-  /// Bentley & Saxe ("Decomposable searching problems I", J. Algorithms
-  /// 1980): a publication gives every shard that received inserts one
-  /// new run over them, and that run absorbs the stack's trailing runs
-  /// while they are no larger than it (a binary counter), so a covered
-  /// insert is rebuilt O(log window) times in all.  Range and kNN
-  /// search decompose over runs, so the answers stay exact.  A set is
-  /// immutable once published and shares its untouched runs with its
-  /// predecessor; entry pointers stay valid because DeltaLog chunks
-  /// never move and the State that carries this set also carries the
-  /// log.
-  struct SideIndexSet {
-    /// Log position the set covers; entries at and past this index are
-    /// flat-scanned by queries (the uncovered tail).
-    size_t covers = 0;
-    struct Run {
-      /// Registry-built index (the `delta_index` knobs) over `entries`'s
-      /// points, local id j = entries[j]; null when the build failed —
-      /// queries then scan `entries` flat.
-      std::unique_ptr<index::SearchIndex<P>> index;
-      /// Inserts routed to the run's shard that were alive when the run
-      /// was built, in arrival (= id) order.  Inserts removed later are
-      /// filtered at query time against the pinned overlay, and dropped
-      /// when a newer run absorbs this one.
-      std::vector<const typename DeltaLog<P>::Entry*> entries;
-    };
-    /// Per shard, its runs oldest (and largest) first.
-    std::vector<std::vector<std::shared_ptr<const Run>>> shards;
-
-    size_t run_count() const {
-      size_t count = 0;
-      for (const auto& runs : shards) count += runs.size();
-      return count;
-    }
-  };
-
   struct State {
     std::shared_ptr<const Generation<P>> generation;
     std::shared_ptr<DeltaLog<P>> log;
-    /// Delta side-indexes covering a prefix of `log`; null until the
-    /// window reaches the delta_index_min knob.  Republished in place
-    /// (same generation + log) by the writer as the window grows.
-    std::shared_ptr<const SideIndexSet> side;
+    /// Side runs covering a prefix of `log` (engine/side_runs.h); empty
+    /// at each generation's start.  Republished in place (same
+    /// generation + log) by the writer as the window grows.
+    std::shared_ptr<const SideRuns<P>> side;
   };
 
   /// The write side of one generation's delta window, all under
-  /// write_mutex_: the generation writes route against and the log they
-  /// append to (the same objects as the published State's, held here so
-  /// the write path never takes the state slot), plus the mirrors that
-  /// validate and tag writes in O(1).  A fold or resync builds its
-  /// successor aside and installs it whole.
-  struct Writer {
+  /// write_mutex_: the State last published (held here so the write
+  /// path never takes the state slot; the next side-run publication
+  /// extends its stack), plus the mirrors that validate and tag writes
+  /// in O(1).  A fold or resync builds its successor aside and installs
+  /// it whole.
+  struct Writer : State {
     explicit Writer(std::shared_ptr<const Generation<P>> gen)
-        : generation(std::move(gen)),
-          base_size(generation->size()),
-          log(std::make_shared<DeltaLog<P>>()) {}
+        : State{std::move(gen), std::make_shared<DeltaLog<P>>(),
+                std::make_shared<const SideRuns<P>>()},
+          base_size(this->generation->size()) {}
 
-    std::shared_ptr<const Generation<P>> generation;
     size_t base_size;
-    std::shared_ptr<DeltaLog<P>> log;
     /// Owning shard of pending insert base_size + j, at index j.
     std::vector<uint32_t> insert_shard;
     std::unordered_set<size_t> removed;
-    /// The side-index set last published (null before the window
-    /// reaches delta_index_min_); the next publication extends its run
-    /// stacks.
-    std::shared_ptr<const SideIndexSet> side;
 
     bool Live(size_t id) const {
       return id < base_size + insert_shard.size() && removed.count(id) == 0;
@@ -322,7 +151,7 @@ class LiveDatabase {
     /// slice layout, a pending insert's from the routing recorded at
     /// its append.
     uint32_t ShardOf(size_t id) const {
-      if (id < base_size) return ShardForId(generation->database(), id);
+      if (id < base_size) return this->generation->database().ShardOf(id);
       return insert_shard[id - base_size];
     }
 
@@ -337,7 +166,8 @@ class LiveDatabase {
         id = base_size + insert_shard.size();
         insert_shard.push_back(op.shard);
       }
-      DP_CHECK(log->Append({op.is_remove, id, op.shard, std::move(op.point)}));
+      DP_CHECK(this->log->Append(
+          {op.is_remove, id, op.shard, std::move(op.point)}));
       return id;
     }
   };
@@ -407,7 +237,8 @@ class LiveDatabase {
     size_t delta_entries() const { return delta_end_; }
     /// Live points in this view: base survivors plus alive inserts.
     size_t live_size() const {
-      const Overlay overlay = BuildOverlay(*state_, delta_end_);
+      const Overlay<P> overlay =
+          BuildOverlay(*state_->generation, *state_->log, delta_end_);
       return state_->generation->size() - overlay.removed_base +
              overlay.inserts.size();
     }
@@ -426,7 +257,9 @@ class LiveDatabase {
     /// the store's (spec, seed) is the full-rebuild reference an
     /// incremental compaction must match bit-for-bit.
     std::vector<std::vector<P>> MaterializeSlices() const {
-      return MaterializeRouted(*state_, BuildOverlay(*state_, delta_end_));
+      return MaterializeRouted(
+          *state_->generation,
+          BuildOverlay(*state_->generation, *state_->log, delta_end_));
     }
 
     /// The point behind a live id in this view — how a serving layer
@@ -447,11 +280,9 @@ class LiveDatabase {
       }
       if (pending != nullptr) return *pending;
       const ShardedDatabase<P>& db = state_->generation->database();
-      for (size_t s = 0; s < db.shard_count(); ++s) {
-        const size_t offset = db.shard_offset(s);
-        if (id >= offset && id - offset < db.shard(s).size()) {
-          return db.shard(s).points().Point(id - offset);
-        }
+      if (id < db.size()) {
+        const uint32_t s = db.ShardOf(id);
+        return db.shard(s).points().Point(id - db.shard_offset(s));
       }
       return util::Status::NotFound(
           "LiveDatabase: no point with id " + std::to_string(id));
@@ -568,64 +399,30 @@ class LiveDatabase {
   BatchOutput RunBatch(QueryEngine<P>& engine, const Snapshot& snapshot,
                        const std::vector<QuerySpec<P>>& batch) const {
     const State& state = *snapshot.state_;
-    const Overlay overlay = BuildOverlay(state, snapshot.delta_end_);
-    if (overlay.inserts.empty() && overlay.removed.empty()) {
+    if (snapshot.delta_end_ == 0) {
       // Empty window: the pinned generation answers alone, with the
       // exact behavior (and zero copies) of the non-live engine path.
       return engine.RunBatch(state.generation->database(), batch);
     }
+    const Overlay<P> overlay =
+        BuildOverlay(*state.generation, *state.log, snapshot.delta_end_);
     const size_t query_count = batch.size();
 
     // Trace bookkeeping: traced queries get a delta-leg span, and the
     // engine's shard spans are rebased so every span of a live query
     // is relative to this call's start.
-    bool any_trace = false;
-    for (const QuerySpec<P>& spec : batch) {
-      if (spec.collect_trace) any_trace = true;
-    }
+    const bool any_trace = std::any_of(
+        batch.begin(), batch.end(),
+        [](const QuerySpec<P>& spec) { return spec.collect_trace; });
     const auto live_start = std::chrono::steady_clock::now();
     std::vector<std::pair<double, double>> delta_times(
         any_trace ? query_count : 0);
 
     // Delta leg first: exact hits over the alive inserts, per query.
-    // A full delta collector's k-th distance is a valid upper bound on
-    // the merged k-th distance (its k hits are all in the final set),
-    // so it seeds the generation search's pruning radius — delta hits
-    // tighten shard pruning instead of only adding work.
-    //
-    // With a published side-index set, the covered prefix is served by
-    // the shards' side runs (exact, with an over-fetch covering entries
-    // removed after a run was built) and only the uncovered tail is
-    // flat-scanned; without one, the whole window is.  Both paths
-    // produce the identical hit set — the side spec is exact and the
-    // collector's (distance, id) tie-break is order-independent — so
-    // publishing a side set never changes an answer, only its cost.
-    const SideIndexSet* side = state.side.get();
-    std::vector<const typename DeltaLog<P>::Entry*> tail_inserts;
-    if (side != nullptr) {
-      DP_CHECK(side->covers <= snapshot.delta_end_);
-      const DeltaLog<P>& log = *state.log;
-      for (size_t i = side->covers; i < snapshot.delta_end_; ++i) {
-        const typename DeltaLog<P>::Entry& entry = log.entry(i);
-        if (entry.is_remove || overlay.removed.count(entry.id) != 0) {
-          continue;
-        }
-        tail_inserts.push_back(&entry);
-      }
-    }
-    // Upper bound on covered side entries filtered at query time (an
-    // insert removed after its run was built): every such id is a
-    // removed non-base id.  Requesting k + this many from a run
-    // guarantees its k nearest alive entries survive the filter, which
-    // keeps the side kNN path exact.
-    const size_t side_spare = overlay.removed.size() - overlay.removed_base;
-    // The uncovered part of the window, scanned flat before any run so
-    // that its hits can already bound the runs' kNN searches.
-    const std::vector<const typename DeltaLog<P>::Entry*>& flat_inserts =
-        side != nullptr ? tail_inserts : overlay.inserts;
+    // Its k-th distance seeds the generation search's pruning radius —
+    // delta hits tighten shard pruning instead of only adding work.
     std::vector<QuerySpec<P>> adjusted(batch);
-    std::vector<std::vector<index::SearchResult>> delta_hits(query_count);
-    std::vector<uint64_t> delta_cost(query_count, 0);
+    std::vector<DeltaHits> delta(query_count);
     // Requests the store rejects (the engine checks the generation's
     // dimension, which is 0 for a store whose points are all pending).
     std::vector<util::Status> rejected(query_count, util::Status::OK());
@@ -633,104 +430,29 @@ class LiveDatabase {
       const QuerySpec<P>& spec = batch[q];
       rejected[q] = ValidateRequest(spec);
       if (!rejected[q].ok()) continue;
-      const bool traced = any_trace && spec.collect_trace;
       std::chrono::steady_clock::time_point delta_t0{};
-      if (traced) delta_t0 = std::chrono::steady_clock::now();
-      const auto stamp = [&]() {
-        if (traced) {
-          delta_times[q] = {Seconds(live_start, delta_t0),
-                            Seconds(live_start,
-                                    std::chrono::steady_clock::now())};
+      if (spec.collect_trace) delta_t0 = std::chrono::steady_clock::now();
+      delta[q] = state.side->Search(spec, overlay, metric_);
+      if (spec.mode != QueryType::kRange) {
+        // k delta hits in hand (k >= 1 once validated): their k-th
+        // distance bounds the merged k-th distance.
+        if (delta[q].results.size() == spec.k) {
+          adjusted[q].initial_radius_bound =
+              std::min(adjusted[q].initial_radius_bound,
+                       delta[q].results.back().distance);
         }
-      };
-      // Searches one side run with `request`, handing its alive hits to
-      // `offer`; a run without an index, or whose search fails, has its
-      // alive entries measured one by one through `scan` instead.
-      const auto search_run = [&](const typename SideIndexSet::Run& run,
-                                  const QuerySpec<P>& request,
-                                  const auto& offer, const auto& scan) {
-        if (run.index != nullptr) {
-          index::SearchResponse resp = run.index->Search(request);
-          if (resp.status.ok()) {
-            delta_cost[q] += resp.stats.distance_computations;
-            for (const index::SearchResult& r : resp.results) {
-              const auto* entry = run.entries[r.id];
-              if (overlay.removed.count(entry->id) != 0) continue;
-              offer(entry->id, r.distance);
-            }
-            return;
-          }
-        }
-        for (const auto* entry : run.entries) {
-          if (overlay.removed.count(entry->id) == 0) scan(entry);
-        }
-      };
-      if (spec.mode == QueryType::kRange) {
-        const auto range_scan = [&](const typename DeltaLog<P>::Entry* entry) {
-          const double d = metric_(spec.point, entry->point);
-          ++delta_cost[q];
-          if (d <= spec.radius) delta_hits[q].push_back({entry->id, d});
-        };
-        for (const auto* entry : flat_inserts) range_scan(entry);
-        if (side != nullptr) {
-          const QuerySpec<P> request =
-              QuerySpec<P>::Range(spec.point, spec.radius);
-          const auto offer = [&](size_t id, double d) {
-            delta_hits[q].push_back({id, d});
-          };
-          for (const auto& runs : side->shards) {
-            for (const auto& run : runs) {
-              search_run(*run, request, offer, range_scan);
-            }
-          }
-        }
-        stamp();
-        continue;
-      }
-      index::KnnCollector collector(spec.k);
-      collector.Reserve(std::min(spec.k, overlay.inserts.size()));
-      const auto knn_scan = [&](const typename DeltaLog<P>::Entry* entry) {
-        const double d = metric_(spec.point, entry->point);
-        ++delta_cost[q];
-        if (spec.mode == QueryType::kKnnWithinRadius && d > spec.radius) {
-          return;
-        }
-        collector.Offer(entry->id, d);
-      };
-      for (const auto* entry : flat_inserts) knn_scan(entry);
-      if (side != nullptr) {
-        const size_t want = spec.k + side_spare;
-        QuerySpec<P> request =
-            spec.mode == QueryType::kKnnWithinRadius
-                ? QuerySpec<P>::KnnWithinRadius(spec.point, want, spec.radius)
-                : QuerySpec<P>::Knn(spec.point, want);
-        const auto offer = [&collector](size_t id, double d) {
-          collector.Offer(id, d);
-        };
-        for (const auto& runs : side->shards) {
-          for (const auto& run : runs) {
-            // Once k hits are in hand, their k-th distance bounds every
-            // further run's useful hits — the argument that seeds the
-            // generation leg below — so each run prunes against it.
-            if (collector.size() == spec.k) {
-              request.initial_radius_bound = collector.Radius();
-            }
-            search_run(*run, request, offer, knn_scan);
-          }
+        if (overlay.removed_base > 0) {
+          // Over-fetch: up to removed_base of the generation's nearest
+          // may be filtered out, so ask for that many spares — the k
+          // best survivors are then always present in the partial.
+          adjusted[q].k = spec.k + overlay.removed_base;
         }
       }
-      if (collector.size() == spec.k) {
-        adjusted[q].initial_radius_bound =
-            std::min(adjusted[q].initial_radius_bound, collector.Radius());
+      if (spec.collect_trace) {
+        delta_times[q] = {Seconds(live_start, delta_t0),
+                          Seconds(live_start,
+                                  std::chrono::steady_clock::now())};
       }
-      delta_hits[q] = collector.Take();
-      if (overlay.removed_base > 0) {
-        // Over-fetch: up to removed_base of the generation's nearest
-        // may be filtered out, so ask for that many spares — the k
-        // best survivors are then always present in the partial.
-        adjusted[q].k = spec.k + overlay.removed_base;
-      }
-      stamp();
     }
 
     BatchOutput out =
@@ -749,11 +471,12 @@ class LiveDatabase {
       }
       if (!out.statuses[q].ok()) continue;
       index::MergeDeltaResults(&out.results[q], is_removed,
-                               std::move(delta_hits[q]), batch[q].mode,
+                               std::move(delta[q].results), batch[q].mode,
                                batch[q].k);
-      out.per_query_distance_computations[q] += delta_cost[q];
-      out.stats.distance_computations += delta_cost[q];
-      if (any_trace && batch[q].collect_trace) {
+      const uint64_t delta_cost = delta[q].distance_computations;
+      out.per_query_distance_computations[q] += delta_cost;
+      out.stats.distance_computations += delta_cost;
+      if (batch[q].collect_trace) {
         // Rebase the engine's shard spans onto this call's clock and
         // prepend the delta-leg span, so the traced spans still
         // partition the query's (delta-inclusive) distance count.
@@ -766,7 +489,7 @@ class LiveDatabase {
         delta_span.delta = true;
         delta_span.start_seconds = delta_times[q].first;
         delta_span.stop_seconds = delta_times[q].second;
-        delta_span.distance_computations = delta_cost[q];
+        delta_span.distance_computations = delta_cost;
         // The bound the delta leg handed the generation search (or
         // +inf when the delta could not cap it).
         delta_span.bound = adjusted[q].initial_radius_bound;
@@ -909,9 +632,10 @@ class LiveDatabase {
   // ------------------------------------------------------- compaction
 
   /// Folds the committed delta into a new generation on the calling
-  /// thread and swaps it in: rebuilds replacement shards from
-  /// base ⊕ delta with the store's deterministic (spec, seed, shard
-  /// count) — on `build_threads` workers — then publishes the new
+  /// thread and swaps it in: Fold() (engine/fold.h) rebuilds the dirty
+  /// shards from base ⊕ delta with the store's deterministic (spec,
+  /// seed, shard count) — on `build_threads` workers — then this
+  /// publishes the new
   /// State atomically.  Writes landing during the rebuild are carried
   /// over into the new generation's delta log, remapped to the new id
   /// space.  Queries never block: in-flight batches finish on the old
@@ -946,116 +670,17 @@ class LiveDatabase {
   /// is returned and counted in live_compaction_failures_total.
   util::Status CompactPrefix(size_t limit) {
     std::lock_guard<std::mutex> compact_lock(compact_mutex_);
-    std::shared_ptr<const State> state =
-        state_.load();
+    std::shared_ptr<const State> state = state_.load();
     const size_t end = std::min(limit, state->log->committed());
     if (end == 0) return util::Status::OK();  // nothing to fold
 
     const auto compact_start = std::chrono::steady_clock::now();
     const uint64_t old_generation = state->generation->number();
     const uint64_t new_generation = old_generation + 1;
-
-    LiveCompactionStats stats;
-    stats.folded_entries = end;
-
-    // Fold only the dirty shards; clean ones are shared into the new
-    // generation by shared_ptr.  The per-shard RNG stream depends only
-    // on (seed, shard), so a shared shard is bit-identical to what a
-    // full per-slice rebuild would produce — the differential harness
-    // pins this.  If a slice went empty while the store still holds
-    // points, fall back to a full uniform rebuild instead: it restores
-    // balance, keeps perm-family specs buildable (they reject empty
-    // shards), and — being derived purely from the materialized order —
-    // replays deterministically on replicas and recovery.  The shape
-    // pass is copy-free, so the common skewed fold materializes only
-    // the dirty slices.
-    const Overlay overlay = BuildOverlay(*state, end);
-    std::vector<size_t> slice_sizes;
-    std::vector<bool> dirty;
-    FoldIdRemap id_remap;
-    RoutedShape(*state, overlay, &slice_sizes, &dirty, &id_remap);
-    size_t total = 0;
-    for (const size_t n : slice_sizes) total += n;
-    bool rebalance = total == 0;
-    for (const size_t n : slice_sizes) {
-      if (total > 0 && n == 0) rebalance = true;
-    }
-
-    std::vector<std::vector<P>> slices =
-        MaterializeRouted(*state, overlay, rebalance ? nullptr : &dirty);
-
-    std::shared_ptr<const Generation<P>> next_generation;
-    if (rebalance) {
-      util::Result<std::shared_ptr<const Generation<P>>> built =
-          Generation<P>::Build(Concatenate(std::move(slices)), metric_,
-                               shard_count_, index_spec_, seed_,
-                               new_generation, build_threads_);
-      if (!built.ok()) {
-        if (compaction_failures_ != nullptr) {
-          compaction_failures_->Increment();
-        }
-        return built.status();
-      }
-      next_generation = std::move(built).value();
-      stats.rebalanced = true;
-      stats.shards_rebuilt = shard_count_;
-      stats.build_distance_computations =
-          next_generation->database().build_distance_computations();
-    } else {
-      const ShardedDatabase<P>& old_db = state->generation->database();
-      std::vector<typename ShardedDatabase<P>::SharedShard> new_shards(
-          shard_count_);
-      std::vector<uint64_t> epochs = state->generation->epochs();
-      std::vector<util::Status> statuses(shard_count_, util::Status::OK());
-      const auto build_shard = [&](size_t s) {
-        auto built_shard = ShardedDatabase<P>::CreateShard(
-            index_spec_, seed_, s,
-            index::PointStore<P>(std::move(slices[s]), metric_));
-        if (!built_shard.ok()) {
-          statuses[s] = built_shard.status();
-          return;
-        }
-        new_shards[s] = std::move(built_shard).value();
-      };
-      std::vector<size_t> dirty_shards;
-      for (size_t s = 0; s < shard_count_; ++s) {
-        if (dirty[s]) dirty_shards.push_back(s);
-      }
-      if (build_threads_ <= 1 || dirty_shards.size() <= 1) {
-        for (size_t s : dirty_shards) build_shard(s);
-      } else {
-        util::ThreadPool pool(
-            std::min(build_threads_, dirty_shards.size()));
-        for (size_t s : dirty_shards) {
-          pool.Submit([&build_shard, s]() { build_shard(s); });
-        }
-        pool.Wait();
-      }
-      for (size_t s = 0; s < shard_count_; ++s) {
-        if (!statuses[s].ok()) {
-          if (compaction_failures_ != nullptr) {
-            compaction_failures_->Increment();
-          }
-          return util::Status(statuses[s].code(),
-                              "shard " + std::to_string(s) + ": " +
-                                  statuses[s].message());
-        }
-      }
-      for (size_t s = 0; s < shard_count_; ++s) {
-        if (dirty[s]) {
-          epochs[s] = new_generation;
-          ++stats.shards_rebuilt;
-          stats.build_distance_computations +=
-              new_shards[s]->build_distance_computations();
-        } else {
-          new_shards[s] = old_db.shared_shard(s);
-          ++stats.shards_shared;
-        }
-      }
-      next_generation = Generation<P>::Assemble(
-          ShardedDatabase<P>::FromShards(std::move(new_shards)),
-          index_spec_, seed_, new_generation, std::move(epochs));
-    }
+    util::Result<FoldOutput<P>> folded =
+        Fold(*state->generation, *state->log, end, metric_, build_threads_);
+    if (!folded.ok()) return CompactionFailed(folded.status());
+    FoldOutput<P>& fold = folded.value();
 
     const bool durable = env_ != nullptr;
     const std::string snapshot_path =
@@ -1063,13 +688,10 @@ class LiveDatabase {
     const std::string tmp_snapshot_path = snapshot_path + ".tmp";
     if (durable) {
       util::Status written = WriteSnapshotTimed(
-          *next_generation, tmp_snapshot_path, /*atomic=*/false);
+          *fold.generation, tmp_snapshot_path, /*atomic=*/false);
       if (!written.ok()) {
         env_->DeleteFile(tmp_snapshot_path);  // best effort
-        if (compaction_failures_ != nullptr) {
-          compaction_failures_->Increment();
-        }
-        return written;
+        return CompactionFailed(written);
       }
     }
 
@@ -1087,10 +709,7 @@ class LiveDatabase {
         env_->DeleteFile(StorePath(WalFileName(new_generation)));
         env_->DeleteFile(tmp_snapshot_path);
         env_->DeleteFile(snapshot_path);
-        if (compaction_failures_ != nullptr) {
-          compaction_failures_->Increment();
-        }
-        return error;
+        return CompactionFailed(error);
       };
       if (durable) {
         auto opened = OpenWal(new_generation, /*truncate=*/true,
@@ -1099,7 +718,7 @@ class LiveDatabase {
         next_wal = std::move(opened).value();
       }
 
-      Writer next(std::move(next_generation));
+      Writer next(std::move(fold.generation));
       const size_t len = state->log->committed();
       std::unordered_map<size_t, size_t> tail_map;  // old id -> new id
       std::vector<std::string> carried;  // re-encoded tail, for OnRotate
@@ -1121,7 +740,7 @@ class LiveDatabase {
           // the closed-form remap).
           const auto tail_mapped = tail_map.find(entry.id);
           op.id = tail_mapped != tail_map.end() ? tail_mapped->second
-                                                : id_remap.At(entry.id);
+                                                : fold.remap.At(entry.id);
           op.shard = next.ShardOf(op.id);
         }
         if (next_wal != nullptr || listener_ != nullptr) {
@@ -1160,22 +779,29 @@ class LiveDatabase {
         compaction_folded_entries_->Record(static_cast<double>(end));
       }
       if (compaction_shards_rebuilt_ != nullptr) {
-        compaction_shards_rebuilt_->Add(stats.shards_rebuilt);
+        compaction_shards_rebuilt_->Add(fold.stats.shards_rebuilt);
       }
       if (compaction_shards_shared_ != nullptr) {
-        compaction_shards_shared_->Add(stats.shards_shared);
+        compaction_shards_shared_->Add(fold.stats.shards_shared);
       }
     }
-    stats.seconds = Seconds(compact_start, std::chrono::steady_clock::now());
+    fold.stats.seconds =
+        Seconds(compact_start, std::chrono::steady_clock::now());
     {
       std::lock_guard<std::mutex> stats_lock(compaction_stats_mutex_);
-      last_compaction_stats_ = stats;
+      last_compaction_stats_ = fold.stats;
     }
     if (durable) {
       env_->DeleteFile(StorePath(WalFileName(old_generation)));
       env_->DeleteFile(StorePath(SnapshotFileName(old_generation)));
     }
     return util::Status::OK();
+  }
+
+  /// Counts a failed compaction and passes its status through.
+  util::Status CompactionFailed(util::Status error) {
+    if (compaction_failures_ != nullptr) compaction_failures_->Increment();
+    return error;
   }
 
   /// Schedules Compact() on the store's background thread and returns
@@ -1292,7 +918,6 @@ class LiveDatabase {
             std::min(live.delta_scan_limit, DeltaLog<P>::kCapacity)),
         auto_compact_threshold_(live.auto_compact_threshold),
         delta_index_min_(live.delta_index_min),
-        side_spec_(SideSpecString(live)),
         build_threads_(options.build_threads),
         writer_(std::move(generation)),
         engine_(options.query_threads) {
@@ -1300,24 +925,8 @@ class LiveDatabase {
     published_generation_.store(writer_.generation->number(),
                                 std::memory_order_relaxed);
     NoteDimLocked(writer_.generation->database().dim());
-    state_.store(std::make_shared<const State>(
-        State{writer_.generation, writer_.log, nullptr}));
+    state_.store(std::make_shared<const State>(writer_));
     if (options.metrics != nullptr) EnableMetrics(options.metrics);
-  }
-
-  /// The registry spec the per-shard delta side-indexes are built
-  /// with: the delta_index knob, given its k when the knob is a bare
-  /// name of a spec that takes one.  (Spec option values are
-  /// comma-free, so a knob value can carry at most one inline option —
-  /// e.g. "delta_index=distperm-prefix:prefix=2".)
-  static std::string SideSpecString(const index::LiveSpecOptions& live) {
-    std::string spec = live.delta_index;
-    if (spec.find(':') == std::string::npos &&
-        (spec == "laesa" || spec == "iaesa" || spec == "distperm" ||
-         spec == "distperm-prefix")) {
-      spec += ":k=" + std::to_string(live.delta_index_k);
-    }
-    return spec;
   }
 
   // ------------------------------------------------------- durability
@@ -1337,64 +946,36 @@ class LiveDatabase {
         storage::ParseFsyncPolicy(live.fsync);
     if (!policy.ok()) return policy.status();
     DP_RETURN_IF_ERROR(env->CreateDir(live.wal_dir));
-    util::Result<std::vector<std::string>> listing =
-        env->ListDir(live.wal_dir);
-    if (!listing.ok()) return listing.status();
-    std::vector<uint64_t> snapshots;
-    for (const std::string& name : listing.value()) {
-      bool is_snapshot = false;
-      uint64_t generation = 0;
-      if (ParseStoreFileName(name, &is_snapshot, &generation) &&
-          is_snapshot) {
-        snapshots.push_back(generation);
-      }
-    }
-    std::sort(snapshots.rbegin(), snapshots.rend());  // newest first
+    util::Result<std::vector<uint64_t>> listed =
+        ListStoreSnapshots(env, live.wal_dir);
+    if (!listed.ok()) return listed.status();
+    const std::vector<uint64_t>& snapshots = listed.value();
 
-    std::shared_ptr<const Generation<P>> generation;
-    if (snapshots.empty()) {
-      // Fresh store.  Ordering: the snapshot is published before the
-      // WAL opens, so a crash anywhere in here leaves either nothing
-      // (re-open fresh) or a recoverable generation 1.
-      util::Result<std::shared_ptr<const Generation<P>>> built =
-          Generation<P>::Build(std::move(data), metric, shard_count,
-                               index_spec, seed, /*number=*/1,
-                               options.build_threads);
-      if (!built.ok()) return built.status();
-      generation = std::move(built).value();
-    } else {
-      // Recovery.
-      if (!data.empty()) {
-        return util::Status::InvalidArgument(
-            "LiveDatabase: opening an existing durable store requires "
-            "empty seed data (the on-disk store IS the data)");
-      }
-      util::Status last_error = util::Status::IoError(
-          "LiveDatabase: no loadable snapshot in " + live.wal_dir);
-      for (uint64_t gen : snapshots) {
-        auto loaded = ReadGenerationSnapshot<P>(
-            env, live.wal_dir + "/" + SnapshotFileName(gen), metric,
-            shard_count, index_spec, seed, options.build_threads);
-        if (loaded.ok()) {
-          generation = std::move(loaded).value();
-          break;
-        }
-        last_error = loaded.status();
-        // InvalidArgument is an identity mismatch (wrong spec/seed/shard
-        // count), not corruption: refuse instead of falling back to an
-        // older snapshot that would mismatch the same way.
-        if (last_error.code() == util::StatusCode::kInvalidArgument) {
-          return last_error;
-        }
-      }
-      if (generation == nullptr) return last_error;
+    if (!snapshots.empty() && !data.empty()) {
+      return util::Status::InvalidArgument(
+          "LiveDatabase: opening an existing durable store requires "
+          "empty seed data (the on-disk store IS the data)");
     }
+    // A fresh store publishes its snapshot before the WAL opens, so a
+    // crash anywhere in here leaves either nothing (re-open fresh) or a
+    // recoverable generation 1.
+    util::Result<std::shared_ptr<const Generation<P>>> generation =
+        snapshots.empty()
+            ? Generation<P>::Build(std::move(data), metric, shard_count,
+                                   index_spec, seed, /*number=*/1,
+                                   options.build_threads)
+            : ReadNewestStoreSnapshot<P>(env, live.wal_dir, snapshots,
+                                         metric, shard_count, index_spec,
+                                         seed, options.build_threads);
+    if (!generation.ok()) return generation.status();
 
-    const uint64_t gen_number = generation->number();
+    const uint64_t gen_number = generation.value()->number();
     std::unique_ptr<LiveDatabase> db(new LiveDatabase(
-        std::move(generation), metric, shard_count, index_spec, seed, live,
-        options));
-    db->AttachStorage(env, live.wal_dir, policy.value());
+        std::move(generation).value(), metric, shard_count, index_spec, seed,
+        live, options));
+    db->env_ = env;
+    db->wal_dir_ = live.wal_dir;
+    db->fsync_policy_ = policy.value();
     uint64_t next_seq = 1;
     if (snapshots.empty()) {
       DP_RETURN_IF_ERROR(db->WriteSnapshotTimed(
@@ -1427,26 +1008,17 @@ class LiveDatabase {
         // WAL creation: zero replay); any other read error is fatal.
         return contents.status();
       }
-      // Replay bypassed the write path's side-index upkeep; catch up
-      // once, which covers the replayed window with one run per shard.
-      // A live store of the same window answers identically, but its
-      // stack may hold several runs per shard, so per-query distance
-      // counts can differ between the two.
+      // Replay bypassed side-run upkeep: cover the replayed window with
+      // one run per shard.  The live store's deeper stack of the same
+      // window answers identically; per-query distance counts may differ.
       db->MaybeExtendSideIndexLocked();
     }
     auto wal = db->OpenWal(gen_number, /*truncate=*/snapshots.empty(),
                            next_seq);
     if (!wal.ok()) return wal.status();
     db->wal_ = std::move(wal).value();
-    db->DeleteStrayStoreFiles(listing.value(), gen_number);
+    DeleteStrayStoreFiles(env, live.wal_dir, gen_number);
     return db;
-  }
-
-  void AttachStorage(storage::Env* env, std::string wal_dir,
-                     storage::FsyncPolicy policy) {
-    env_ = env;
-    wal_dir_ = std::move(wal_dir);
-    fsync_policy_ = policy;
   }
 
   std::string StorePath(const std::string& name) const {
@@ -1498,24 +1070,6 @@ class LiveDatabase {
     return util::Status::OK();
   }
 
-  /// Deletes store files of other generations and .tmp leftovers —
-  /// orphans of a crashed rotation (see CompactPrefix).  Best-effort.
-  void DeleteStrayStoreFiles(const std::vector<std::string>& listing,
-                             uint64_t keep_generation) {
-    for (const std::string& name : listing) {
-      bool is_snapshot = false;
-      uint64_t generation = 0;
-      if (ParseStoreFileName(name, &is_snapshot, &generation)) {
-        if (generation != keep_generation) env_->DeleteFile(StorePath(name));
-        continue;
-      }
-      if (name.size() > 4 &&
-          name.compare(name.size() - 4, 4, ".tmp") == 0) {
-        env_->DeleteFile(StorePath(name));
-      }
-    }
-  }
-
   /// Wires the store's instruments and the built-in engine into
   /// `registry`; called from the constructor when LiveOptions names a
   /// registry.
@@ -1552,9 +1106,7 @@ class LiveDatabase {
         [this]() { return static_cast<double>(AliveGenerationCount()); }));
     callback_handles_.push_back(registry->RegisterCallback(
         "live_side_index_runs", [this]() {
-          const std::shared_ptr<const State> state = state_.load();
-          return static_cast<double>(
-              state->side != nullptr ? state->side->run_count() : 0);
+          return static_cast<double>(state_.load()->side->run_count());
         }));
     engine_.EnableMetrics(registry);
   }
@@ -1589,166 +1141,6 @@ class LiveDatabase {
     return std::chrono::duration<double>(to - from).count();
   }
 
-  /// Everything a query needs from one pinned delta window: the alive
-  /// inserts (in id order) and the removed ids, built in one scan.
-  struct Overlay {
-    std::vector<const typename DeltaLog<P>::Entry*> inserts;
-    std::unordered_set<size_t> removed;
-    size_t removed_base = 0;  ///< removed ids below the base size
-  };
-
-  static Overlay BuildOverlay(const State& state, size_t end) {
-    Overlay overlay;
-    const size_t base_size = state.generation->size();
-    const DeltaLog<P>& log = *state.log;
-    for (size_t i = 0; i < end; ++i) {
-      const typename DeltaLog<P>::Entry& entry = log.entry(i);
-      if (!entry.is_remove) continue;
-      overlay.removed.insert(entry.id);
-      if (entry.id < base_size) ++overlay.removed_base;
-    }
-    for (size_t i = 0; i < end; ++i) {
-      const typename DeltaLog<P>::Entry& entry = log.entry(i);
-      if (entry.is_remove || overlay.removed.count(entry.id) != 0) continue;
-      overlay.inserts.push_back(&entry);
-    }
-    return overlay;
-  }
-
-  /// Post-fold id of a surviving pre-fold id, answered on demand in
-  /// O(log removals) from the routed shape instead of an O(n) survivor
-  /// map: base survivors keep their shard-relative order minus the
-  /// removals before them, and folded inserts (at most one per folded
-  /// window entry) are recorded explicitly.  Folding a skewed window
-  /// must not pay a full-database pass just to remap the log tail.
-  struct FoldIdRemap {
-    size_t base_size = 0;
-    std::vector<size_t> old_offsets;  ///< pre-fold shard offsets
-    std::vector<size_t> new_offsets;  ///< post-fold slice offsets
-    std::vector<size_t> removed_base;  ///< sorted removed base ids
-    std::unordered_map<size_t, size_t> folded_inserts;
-
-    size_t At(size_t old_id) const {
-      if (old_id >= base_size) {
-        const auto it = folded_inserts.find(old_id);
-        DP_CHECK(it != folded_inserts.end());
-        return it->second;
-      }
-      size_t s = old_offsets.size() - 1;
-      while (old_offsets[s] > old_id) --s;
-      const auto lo = std::lower_bound(removed_base.begin(),
-                                       removed_base.end(), old_offsets[s]);
-      const auto hi = std::lower_bound(removed_base.begin(),
-                                       removed_base.end(), old_id);
-      return new_offsets[s] + (old_id - old_offsets[s]) -
-             static_cast<size_t>(hi - lo);
-    }
-  };
-
-  /// The routed layout's shape — per-shard logical slice sizes and
-  /// dirtiness — computed without copying a single point.  Lets the
-  /// fold decide which shards to rebuild (and whether to rebalance)
-  /// before paying to materialize anything beyond the dirty slices,
-  /// which is what keeps a skewed fold O(dirty) instead of O(n).
-  /// Also emits the FoldIdRemap — everything it needs falls out of the
-  /// same walk over the window's `overlay`.
-  static void RoutedShape(const State& state, const Overlay& overlay,
-                          std::vector<size_t>* sizes,
-                          std::vector<bool>* dirty, FoldIdRemap* remap) {
-    const ShardedDatabase<P>& db = state.generation->database();
-    const size_t shard_count = db.shard_count();
-    const size_t base_size = state.generation->size();
-    sizes->assign(shard_count, 0);
-    dirty->assign(shard_count, false);
-    std::vector<size_t> removed_in_shard(shard_count, 0);
-    for (size_t s = 0; s < shard_count; ++s) {
-      (*sizes)[s] = db.shard(s).size();
-    }
-    for (const size_t id : overlay.removed) {
-      if (id >= base_size) continue;  // insert-then-remove in the window
-      size_t s = shard_count - 1;
-      while (db.shard_offset(s) > id) --s;
-      --(*sizes)[s];
-      ++removed_in_shard[s];
-      (*dirty)[s] = true;
-    }
-    for (const auto* entry : overlay.inserts) {
-      ++(*sizes)[entry->shard];
-      (*dirty)[entry->shard] = true;
-    }
-
-    remap->base_size = base_size;
-    remap->old_offsets.resize(shard_count);
-    remap->new_offsets.resize(shard_count);
-    size_t next = 0;
-    for (size_t s = 0; s < shard_count; ++s) {
-      remap->old_offsets[s] = db.shard_offset(s);
-      remap->new_offsets[s] = next;
-      next += (*sizes)[s];
-    }
-    remap->removed_base.reserve(overlay.removed.size());
-    for (const size_t id : overlay.removed) {
-      if (id < base_size) remap->removed_base.push_back(id);
-    }
-    std::sort(remap->removed_base.begin(), remap->removed_base.end());
-    // Folded inserts follow their shard's base survivors, in arrival
-    // order — the same ids the eager survivor map used to assign.
-    std::vector<size_t> next_insert_id(shard_count);
-    for (size_t s = 0; s < shard_count; ++s) {
-      next_insert_id[s] = remap->new_offsets[s] + db.shard(s).size() -
-                          removed_in_shard[s];
-    }
-    remap->folded_inserts.reserve(overlay.inserts.size());
-    for (const auto* entry : overlay.inserts) {
-      remap->folded_inserts.emplace(entry->id,
-                                    next_insert_id[entry->shard]++);
-    }
-  }
-
-  /// The window's dataset routed into per-shard slices: slice s holds
-  /// shard s's base survivors in id order, then the alive inserts
-  /// routed to s in arrival order (`overlay` is the window's).  A
-  /// non-null `fill` restricts point copying to the flagged shards: an
-  /// unflagged shard is clean by construction (no removals, no routed
-  /// inserts) and its slice is left empty — the incremental fold passes
-  /// its dirty set here so clean shards cost no copies.
-  static std::vector<std::vector<P>> MaterializeRouted(
-      const State& state, const Overlay& overlay,
-      const std::vector<bool>* fill = nullptr) {
-    const ShardedDatabase<P>& db = state.generation->database();
-    std::vector<std::vector<P>> slices(db.shard_count());
-    for (size_t s = 0; s < db.shard_count(); ++s) {
-      if (fill != nullptr && !(*fill)[s]) continue;  // clean: no copies
-      const index::PointStore<P>& base = db.shard(s).points();
-      const size_t offset = db.shard_offset(s);
-      slices[s].reserve(base.size());
-      for (size_t i = 0; i < base.size(); ++i) {
-        if (overlay.removed.count(offset + i) == 0) {
-          slices[s].push_back(base.Point(i));
-        }
-      }
-    }
-    for (const auto* entry : overlay.inserts) {
-      DP_CHECK(entry->shard < db.shard_count());
-      // Copy: pinned readers keep scanning the log entries.
-      slices[entry->shard].push_back(entry->point);
-    }
-    return slices;
-  }
-
-  /// The slices' points in shard order — a view's dataset in
-  /// compaction order.
-  static std::vector<P> Concatenate(std::vector<std::vector<P>> slices) {
-    size_t total = 0;
-    for (const auto& slice : slices) total += slice.size();
-    std::vector<P> data;
-    data.reserve(total);
-    for (auto& slice : slices) {
-      for (auto& point : slice) data.push_back(std::move(point));
-    }
-    return data;
-  }
-
   /// Records the stored points' dimension the first time one is known.
   /// Caller holds write_mutex_ (or is the constructor).
   void NoteDimLocked(size_t dim) {
@@ -1757,89 +1149,21 @@ class LiveDatabase {
     }
   }
 
-  /// The shard whose [offset, offset + size) id range holds base `id`.
-  static uint32_t ShardForId(const ShardedDatabase<P>& db, size_t id) {
-    size_t s = db.shard_count() - 1;
-    while (s > 0 && db.shard_offset(s) > id) --s;
-    return static_cast<uint32_t>(s);
-  }
-
-  /// Covers the window's new stretch with side runs and republishes the
-  /// side-index set once the window has grown delta_index_min_ entries
-  /// past the covered prefix; caller holds write_mutex_.  Only the new
-  /// entries are routed, and only the shards they reach get a new run,
-  /// which absorbs the stack's trailing runs no larger than itself —
-  /// every other run carries over by shared_ptr.  Republishes into the
-  /// SAME (generation, log) state: queries pinned before or after
-  /// answer identically (the runs are exact over covered inserts and
-  /// everything uncovered is flat-scanned); only the per-query scan
-  /// cost moves.
+  /// Extends the side runs over the window's new stretch once it has
+  /// grown delta_index_min_ entries past the covered prefix, and
+  /// republishes the SAME (generation, log) with them: answers stay the
+  /// same, only the per-query cost moves.  Caller holds write_mutex_.
   void MaybeExtendSideIndexLocked() {
     if (delta_index_min_ == 0) return;
     const size_t committed = writer_.log->committed();
-    const size_t covered =
-        writer_.side != nullptr ? writer_.side->covers : 0;
-    if (committed - covered < delta_index_min_) return;
-    const auto alive = [this](const typename DeltaLog<P>::Entry* entry) {
-      return writer_.removed.count(entry->id) == 0;
-    };
-    std::vector<std::vector<const typename DeltaLog<P>::Entry*>> fresh(
-        shard_count_);
-    for (size_t i = covered; i < committed; ++i) {
-      const typename DeltaLog<P>::Entry& entry = writer_.log->entry(i);
-      if (entry.is_remove || !alive(&entry)) continue;
-      DP_CHECK(entry.shard < shard_count_);
-      fresh[entry.shard].push_back(&entry);
+    if (committed - writer_.side->covers() < delta_index_min_) return;
+    writer_.side = SideRuns<P>::Extend(*writer_.side, *writer_.log,
+                                       committed, writer_.removed, metric_,
+                                       seed_, shard_count_);
+    if (side_points_built_ != nullptr) {
+      side_points_built_->Add(writer_.side->points_built());
     }
-    auto side = std::make_shared<SideIndexSet>();
-    side->covers = committed;
-    if (writer_.side != nullptr) {
-      side->shards = writer_.side->shards;
-    } else {
-      side->shards.resize(shard_count_);
-    }
-    for (size_t s = 0; s < shard_count_; ++s) {
-      if (fresh[s].empty()) continue;
-      // Binary-counter rule: the new run absorbs trailing runs while
-      // each is no larger than the run grown so far.  Absorbed runs are
-      // older, so their survivors go first, keeping arrival order.
-      auto& runs = side->shards[s];
-      size_t keep = runs.size();
-      size_t size = fresh[s].size();
-      while (keep > 0 && runs[keep - 1]->entries.size() <= size) {
-        size += runs[--keep]->entries.size();
-      }
-      auto run = std::make_shared<typename SideIndexSet::Run>();
-      run->entries.reserve(size);
-      for (size_t r = keep; r < runs.size(); ++r) {
-        for (const auto* entry : runs[r]->entries) {
-          if (alive(entry)) run->entries.push_back(entry);
-        }
-      }
-      run->entries.insert(run->entries.end(), fresh[s].begin(),
-                          fresh[s].end());
-      runs.resize(keep);
-      std::vector<P> points;
-      points.reserve(run->entries.size());
-      for (const auto* entry : run->entries) points.push_back(entry->point);
-      if (side_points_built_ != nullptr) {
-        side_points_built_->Add(points.size());
-      }
-      // A stream distinct from the base shards' (seed_ + 1).  The side
-      // spec is exact by default, so this seed never shapes results —
-      // it only has to be a valid stream.
-      auto built = ShardedDatabase<P>::CreateShard(
-          side_spec_, seed_ + 1, s,
-          index::PointStore<P>(std::move(points), metric_));
-      if (built.ok()) run->index = std::move(built).value();
-      // On failure the index stays null and queries scan the run's
-      // entries flat — a bad delta_index spec degrades serving, never
-      // breaks it.
-      runs.push_back(std::move(run));
-    }
-    writer_.side = std::move(side);
-    state_.store(std::make_shared<const State>(
-        State{writer_.generation, writer_.log, writer_.side}));
+    state_.store(std::make_shared<const State>(writer_));
   }
 
   /// Backpressure check; caller holds write_mutex_.
@@ -1943,8 +1267,7 @@ class LiveDatabase {
                            std::unique_ptr<storage::WalWriter> wal) {
     if (registry_ != nullptr) TrackGeneration(next.generation);
     NoteDimLocked(next.generation->database().dim());
-    state_.store(std::make_shared<const State>(
-        State{next.generation, next.log, nullptr}));
+    state_.store(std::make_shared<const State>(next));
     writer_ = std::move(next);
     if (wal_ != nullptr) wal_->Close();
     wal_ = std::move(wal);
@@ -1968,11 +1291,9 @@ class LiveDatabase {
   const uint64_t seed_;
   const size_t delta_scan_limit_;
   const size_t auto_compact_threshold_;
-  /// Window size at which the delta side-indexes engage (and the
-  /// publication cadence as the window keeps growing); 0 disables them.
+  /// Window size at which the side runs engage (and the publication
+  /// cadence as the window keeps growing); 0 disables them.
   const size_t delta_index_min_;
-  /// Registry spec for the per-shard side-indexes (delta_index knobs).
-  const std::string side_spec_;
   const size_t build_threads_;
 
   /// The serving state; queries pin it through the atomic slot.
@@ -2013,9 +1334,7 @@ class LiveDatabase {
   obs::Histogram* compaction_folded_entries_ = nullptr;
   obs::Counter* compaction_shards_rebuilt_ = nullptr;
   obs::Counter* compaction_shards_shared_ = nullptr;
-  /// Points fed to side-run builds (a merge counts every point it
-  /// rebuilds).
-  obs::Counter* side_points_built_ = nullptr;
+  obs::Counter* side_points_built_ = nullptr;  ///< SideRuns::points_built
   std::vector<uint64_t> callback_handles_;
   mutable std::mutex generations_mutex_;
   std::vector<std::weak_ptr<const Generation<P>>> tracked_generations_;

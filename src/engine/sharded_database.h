@@ -142,7 +142,8 @@ class ShardedDatabase {
 
   /// Builds `shard_count` shards with build(s), on `build_threads`
   /// workers (1 = in shard order on the calling thread); the calls run
-  /// concurrently otherwise, so `build` must be thread-safe.  Shard s
+  /// concurrently otherwise, so `build` must be thread-safe.  build(s)
+  /// returns a Result of a fresh ShardPtr or a shared SharedShard.  Shard s
   /// serves the global ids after every earlier shard's.  With several
   /// failing shards the lowest-numbered shard's error wins, so the
   /// reported status is deterministic.
@@ -153,7 +154,7 @@ class ShardedDatabase {
     std::vector<SharedShard> shards(shard_count);
     std::vector<util::Status> statuses(shard_count, util::Status::OK());
     ForEachShard(shard_count, build_threads, [&](size_t s) {
-      util::Result<ShardPtr> built = build(s);
+      auto built = build(s);
       if (!built.ok()) {
         statuses[s] = built.status();
         return;
@@ -205,6 +206,13 @@ class ShardedDatabase {
   /// Global id of shard s's local id 0.
   size_t shard_offset(size_t s) const { return offsets_[s]; }
 
+  /// The shard whose id range holds global `id` (< size()).
+  uint32_t ShardOf(size_t id) const {
+    size_t s = shards_.size() - 1;
+    while (s > 0 && offsets_[s] > id) --s;
+    return static_cast<uint32_t>(s);
+  }
+
   /// Per-shard sizes in shard order (the layout a snapshot records so
   /// restore can slice the points identically).
   std::vector<size_t> ShardSizes() const {
@@ -233,9 +241,6 @@ class ShardedDatabase {
     return total;
   }
 
- private:
-  ShardedDatabase() = default;
-
   /// Moves `data` apart into `shard_count` contiguous slices whose
   /// sizes differ by at most one.  Element moves, not copies: the
   /// caller already owns `data` by value.
@@ -255,6 +260,9 @@ class ShardedDatabase {
     }
     return slices;
   }
+
+ private:
+  ShardedDatabase() = default;
 
   /// Runs `build` for every shard number: in shard order on the calling
   /// thread when `build_threads` <= 1, otherwise concurrently on a

@@ -1,0 +1,227 @@
+// Side runs: exact indexes over the covered prefix of a delta window,
+// so a query's delta leg stops being a flat scan of the whole window.
+//
+// Each shard keeps a stack of runs, the logarithmic method of Bentley
+// & Saxe ("Decomposable searching problems I", J. Algorithms 1980): an
+// Extend() gives every shard that received inserts one new run over
+// them, and that run absorbs the stack's trailing runs while they are
+// no larger than it (a binary counter), so a covered insert is rebuilt
+// O(log window) times in all.  Range and kNN search decompose over
+// runs, so the answers stay exact.  A stack is immutable once built and
+// shares its untouched runs with its predecessor; entry pointers stay
+// valid because DeltaLog chunks never move and whoever holds a stack
+// also holds the log it covers.
+
+#ifndef DISTPERM_ENGINE_SIDE_RUNS_H_
+#define DISTPERM_ENGINE_SIDE_RUNS_H_
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <unordered_set>
+#include <utility>
+#include <vector>
+
+#include "engine/delta_log.h"
+#include "engine/fold.h"
+#include "engine/query.h"
+#include "engine/sharded_database.h"
+#include "index/index.h"
+#include "index/point_store.h"
+#include "index/search.h"
+#include "metric/metric.h"
+#include "util/status.h"
+
+namespace distperm {
+namespace engine {
+
+/// The one registry spec every side run is built with.  LAESA is exact,
+/// so the runs change a query's cost, never its answer.
+inline constexpr char kSideRunSpec[] = "laesa:k=4";
+
+/// One query's delta-leg answer.
+struct DeltaHits {
+  /// Exact hits over the window's alive inserts: every hit within the
+  /// radius for range queries, the k nearest in (distance, id) order
+  /// for kNN modes.
+  std::vector<index::SearchResult> results;
+  uint64_t distance_computations = 0;
+};
+
+/// An immutable stack of side runs per shard over a prefix of one
+/// delta log.  A default-constructed stack covers nothing.
+template <typename P>
+class SideRuns {
+ public:
+  using Entry = typename DeltaLog<P>::Entry;
+
+  /// Log position the stack covers; entries at and past it are
+  /// flat-scanned by queries (the uncovered tail).
+  size_t covers() const { return covers_; }
+
+  size_t run_count() const {
+    size_t count = 0;
+    for (const auto& runs : shards_) count += runs.size();
+    return count;
+  }
+
+  /// Points fed to run builds by the Extend() that made this stack (a
+  /// merge counts every point it rebuilds).
+  size_t points_built() const { return points_built_; }
+
+  /// `previous` extended to cover `log`'s first `committed` entries:
+  /// the inserts in [previous.covers(), committed) still alive (not in
+  /// `removed`) are routed by their shard tag, and each of the
+  /// `shard_count` shards that received some gets one new run, which
+  /// absorbs the stack's trailing runs no larger than itself.  Every
+  /// other run carries over by shared_ptr.  `seed` is the store's;
+  /// runs draw from the stream seed + 1, distinct from the base
+  /// shards'.
+  static std::shared_ptr<const SideRuns> Extend(
+      const SideRuns& previous, const DeltaLog<P>& log, size_t committed,
+      const std::unordered_set<size_t>& removed,
+      const metric::Metric<P>& metric, uint64_t seed, size_t shard_count) {
+    auto next = std::make_shared<SideRuns>();
+    next->covers_ = committed;
+    next->uncovered_id_ = previous.uncovered_id_;
+    std::vector<std::vector<const Entry*>> fresh(shard_count);
+    for (size_t i = previous.covers_; i < committed; ++i) {
+      const Entry& entry = log.entry(i);
+      if (entry.is_remove) continue;
+      next->uncovered_id_ = entry.id + 1;
+      if (removed.count(entry.id) != 0) continue;
+      DP_CHECK(entry.shard < shard_count);
+      fresh[entry.shard].push_back(&entry);
+    }
+    next->shards_ = previous.shards_;
+    next->shards_.resize(shard_count);
+    for (size_t s = 0; s < shard_count; ++s) {
+      if (fresh[s].empty()) continue;
+      // Binary-counter rule: the new run absorbs trailing runs while
+      // each is no larger than the run grown so far.  Absorbed runs are
+      // older, so their survivors go first, keeping arrival order.
+      auto& runs = next->shards_[s];
+      size_t keep = runs.size();
+      size_t size = fresh[s].size();
+      while (keep > 0 && runs[keep - 1]->entries.size() <= size) {
+        size += runs[--keep]->entries.size();
+      }
+      auto run = std::make_shared<Run>();
+      run->entries.reserve(size);
+      for (size_t r = keep; r < runs.size(); ++r) {
+        for (const Entry* entry : runs[r]->entries) {
+          if (removed.count(entry->id) == 0) run->entries.push_back(entry);
+        }
+      }
+      run->entries.insert(run->entries.end(), fresh[s].begin(),
+                          fresh[s].end());
+      runs.resize(keep);
+      std::vector<P> points;
+      points.reserve(run->entries.size());
+      for (const Entry* entry : run->entries) points.push_back(entry->point);
+      next->points_built_ += points.size();
+      auto built = ShardedDatabase<P>::CreateShard(
+          kSideRunSpec, seed + 1, s,
+          index::PointStore<P>(std::move(points), metric));
+      // On failure (a point the spec cannot index) the index stays null
+      // and queries scan the run's entries flat.
+      if (built.ok()) run->index = std::move(built).value();
+      runs.push_back(std::move(run));
+    }
+    return next;
+  }
+
+  /// The delta leg of `spec` over a pinned window this stack covers a
+  /// prefix of (`overlay` is the window's): the uncovered tail flat,
+  /// then every run.  The tail goes first, so its hits already bound
+  /// the runs' kNN searches.  The hit set is the flat scan's whatever
+  /// the stack's shape — the runs are exact and the collector's
+  /// (distance, id) tie-break is order-independent — so only the
+  /// distance count depends on the stack.
+  DeltaHits Search(const QuerySpec<P>& spec, const Overlay<P>& overlay,
+                   const metric::Metric<P>& metric) const {
+    DeltaHits out;
+    const bool range = spec.mode == QueryType::kRange;
+    index::KnnCollector collector(spec.k);
+    const auto offer = [&](size_t id, double d) {
+      range ? out.results.push_back({id, d}) : collector.Offer(id, d);
+    };
+    const auto scan = [&](const Entry* entry) {
+      const double d = metric(spec.point, entry->point);
+      ++out.distance_computations;
+      if (spec.mode == QueryType::kKnn || d <= spec.radius) {
+        offer(entry->id, d);
+      }
+    };
+    // The alive inserts are in id order, and the uncovered ones are
+    // exactly those from uncovered_id_ on.
+    const auto tail = std::lower_bound(
+        overlay.inserts.begin(), overlay.inserts.end(), uncovered_id_,
+        [](const Entry* entry, size_t id) { return entry->id < id; });
+    for (auto it = tail; it != overlay.inserts.end(); ++it) scan(*it);
+    // Upper bound on covered entries filtered below (an insert removed
+    // after its run was built): every such id is a removed non-base id.
+    // Requesting k + this many from a run guarantees its k nearest
+    // alive entries survive the filter, which keeps the runs' kNN exact.
+    const size_t want = spec.k + overlay.removed.size() - overlay.removed_base;
+    QuerySpec<P> request =
+        range ? QuerySpec<P>::Range(spec.point, spec.radius)
+        : spec.mode == QueryType::kKnnWithinRadius
+            ? QuerySpec<P>::KnnWithinRadius(spec.point, want, spec.radius)
+            : QuerySpec<P>::Knn(spec.point, want);
+    for (const auto& runs : shards_) {
+      for (const auto& run : runs) {
+        // Once k hits are in hand, their k-th distance bounds every
+        // further run's useful hits, so each run prunes against it.
+        if (!range && collector.size() == spec.k) {
+          request.initial_radius_bound = collector.Radius();
+        }
+        if (run->index != nullptr) {
+          index::SearchResponse resp = run->index->Search(request);
+          if (resp.status.ok()) {
+            out.distance_computations += resp.stats.distance_computations;
+            for (const index::SearchResult& r : resp.results) {
+              const Entry* entry = run->entries[r.id];
+              if (overlay.removed.count(entry->id) == 0) {
+                offer(entry->id, r.distance);
+              }
+            }
+            continue;
+          }
+        }
+        // No index, or its search failed: measure the alive entries.
+        for (const Entry* entry : run->entries) {
+          if (overlay.removed.count(entry->id) == 0) scan(entry);
+        }
+      }
+    }
+    if (!range) out.results = collector.Take();
+    return out;
+  }
+
+ private:
+  struct Run {
+    /// kSideRunSpec index over `entries`'s points, local id j =
+    /// entries[j]; null when the build failed.
+    std::unique_ptr<index::SearchIndex<P>> index;
+    /// Inserts routed to the run's shard that were alive when the run
+    /// was built, in arrival (= id) order.  Inserts removed later are
+    /// filtered at query time against the pinned overlay, and dropped
+    /// when a newer run absorbs this one.
+    std::vector<const Entry*> entries;
+  };
+
+  size_t covers_ = 0;
+  /// Id of the first insert at or past covers_: insert ids grow with
+  /// log position, so every insert with a smaller id is covered.
+  size_t uncovered_id_ = 0;
+  size_t points_built_ = 0;
+  /// Per shard, its runs oldest (and largest) first.
+  std::vector<std::vector<std::shared_ptr<const Run>>> shards_;
+};
+
+}  // namespace engine
+}  // namespace distperm
+
+#endif  // DISTPERM_ENGINE_SIDE_RUNS_H_

@@ -88,8 +88,7 @@ util::Result<std::pair<std::string, LiveSpecOptions>> SplitLiveSpec(
   bool first_option = true;
   for (auto& [key, value] : parsed.value().options) {
     if (key == "delta_scan_limit" || key == "auto_compact_threshold" ||
-        key == "wal_dir" || key == "fsync" || key == "delta_index" ||
-        key == "delta_index_k" || key == "delta_index_min") {
+        key == "wal_dir" || key == "fsync" || key == "delta_index_min") {
       live_pairs.emplace_back(key, value);
       continue;
     }
@@ -118,12 +117,6 @@ util::Result<std::pair<std::string, LiveSpecOptions>> SplitLiveSpec(
         "live spec '" + spec + "': fsync must be always|batched|never, got '" +
         fsync.value() + "'");
   }
-  util::Result<std::string> delta_index =
-      live.GetString("delta_index", defaults.delta_index);
-  if (!delta_index.ok()) return delta_index.status();
-  util::Result<size_t> delta_index_k =
-      live.GetSize("delta_index_k", defaults.delta_index_k);
-  if (!delta_index_k.ok()) return delta_index_k.status();
   // Sentinel fallback distinguishes "knob absent" (default, clamped to
   // the scan limit so small-delta specs keep working) from an explicit
   // contradictory setting (an error).
@@ -137,8 +130,6 @@ util::Result<std::pair<std::string, LiveSpecOptions>> SplitLiveSpec(
   options.auto_compact_threshold = threshold.value();
   options.wal_dir = wal_dir.value();
   options.fsync = fsync.value();
-  options.delta_index = delta_index.value();
-  options.delta_index_k = delta_index_k.value();
   const bool delta_index_min_set = delta_index_min.value() != kUnsetSize;
   options.delta_index_min =
       delta_index_min_set
@@ -153,14 +144,6 @@ util::Result<std::pair<std::string, LiveSpecOptions>> SplitLiveSpec(
         "live spec '" + spec +
         "': auto_compact_threshold must be <= delta_scan_limit "
         "(the compaction must trigger before backpressure)");
-  }
-  if (options.delta_index.empty()) {
-    return util::Status::InvalidArgument(
-        "live spec '" + spec + "': delta_index must name a registered index");
-  }
-  if (options.delta_index_k == 0) {
-    return util::Status::InvalidArgument(
-        "live spec '" + spec + "': delta_index_k must be >= 1");
   }
   if (delta_index_min_set &&
       options.delta_index_min > options.delta_scan_limit) {

@@ -67,13 +67,15 @@ util::Result<ParsedIndexSpec> ParseIndexSpec(const std::string& spec);
 
 /// Live-store knobs that ride inside an index spec.  A spec like
 /// "vp-tree:k=4,delta_scan_limit=2048,auto_compact_threshold=256"
-/// fully describes a live database: the two live keys configure the
+/// fully describes a live database: the live keys below configure the
 /// engine::LiveDatabase delta buffer and the residual spec ("vp-tree:
-/// k=4") is what every generation's shards are built from.
+/// k=4") is what every generation's shards are built from.  Any other
+/// key stays in the residual spec, so a key no index knows fails the
+/// store's Open as an unknown option.
 struct LiveSpecOptions {
-  /// Hard cap on pending delta entries.  Every query linearly scans
-  /// the pinned delta window, so this bounds the per-query delta
-  /// overhead; once the buffer is full, Insert/Remove return OutOfRange
+  /// Hard cap on pending delta entries.  Every query searches the
+  /// pinned delta window, so this bounds the per-query delta overhead;
+  /// once the buffer is full, Insert/Remove return OutOfRange
   /// (backpressure) until a compaction folds the delta into a new
   /// generation.  Must be >= 1.
   size_t delta_scan_limit = 4096;
@@ -84,7 +86,7 @@ struct LiveSpecOptions {
   /// backpressure does).
   size_t auto_compact_threshold = 0;
   /// Directory for the store's write-ahead log and snapshots.  Empty
-  /// (the default) keeps the store purely in memory — PR-5 behavior.
+  /// (the default) keeps the store purely in memory.
   /// Non-empty makes every Insert/Remove durable per the fsync policy
   /// and every compaction write a snapshot (see engine::LiveDatabase).
   std::string wal_dir;
@@ -92,21 +94,13 @@ struct LiveSpecOptions {
   /// storage::FsyncPolicy by the engine; kept as a string here so the
   /// index layer stays independent of the storage layer.
   std::string fsync = "batched";
-  /// Registry spec for the per-shard delta side runs built over
-  /// routed delta slices (parameterized by delta_index_k below).
-  /// "laesa" (the default) keeps the delta leg exact; "distperm-prefix"
-  /// trades exactness for the paper's candidate filtering.  The side
-  /// spec must name a registered index.
-  std::string delta_index = "laesa";
-  /// The k knob handed to the side-index spec (pivots for laesa,
-  /// permutation sites for distperm-prefix).
-  size_t delta_index_k = 4;
   /// Pending delta entries below which queries keep the flat linear
-  /// scan (side-indexes aren't worth building for a handful of
-  /// entries) — also the publication cadence: every delta_index_min
-  /// new entries are covered by one new side run per touched shard.
-  /// 0 disables side-indexes entirely.  Must be <= delta_scan_limit
-  /// when non-zero.
+  /// scan (side runs aren't worth building for a handful of entries) —
+  /// also the publication cadence: every delta_index_min new entries
+  /// are covered by one new side run per touched shard.  Side runs are
+  /// always exact `laesa:k=4` indexes (engine/side_runs.h), so this
+  /// knob moves a query's cost, never its answer.  0 disables side
+  /// runs entirely.  Must be <= delta_scan_limit when non-zero.
   size_t delta_index_min = 256;
 };
 

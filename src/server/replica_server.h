@@ -84,20 +84,10 @@ class ReplicaServer {
     // the same backoff the steady-state tail uses.  A directory that
     // already holds a snapshot recovers locally — even against a dead
     // primary — and catches up once it connects.  Only a published
-    // snapshot counts (recovery's own parser decides): a .partial left by
+    // snapshot counts (recovery's own listing decides): a .partial left by
     // a bootstrap cut short is not a store, and bootstrap resumes it.
-    bool has_snapshot = false;
-    if (auto listing = env->ListDir(options.dir); listing.ok()) {
-      for (const std::string& name : listing.value()) {
-        bool is_snapshot = false;
-        uint64_t generation = 0;
-        if (engine::ParseStoreFileName(name, &is_snapshot, &generation) &&
-            is_snapshot) {
-          has_snapshot = true;
-        }
-      }
-    }
-    if (!has_snapshot) {
+    const auto snapshots = engine::ListStoreSnapshots(env, options.dir);
+    if (!snapshots.ok() || snapshots.value().empty()) {
       typename ReplicationClient<P>::Options bootstrap = options.replication;
       bootstrap.metrics = options.metrics;
       const auto deadline =

@@ -430,18 +430,13 @@ TEST(LiveIngest, SpecKnobsParseAndValidate) {
   EXPECT_EQ(defaults.value().first, "vp-tree");
   EXPECT_EQ(defaults.value().second.delta_scan_limit, 4096u);
   EXPECT_EQ(defaults.value().second.auto_compact_threshold, 0u);
-  EXPECT_EQ(defaults.value().second.delta_index, "laesa");
-  EXPECT_EQ(defaults.value().second.delta_index_k, 4u);
   EXPECT_EQ(defaults.value().second.delta_index_min, 256u);
 
-  // The delta side-index knobs parse and strip like the others.
+  // The side-run cadence knob parses and strips like the others.
   auto side = index::SplitLiveSpec(
-      "vp-tree:delta_index=iaesa,delta_index_k=6,delta_index_min=32,"
-      "delta_scan_limit=64");
+      "vp-tree:delta_index_min=32,delta_scan_limit=64");
   ASSERT_TRUE(side.ok());
   EXPECT_EQ(side.value().first, "vp-tree");
-  EXPECT_EQ(side.value().second.delta_index, "iaesa");
-  EXPECT_EQ(side.value().second.delta_index_k, 6u);
   EXPECT_EQ(side.value().second.delta_index_min, 32u);
 
   // An unset delta_index_min clamps to the scan limit (the default 256
@@ -459,7 +454,6 @@ TEST(LiveIngest, SpecKnobsParseAndValidate) {
        {std::string("vp-tree:delta_scan_limit=0"),
         std::string("vp-tree:delta_scan_limit=2,auto_compact_threshold=3"),
         std::string("vp-tree:delta_scan_limit=abc"),
-        std::string("vp-tree:delta_index_k=0"),
         std::string("vp-tree:delta_index_min=9,delta_scan_limit=8"),
         std::string(":delta_scan_limit=2")}) {
     EXPECT_EQ(index::SplitLiveSpec(bad).status().code(),
@@ -475,6 +469,17 @@ TEST(LiveIngest, SpecKnobsParseAndValidate) {
                 .status()
                 .code(),
             util::StatusCode::kNotFound);
+
+  // Side runs have one fixed, exact shape: a key that once picked their
+  // index is no live knob, so it stays in the residual spec and the
+  // shard build rejects it as an unknown option.
+  for (const std::string& bad :
+       {std::string("vp-tree:delta_index_k=0"),
+        std::string("linear-scan:delta_index=distperm-prefix")}) {
+    EXPECT_EQ(LiveDatabase<Vector>::Open(data, L2(), 2, bad, 1).status().code(),
+              util::StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 TEST(LiveIngest, DeltaScanLimitAppliesBackpressure) {
