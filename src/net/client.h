@@ -70,7 +70,10 @@ class Client {
   }
 
   /// Pipelined batch: all requests on the wire first, then all
-  /// responses, in order.
+  /// responses, in order.  The server stops reading a connection whose
+  /// unsent answers pass its backlog cap, so a batch whose answers
+  /// outgrow that cap plus the socket buffers before its last request
+  /// is sent stalls; split such batches.
   template <typename P>
   util::Result<std::vector<WireSearchResponse>> SearchBatch(
       const std::vector<index::SearchRequest<P>>& batch,

@@ -3,7 +3,8 @@
 // The event loop drives it: ReadReady() drains the socket into the
 // read buffer (the frame parser consumes from the front), Queue() +
 // Flush() stage and push response bytes.  Partial writes stay queued;
-// the server watches EPOLLOUT only while has_pending_write().
+// the server watches EPOLLOUT only while has_pending_write(), and stops
+// reading while pending_write_bytes() is above its backlog cap.
 
 #ifndef DISTPERM_NET_CONNECTION_H_
 #define DISTPERM_NET_CONNECTION_H_
@@ -65,8 +66,10 @@ class Connection {
 
   /// Writes as much of the write buffer as the socket accepts.
   util::Status Flush();
-  bool has_pending_write() const {
-    return write_sent_ < write_buffer_.size();
+  bool has_pending_write() const { return pending_write_bytes() > 0; }
+  /// Queued bytes the socket has not accepted yet.
+  size_t pending_write_bytes() const {
+    return write_buffer_.size() - write_sent_;
   }
 
   std::chrono::steady_clock::time_point last_activity() const {

@@ -18,6 +18,12 @@
 // batch is always admitted, so a budget below the cost of one search
 // degrades to serial execution instead of livelock.
 //
+// A connection whose unsent responses exceed kMaxWriteBacklog is not
+// read until its client drains them below the cap, so a client that
+// pipelines requests and never reads fills its own socket buffers, not
+// server memory.  Bytes already read are still answered in full: the
+// backlog can pass the cap by one read's answers.
+//
 // The perm cache (see perm_cache.h) sits in front of the engine:
 // mutation tags are read BEFORE the snapshot pin, hits replay verbatim
 // (flagged kResponseCacheHit), and prefix-cell neighbours seed
@@ -91,6 +97,9 @@ std::string HttpTextResponse(int status_code, const std::string& body);
 template <typename P>
 class SearchServer {
  public:
+  /// Unsent response bytes above which a connection is not read.
+  static constexpr size_t kMaxWriteBacklog = size_t{8} << 20;
+
   struct Options {
     /// Worker threads of the server-owned QueryEngine.
     size_t engine_threads = 1;
@@ -920,8 +929,12 @@ class SearchServer {
   }
 
   void UpdateInterest(int fd, const net::Connection& conn) {
-    loop_.Modify(fd, conn.has_pending_write() ? (EPOLLIN | EPOLLOUT)
-                                              : EPOLLIN);
+    if (conn.pending_write_bytes() > kMaxWriteBacklog) {
+      loop_.Modify(fd, EPOLLOUT);
+    } else {
+      loop_.Modify(fd, conn.has_pending_write() ? (EPOLLIN | EPOLLOUT)
+                                                : EPOLLIN);
+    }
   }
 
   void CloseConnection(int fd) {

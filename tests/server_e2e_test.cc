@@ -16,10 +16,17 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -599,6 +606,152 @@ TEST(ServerE2E, MetricsEndpointServesExpositionAndStatz) {
 
   const std::string missing = HttpGet(metrics_port, "/nope");
   EXPECT_NE(missing.find("HTTP/1.0 404"), std::string::npos);
+}
+
+// A client that pipelines requests and never reads its answers must
+// fill its own socket, not server memory: once the unsent backlog
+// passes the cap the server stops reading that connection, keeps
+// serving others, and resumes — in order — when the client drains.
+TEST(ServerE2E, SlowReaderIsPausedNotBuffered) {
+  using Clock = std::chrono::steady_clock;
+  SearchServer<Vector>::Options options;
+  options.max_requests_per_connection = std::numeric_limits<size_t>::max();
+  auto ts = StartServer("linear-scan", 512, 4, 17, options);
+  ASSERT_NE(ts, nullptr);
+
+  // k = 256 makes every answer at least 4 KiB, so the stream's answers
+  // total 6x the cap — well over 4x the cap plus both socket buffers
+  // (the client's receive buffer is pinned small below).
+  constexpr size_t kK = 256;
+  constexpr size_t kProbes = 64;
+  constexpr size_t kChunk = 64;
+  const size_t total =
+      6 * SearchServer<Vector>::kMaxWriteBacklog / (kK * 16);
+  util::Rng rng(18);
+  const std::vector<Vector> probes = dataset::UniformCube(kProbes, 4, &rng);
+  std::vector<SearchRequest<Vector>> cycle;
+  for (const Vector& probe : probes) {
+    cycle.push_back(SearchRequest<Vector>::Knn(probe, kK));
+  }
+  QueryEngine<Vector> local_engine(1);
+  const auto local = ts->db->RunBatch(local_engine, cycle);
+  std::string stream;
+  std::vector<size_t> frame_ends;
+  for (size_t i = 0; i < total; ++i) {
+    std::string payload;
+    net::EncodeSearchRequest(&payload, cycle[i % kProbes]);
+    stream += net::EncodeFrame(net::MessageType::kSearch, payload);
+    frame_ends.push_back(stream.size());
+  }
+
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int rcvbuf = 64 << 10;
+  setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(ts->server->port());
+  inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                    sizeof(address)),
+            0);
+  ASSERT_EQ(fcntl(fd, F_SETFL, fcntl(fd, F_GETFL) | O_NONBLOCK), 0);
+  size_t sent = 0;  // bytes of `stream` the socket accepted
+  const auto requests_sent = [&]() {
+    return static_cast<uint64_t>(
+        std::upper_bound(frame_ends.begin(), frame_ends.end(), sent) -
+        frame_ends.begin());
+  };
+
+  // Pipeline in chunks without reading, waiting after each for the
+  // server to answer it, until the server stops answering.  Chunking
+  // keeps each server read small, so the stop is the cap's doing, not
+  // one huge read's.
+  const auto deadline = Clock::now() + std::chrono::seconds(60);
+  uint64_t served = 0;
+  bool stalled = false;
+  while (sent < stream.size() && !stalled && Clock::now() < deadline) {
+    const size_t chunk_end =
+        frame_ends[std::min(requests_sent() + kChunk, total) - 1];
+    auto progress = Clock::now();
+    while (sent < chunk_end &&
+           Clock::now() - progress < std::chrono::seconds(1)) {
+      const ssize_t n = send(fd, stream.data() + sent, chunk_end - sent,
+                             MSG_NOSIGNAL);
+      if (n > 0) {
+        sent += static_cast<size_t>(n);
+        progress = Clock::now();
+      } else {
+        ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
+            << std::strerror(errno);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    progress = Clock::now();
+    while (served < requests_sent() &&
+           Clock::now() - progress < std::chrono::seconds(1)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      const uint64_t now_served = ts->server->requests_served();
+      if (now_served != served) progress = Clock::now();
+      served = now_served;
+    }
+    stalled = served < requests_sent();
+  }
+  EXPECT_TRUE(stalled) << "server answered all " << served
+                       << " pipelined requests without being read";
+  EXPECT_LT(served, requests_sent());
+  EXPECT_LT(served, total);
+
+  // The paused connection does not stall the loop.
+  auto other = Connect(*ts);
+  ASSERT_NE(other, nullptr);
+  auto answer = other->Search(cycle[0]);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer.value().results, local.results[0]);
+
+  // Draining resumes the stream: every answer arrives, in order.
+  std::string in;
+  size_t consumed = 0;
+  size_t answered = 0;
+  size_t mismatches = 0;
+  while (answered < total && Clock::now() < deadline) {
+    pollfd poll_fd{fd, POLLIN, 0};
+    if (sent < stream.size()) poll_fd.events |= POLLOUT;
+    poll(&poll_fd, 1, 100);
+    if (sent < stream.size()) {
+      const ssize_t n = send(fd, stream.data() + sent, stream.size() - sent,
+                             MSG_NOSIGNAL);
+      if (n > 0) sent += static_cast<size_t>(n);
+    }
+    char buffer[65536];
+    const ssize_t n = recv(fd, buffer, sizeof(buffer), 0);
+    if (n == 0) break;
+    if (n < 0) continue;
+    in.append(buffer, static_cast<size_t>(n));
+    for (;;) {
+      net::FrameView view;
+      size_t frame_size = 0;
+      util::Status error;
+      const net::FrameParse parse = net::ParseFrame(
+          reinterpret_cast<const uint8_t*>(in.data()) + consumed,
+          in.size() - consumed, &view, &frame_size, &error);
+      ASSERT_NE(parse, net::FrameParse::kError) << error;
+      if (parse == net::FrameParse::kIncomplete) break;
+      consumed += frame_size;
+      auto response =
+          net::DecodeSearchResponse(view.payload, view.payload_size);
+      if (view.type != net::MessageType::kSearchResult || !response.ok() ||
+          response.value().results != local.results[answered % kProbes]) {
+        ++mismatches;
+      }
+      ++answered;
+    }
+    in.erase(0, consumed);
+    consumed = 0;
+  }
+  close(fd);
+  EXPECT_EQ(answered, total);
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // ----------------------------------------------------------- LiveClock
