@@ -619,16 +619,16 @@ int main(int argc, char** argv) {
       const ShardedDatabase<Vector>& db = built.value();
       // Single-threaded reference execution of the same sharded queries:
       // the baseline for speedup and for cost-model equality.
-      QueryEngine<Vector> sequential(&db, 1);
-      auto base = sequential.RunBatch(batch);
+      QueryEngine<Vector> sequential(1);
+      auto base = sequential.RunBatch(db, batch);
 
       for (size_t threads : {1u, 2u, 4u, 8u}) {
         // The 1-thread row is the base run itself; rerunning it would
         // double the work and decouple the row from its own baseline.
         auto out = base;
         if (threads > 1) {
-          QueryEngine<Vector> engine(&db, threads);
-          out = engine.RunBatch(batch);
+          QueryEngine<Vector> engine(threads);
+          out = engine.RunBatch(db, batch);
         }
 
         bool counts_match =
@@ -775,22 +775,23 @@ int main(int argc, char** argv) {
                   std::to_string(8 * compact_threshold);
   const size_t ingest_total = smoke ? 500 : 1000;
   {
-    distperm::engine::LiveOptions live_options;
-    live_options.query_threads = 2;
-    live_options.build_threads = 1;
-    auto opened = LiveDatabase<Vector>::Open(data, l2, 4, live_row.spec,
-                                             seed, live_options);
+    auto opened =
+        LiveDatabase<Vector>::Open(data, l2, 4, live_row.spec, seed);
     if (!opened.ok()) {
       std::cerr << "failed to open live store: " << opened.status() << "\n";
       return 1;
     }
     LiveDatabase<Vector>& live = *opened.value();
+    QueryEngine<Vector> engine(2);
 
     const int steady_reps = smoke ? 8 : 16;
-    const auto measure_steady = [&live, &batch, queries, steady_reps]() {
-      live.RunBatch(batch);  // warm the scratch buffers
+    const auto measure_steady = [&live, &engine, &batch, queries,
+                                 steady_reps]() {
+      live.RunBatch(engine, live.Pin(), batch);  // warm the scratch buffers
       const double t0 = Now();
-      for (int rep = 0; rep < steady_reps; ++rep) live.RunBatch(batch);
+      for (int rep = 0; rep < steady_reps; ++rep) {
+        live.RunBatch(engine, live.Pin(), batch);
+      }
       return static_cast<double>(steady_reps) *
              static_cast<double>(queries) / (Now() - t0);
     };
@@ -819,7 +820,7 @@ int main(int argc, char** argv) {
     size_t ingest_batches = 0;
     const double t0 = Now();
     while (!writer_done.load(std::memory_order_relaxed)) {
-      live.RunBatch(batch);
+      live.RunBatch(engine, live.Pin(), batch);
       ++ingest_batches;
     }
     const double ingest_elapsed = Now() - t0;
@@ -865,9 +866,8 @@ int main(int argc, char** argv) {
     if (!fresh.ok()) {
       live_row.results_match = false;
     } else {
-      QueryEngine<Vector> fresh_engine(1);
-      auto want = fresh_engine.RunBatch(fresh.value(), batch);
-      auto got = live.RunBatch(batch);
+      auto want = engine.RunBatch(fresh.value(), batch);
+      auto got = live.RunBatch(engine, live.Pin(), batch);
       live_row.results_match =
           live_row.results_match && got.results == want.results;
     }
@@ -988,9 +988,9 @@ int main(int argc, char** argv) {
           full.value().build_distance_computations();
 
       if (round == 0) {
-        QueryEngine<Vector> full_engine(1);
-        auto want = full_engine.RunBatch(full.value(), inc_batch);
-        auto got = live.RunBatch(inc_batch);
+        QueryEngine<Vector> engine(1);
+        auto want = engine.RunBatch(full.value(), inc_batch);
+        auto got = live.RunBatch(engine, live.Pin(), inc_batch);
         inc_row.results_match =
             got.results == want.results &&
             got.per_query_distance_computations ==
@@ -1055,21 +1055,21 @@ int main(int argc, char** argv) {
     }
     const ShardedDatabase<Vector>& db = built.value();
     distperm::obs::MetricsRegistry registry("bench");
-    QueryEngine<Vector> plain_engine(&db, 4);
-    QueryEngine<Vector> metered_engine(&db, 4);
+    QueryEngine<Vector> plain_engine(4);
+    QueryEngine<Vector> metered_engine(4);
     metered_engine.EnableMetrics(&registry);
-    plain_engine.RunBatch(obs_batch);  // warm both pools and the scratch
-    metered_engine.RunBatch(obs_batch);
+    plain_engine.RunBatch(db, obs_batch);  // warm both pools and the scratch
+    metered_engine.RunBatch(db, obs_batch);
 
     const int obs_reps = smoke ? 12 : 30;
     double best_off = 1e100;
     double best_on = 1e100;
     for (int rep = 0; rep < obs_reps; ++rep) {
       double t0 = Now();
-      plain_engine.RunBatch(obs_batch);
+      plain_engine.RunBatch(db, obs_batch);
       best_off = std::min(best_off, Now() - t0);
       t0 = Now();
-      metered_engine.RunBatch(obs_batch);
+      metered_engine.RunBatch(db, obs_batch);
       best_on = std::min(best_on, Now() - t0);
     }
     obs_row.qps_off = static_cast<double>(obs_queries) / best_off;
@@ -1079,8 +1079,8 @@ int main(int argc, char** argv) {
 
     auto traced_batch = obs_batch;
     for (auto& q : traced_batch) q.WithTrace();
-    auto want = plain_engine.RunBatch(obs_batch);
-    auto got = metered_engine.RunBatch(traced_batch);
+    auto want = plain_engine.RunBatch(db, obs_batch);
+    auto got = metered_engine.RunBatch(db, traced_batch);
     obs_row.trace_exact = got.results == want.results;
     for (size_t q = 0; q < traced_batch.size(); ++q) {
       obs_row.trace_exact =
@@ -1209,7 +1209,9 @@ int main(int argc, char** argv) {
         std::cerr << "durable reopen failed: " << reopened.status() << "\n";
         durability.recovered_match = false;
       } else {
-        auto got = reopened.value()->RunBatch(batch);
+        LiveDatabase<Vector>& store = *reopened.value();
+        QueryEngine<Vector> engine(1);
+        auto got = store.RunBatch(engine, store.Pin(), batch);
         // The restored generation carries the routed slicing the fold
         // produced, so the reference is a per-slice rebuild, not a
         // uniform split of the flattened dataset.
@@ -1219,8 +1221,7 @@ int main(int argc, char** argv) {
         if (!fresh.ok()) {
           durability.recovered_match = false;
         } else {
-          QueryEngine<Vector> fresh_engine(1);
-          auto want = fresh_engine.RunBatch(fresh.value(), batch);
+          auto want = engine.RunBatch(fresh.value(), batch);
           durability.recovered_match = got.results == want.results;
         }
       }
@@ -1307,26 +1308,24 @@ int main(int argc, char** argv) {
   ServingResult& serving = report.serving;
   serving.spec = "vp-tree";
   {
-    distperm::engine::LiveOptions serve_live_options;
-    serve_live_options.query_threads = 1;
-    auto opened = LiveDatabase<Vector>::Open(data, l2, 4, serving.spec,
-                                             seed, serve_live_options);
+    auto opened = LiveDatabase<Vector>::Open(data, l2, 4, serving.spec, seed);
     if (!opened.ok()) {
       std::cerr << "serving: open failed: " << opened.status() << "\n";
       return 1;
     }
     LiveDatabase<Vector>& live = *opened.value();
+    QueryEngine<Vector> engine(1);
 
     const int serve_reps = smoke ? 12 : 24;
-    live.RunBatch(batch);  // warm the scratch buffers
+    live.RunBatch(engine, live.Pin(), batch);  // warm the scratch buffers
     double best_local = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < serve_reps; ++rep) {
       const double t0 = Now();
-      live.RunBatch(batch);
+      live.RunBatch(engine, live.Pin(), batch);
       best_local = std::min(best_local, Now() - t0);
     }
     serving.inproc_qps = static_cast<double>(queries) / best_local;
-    const auto want = live.RunBatch(batch);
+    const auto want = live.RunBatch(engine, live.Pin(), batch);
 
     distperm::server::SearchServer<Vector>::Options server_options;
     server_options.engine_threads = 1;
@@ -1571,6 +1570,9 @@ int main(int argc, char** argv) {
       replication.catchup_rps = static_cast<double>(n1) / (t1 - start0);
     }
     if (replication.converged) {
+      LiveDatabase<Vector>& replica_db = replica.value()->db();
+      LiveDatabase<Vector>& primary_db = *primary.value();
+      QueryEngine<Vector> engine(1);
       replication.converged =
           replica.value()->db().generation_number() ==
               primary.value()->generation_number() &&
@@ -1578,8 +1580,8 @@ int main(int argc, char** argv) {
               primary.value()->delta_entries() &&
           replica.value()->db().Pin().Materialize() ==
               primary.value()->Pin().Materialize() &&
-          replica.value()->db().RunBatch(batch).results ==
-              primary.value()->RunBatch(batch).results;
+          replica_db.RunBatch(engine, replica_db.Pin(), batch).results ==
+              primary_db.RunBatch(engine, primary_db.Pin(), batch).results;
     }
     replica.value()->Shutdown();
     replica_thread.join();

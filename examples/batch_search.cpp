@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
   }
 
   // 3. Serve the batch on a worker pool.
-  QueryEngine<Vector> engine(&db.value(), threads);
-  auto out = engine.RunBatch(batch);
+  QueryEngine<Vector> engine(threads);
+  auto out = engine.RunBatch(db.value(), batch);
   if (!out.all_ok()) {
     std::cerr << "some queries were rejected\n";
     return 1;

@@ -15,6 +15,7 @@
 #include "dataset/vector_gen.h"
 #include "engine/live_database.h"
 #include "engine/query.h"
+#include "engine/query_engine.h"
 #include "metric/lp.h"
 #include "obs/metrics.h"
 #include "storage/env.h"
@@ -23,6 +24,7 @@
 
 using distperm::engine::LiveDatabase;
 using distperm::engine::LiveOptions;
+using distperm::engine::QueryEngine;
 using distperm::engine::QuerySpec;
 using distperm::metric::Vector;
 
@@ -80,6 +82,7 @@ int main(int argc, char** argv) {
   //    rotated to generation 2 (snapshot + fresh WAL); the two
   //    post-compaction inserts live only in that WAL.
   Vector probe(dim, 0.25);
+  QueryEngine<Vector> engine(1);
   for (int i = 0; i < 6; ++i) {
     Vector p(dim, 0.1 * static_cast<double>(i + 1));
     if (auto id = opened.value()->Insert(p); !id.ok()) {
@@ -93,7 +96,8 @@ int main(int argc, char** argv) {
       }
     }
   }
-  auto before = opened.value()->RunBatch({QuerySpec<Vector>::Knn(probe, 5)});
+  auto before = opened.value()->RunBatch(engine, opened.value()->Pin(),
+                                         {QuerySpec<Vector>::Knn(probe, 5)});
   const size_t size_before = opened.value()->size();
   const uint64_t generation_before = opened.value()->generation_number();
   const size_t delta_before = opened.value()->delta_entries();
@@ -108,7 +112,8 @@ int main(int argc, char** argv) {
     std::cerr << reopened.status() << "\n";
     return 1;
   }
-  auto after = reopened.value()->RunBatch({QuerySpec<Vector>::Knn(probe, 5)});
+  auto after = reopened.value()->RunBatch(engine, reopened.value()->Pin(),
+                                          {QuerySpec<Vector>::Knn(probe, 5)});
   const auto replayed = metrics.GetCounter("recovery_replayed_entries");
   std::cout << "reopened: generation "
             << reopened.value()->generation_number() << ", n="

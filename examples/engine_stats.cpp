@@ -67,15 +67,14 @@ int main(int argc, char** argv) {
   const std::string index = flags.value().GetString("index", "vp-tree");
 
   // 1. One registry for the whole serving stack.  The LiveDatabase
-  //    records its live_* series and wires its built-in engine; the
-  //    caller-owned engine shares the same engine_*/threadpool_*
-  //    instruments, so both aggregate into one exposition.
+  //    records its live_* series; the caller-owned engine it serves
+  //    through records the engine_*/threadpool_* series, so both land
+  //    in one exposition.
   distperm::obs::MetricsRegistry registry("engine_stats");
   distperm::util::Rng rng(seed);
   auto data = distperm::dataset::UniformCube(points, dim, &rng);
   distperm::metric::Metric<Vector> l2(distperm::metric::LpMetric::L2());
   distperm::engine::LiveOptions options;
-  options.query_threads = 2;
   options.metrics = &registry;
   auto opened =
       LiveDatabase<Vector>::Open(data, l2, shards, index, seed, options);
@@ -84,6 +83,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   LiveDatabase<Vector>& live = *opened.value();
+  QueryEngine<Vector> engine(2);
+  engine.EnableMetrics(&registry);
   std::cout << "opened " << live.index_spec() << " x " << shards
             << " shards with metrics registry \"" << registry.name()
             << "\"\n";
@@ -97,7 +98,7 @@ int main(int argc, char** argv) {
     batch.push_back(q % 2 == 0 ? QuerySpec<Vector>::Knn(point, 8)
                                : QuerySpec<Vector>::Range(point, 0.4));
   }
-  auto before = live.RunBatch(batch);
+  auto before = live.RunBatch(engine, live.Pin(), batch);
   uint64_t expected_distances = before.stats.distance_computations;
   for (int i = 0; i < 32; ++i) {
     Vector point(dim, 0.25 + 0.01 * i);
@@ -110,19 +111,16 @@ int main(int argc, char** argv) {
     std::cerr << "remove/compact failed\n";
     return 1;
   }
-  auto after = live.RunBatch(batch);
+  auto after = live.RunBatch(engine, live.Pin(), batch);
   expected_distances += after.stats.distance_computations;
 
-  // 3. One traced query on a caller-owned engine sharing the registry:
-  //    the spans name each shard's window, cost, and the radius bound
-  //    it searched under.
-  QueryEngine<Vector> engine(2);
-  engine.EnableMetrics(&registry);
+  // 3. One traced query: the spans name each shard's window, cost, and
+  //    the radius bound it searched under.
   Vector probe(dim, 0.5);
-  auto traced =
-      live.RunBatch(engine, {QuerySpec<Vector>::Knn(probe, 8).WithTrace()});
+  auto traced = live.RunBatch(
+      engine, live.Pin(), {QuerySpec<Vector>::Knn(probe, 8).WithTrace()});
   auto untraced =
-      live.RunBatch(engine, {QuerySpec<Vector>::Knn(probe, 8)});
+      live.RunBatch(engine, live.Pin(), {QuerySpec<Vector>::Knn(probe, 8)});
   expected_distances += traced.stats.distance_computations +
                         untraced.stats.distance_computations;
   if (!traced.all_ok() || !untraced.all_ok()) {

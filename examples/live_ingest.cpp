@@ -61,7 +61,10 @@ int main(int argc, char** argv) {
     std::cerr << id.status() << "\n";
     return 1;
   }
-  auto out = live.RunBatch({QuerySpec<Vector>::Knn(hot, 1)});
+  // Queries run on a caller-owned engine against a pinned view.
+  distperm::engine::QueryEngine<Vector> engine(2);
+  auto out =
+      live.RunBatch(engine, live.Pin(), {QuerySpec<Vector>::Knn(hot, 1)});
   std::cout << "inserted id " << id.value() << "; 1-NN of it is id "
             << out.results[0][0].id << " at distance "
             << out.results[0][0].distance << " (delta="
@@ -87,11 +90,10 @@ int main(int argc, char** argv) {
             << snapshot.live_size() << " points\n";
 
   // 4. The frozen view still serves the point; the current view
-  //    doesn't.  Serving threads bring their own QueryEngine.
-  distperm::engine::QueryEngine<Vector> engine(2);
+  //    doesn't.
   auto frozen =
       live.RunBatch(engine, snapshot, {QuerySpec<Vector>::Knn(hot, 1)});
-  out = live.RunBatch({QuerySpec<Vector>::Knn(hot, 1)});
+  out = live.RunBatch(engine, live.Pin(), {QuerySpec<Vector>::Knn(hot, 1)});
   std::cout << "1-NN distance of the removed point: pinned view "
             << frozen.results[0][0].distance << ", current view "
             << out.results[0][0].distance << "\n";

@@ -124,8 +124,8 @@ int main(int argc, char** argv) {
     batch.push_back(std::move(request));
   }
 
-  QueryEngine<Vector> engine(&db.value(), threads);
-  auto out = engine.RunBatch(batch);
+  QueryEngine<Vector> engine(threads);
+  auto out = engine.RunBatch(db.value(), batch);
 
   distperm::util::TablePrinter table;
   table.SetHeader({"query", "status", "results", "nearest", "distances",

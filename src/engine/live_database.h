@@ -93,17 +93,14 @@ struct LiveOptions {
   /// Worker threads for compaction rebuilds (ShardedDatabase
   /// build_threads; builds stay bit-identical at any count).
   size_t build_threads = 1;
-  /// Worker threads of the built-in serving engine used by the
-  /// RunBatch(batch) convenience overload.
-  size_t query_threads = 1;
-  /// When non-null, the store records its live_* instruments here
-  /// (write/backpressure counters, compaction histograms, delta-depth
-  /// and pinned-generation gauges — see README.md "Observability") and
-  /// wires the built-in engine's engine_*/threadpool_* series into the
-  /// same registry.  The registry must outlive the store.  The pinned
-  /// query path stays zero-lock: hot-path recordings are sharded
-  /// relaxed atomics, and the point-in-time gauges are exposition-time
-  /// callbacks.
+  /// When non-null, the store records its live_* and wal_* instruments
+  /// here (write/backpressure counters, compaction histograms,
+  /// delta-depth and pinned-generation gauges — see README.md
+  /// "Observability").  The engine_*/threadpool_* series come from the
+  /// QueryEngine whose EnableMetrics the caller calls.  The registry
+  /// must outlive the store.  The pinned query path stays zero-lock:
+  /// hot-path recordings are sharded relaxed atomics, and the
+  /// point-in-time gauges are exposition-time callbacks.
   obs::MetricsRegistry* metrics = nullptr;
   /// File-system access for the durable path (`wal_dir` spec knob).
   /// Null uses storage::Env::Default(); tests inject a
@@ -373,29 +370,17 @@ class LiveDatabase {
     return index::ValidateRequest(spec, dim_.load(std::memory_order_relaxed));
   }
 
-  /// Serves `batch` against a fresh pin on the built-in engine.
-  /// Convenience path, serialized per store (RunBatch is not reentrant
-  /// per engine); concurrent serving threads should each bring their
-  /// own engine and use the overloads below.
-  BatchOutput RunBatch(const std::vector<QuerySpec<P>>& batch) {
-    std::lock_guard<std::mutex> lock(engine_mutex_);
-    return RunBatch(engine_, Pin(), batch);
-  }
-
-  /// Serves `batch` against a fresh pin on a caller-owned engine.
-  BatchOutput RunBatch(QueryEngine<P>& engine,
-                       const std::vector<QuerySpec<P>>& batch) const {
-    return RunBatch(engine, Pin(), batch);
-  }
-
-  /// Serves `batch` against an explicit pinned view: the whole batch
-  /// sees `snapshot`'s generation and delta window, bit-identically to
-  /// a fresh database built over snapshot.Materialize() for exact
-  /// indexes — racing writes and swaps cannot leak in.  Per-query
-  /// distance accounting includes the delta scan's exact evaluations;
-  /// distance budgets and truncation flags apply to the generation
-  /// search exactly as in the non-live engine (the delta leg is bounded
-  /// by delta_scan_limit instead of the budget).
+  /// Serves `batch` on the caller's engine against a pinned view (for
+  /// a fresh one, pass Pin()).  QueryEngine::RunBatch is not reentrant,
+  /// so concurrent callers each bring their own engine.  The whole
+  /// batch sees `snapshot`'s generation and delta window,
+  /// bit-identically to a fresh database built over
+  /// snapshot.Materialize() for exact indexes — racing writes and swaps
+  /// cannot leak in.  Per-query distance accounting includes the delta
+  /// scan's exact evaluations; distance budgets and truncation flags
+  /// apply to the generation search exactly as in the non-live engine
+  /// (the delta leg is bounded by delta_scan_limit instead of the
+  /// budget).
   BatchOutput RunBatch(QueryEngine<P>& engine, const Snapshot& snapshot,
                        const std::vector<QuerySpec<P>>& batch) const {
     const State& state = *snapshot.state_;
@@ -433,7 +418,7 @@ class LiveDatabase {
       std::chrono::steady_clock::time_point delta_t0{};
       if (spec.collect_trace) delta_t0 = std::chrono::steady_clock::now();
       delta[q] = state.side->Search(spec, overlay, metric_);
-      if (spec.mode != QueryType::kRange) {
+      if (spec.mode != index::SearchMode::kRange) {
         // k delta hits in hand (k >= 1 once validated): their k-th
         // distance bounds the merged k-th distance.
         if (delta[q].results.size() == spec.k) {
@@ -919,8 +904,7 @@ class LiveDatabase {
         auto_compact_threshold_(live.auto_compact_threshold),
         delta_index_min_(live.delta_index_min),
         build_threads_(options.build_threads),
-        writer_(std::move(generation)),
-        engine_(options.query_threads) {
+        writer_(std::move(generation)) {
     TrackGeneration(writer_.generation);
     published_generation_.store(writer_.generation->number(),
                                 std::memory_order_relaxed);
@@ -1070,9 +1054,8 @@ class LiveDatabase {
     return util::Status::OK();
   }
 
-  /// Wires the store's instruments and the built-in engine into
-  /// `registry`; called from the constructor when LiveOptions names a
-  /// registry.
+  /// Wires the store's instruments into `registry`; called from the
+  /// constructor when LiveOptions names a registry.
   void EnableMetrics(obs::MetricsRegistry* registry) {
     registry_ = registry;
     inserts_ = registry->GetCounter("live_inserts_total");
@@ -1108,7 +1091,6 @@ class LiveDatabase {
         "live_side_index_runs", [this]() {
           return static_cast<double>(state_.load()->side->run_count());
         }));
-    engine_.EnableMetrics(registry);
   }
 
   /// Remembers a generation so the pinned-generation gauge can count
@@ -1347,10 +1329,6 @@ class LiveDatabase {
   util::Status background_compact_status_;
   mutable std::mutex compaction_stats_mutex_;
   LiveCompactionStats last_compaction_stats_;
-
-  /// Built-in engine for the convenience RunBatch(batch) path.
-  std::mutex engine_mutex_;
-  QueryEngine<P> engine_;
 
   /// Durable-store state; all unset for in-memory stores.  `env_` is
   /// borrowed (LiveOptions contract: it outlives the store); `wal_` is

@@ -7,9 +7,6 @@
 // is available in batches with no engine-side mirroring.  Results come
 // back in batch order with global database ids, so callers never see
 // the sharding.
-//
-// QueryType survives as an alias of index::SearchMode for existing
-// callers (QueryType::kKnn / QueryType::kRange keep compiling).
 
 #ifndef DISTPERM_ENGINE_QUERY_H_
 #define DISTPERM_ENGINE_QUERY_H_
@@ -18,9 +15,6 @@
 
 namespace distperm {
 namespace engine {
-
-/// Alias of index::SearchMode (kKnn, kRange, kKnnWithinRadius).
-using QueryType = index::SearchMode;
 
 /// One query in a batch: an index::SearchRequest.  Construct with the
 /// factories — QuerySpec<P>::Knn(point, k), ::Range(point, radius),

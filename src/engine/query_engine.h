@@ -52,14 +52,13 @@
 namespace distperm {
 namespace engine {
 
-/// Executes query batches against a ShardedDatabase on a fixed worker
-/// pool.  The database is borrowed, not owned, so several engines (e.g.
-/// with different thread counts) can serve the same shards.  RunBatch is
-/// not reentrant: issue one batch at a time per engine.
+/// Executes query batches on a fixed worker pool.  Each RunBatch names
+/// the database it runs against, which is borrowed for the call, so one
+/// engine serves any number of databases and several engines (e.g.
+/// with different thread counts) can serve the same shards.  RunBatch
+/// is not reentrant: issue one batch at a time per engine.
 ///
-/// The engine can also run without a bound database: construct with
-/// just a thread count and pass the database to RunBatch explicitly.
-/// That is the live-ingest serving mode — engine::LiveDatabase pins one
+/// engine::LiveDatabase serves through the same call: it pins one
 /// immutable engine::Generation with a single atomic acquire of its
 /// state slot and hands its ShardedDatabase to RunBatch, so the whole
 /// batch executes against that one generation no matter how many
@@ -100,15 +99,7 @@ class QueryEngine {
     }
   };
 
-  QueryEngine(const ShardedDatabase<P>* db, size_t thread_count)
-      : db_(db), pool_(thread_count) {
-    DP_CHECK(db != nullptr);
-  }
-
-  /// Unbound engine: just the worker pool.  Every batch must go through
-  /// the RunBatch overload that names its database.
-  explicit QueryEngine(size_t thread_count)
-      : db_(nullptr), pool_(thread_count) {}
+  explicit QueryEngine(size_t thread_count) : pool_(thread_count) {}
 
   ~QueryEngine() {
     if (registry_ != nullptr) {
@@ -153,16 +144,6 @@ class QueryEngine {
   }
 
   size_t thread_count() const { return pool_.thread_count(); }
-  const ShardedDatabase<P>& database() const {
-    DP_CHECK(db_ != nullptr);
-    return *db_;
-  }
-
-  /// Runs the batch against the database bound at construction.
-  BatchOutput RunBatch(const std::vector<QuerySpec<P>>& batch) {
-    DP_CHECK(db_ != nullptr);
-    return RunBatch(*db_, batch);
-  }
 
   /// Runs the batch against `db`, which only needs to stay alive for
   /// the duration of the call.  The caller chooses the snapshot: the
@@ -265,7 +246,8 @@ class QueryEngine {
         truncated = truncated || partial.truncated;
       }
       index::SortResults(&merged);
-      if (batch[q].mode != QueryType::kRange && merged.size() > batch[q].k) {
+      if (batch[q].mode != index::SearchMode::kRange &&
+          merged.size() > batch[q].k) {
         merged.resize(batch[q].k);
       }
       out.results[q] = std::move(merged);
@@ -414,7 +396,6 @@ class QueryEngine {
     return std::chrono::duration<double>(to - from).count();
   }
 
-  const ShardedDatabase<P>* db_;
   util::ThreadPool pool_;
   obs::MetricsRegistry* registry_ = nullptr;
   uint64_t queue_depth_handle_ = 0;

@@ -28,7 +28,6 @@
 #ifndef DISTPERM_ENGINE_SHARDED_DATABASE_H_
 #define DISTPERM_ENGINE_SHARDED_DATABASE_H_
 
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -54,39 +53,13 @@ class ShardedDatabase {
   using SharedShard = std::shared_ptr<const index::SearchIndex<P>>;
   using ShardPtr = std::unique_ptr<index::SearchIndex<P>>;
 
-  /// Builds one index over one shard's slice of the data.  Called once
-  /// per shard, in shard order when `build_threads` is 1; with more
-  /// build threads the calls run concurrently, so the factory must be
-  /// thread-safe (stateless factories and the registry path are).
-  using IndexFactory = std::function<ShardPtr(
-      std::vector<P> shard_data, const metric::Metric<P>& metric,
-      size_t shard_number)>;
-
   /// Splits `data` into `shard_count` contiguous slices (sizes differing
   /// by at most one) and builds an index over each, on `build_threads`
   /// workers (1 = on the calling thread, the default).  Pass the data
-  /// with std::move to slice by element moves instead of copies.
-  static ShardedDatabase Build(std::vector<P> data,
-                               const metric::Metric<P>& metric,
-                               size_t shard_count,
-                               const IndexFactory& factory,
-                               size_t build_threads = 1) {
-    DP_CHECK(shard_count >= 1);
-    std::vector<std::vector<P>> slices =
-        SliceData(std::move(data), shard_count);
-    util::Result<ShardedDatabase> db = BuildShards(
-        shard_count,
-        [&](size_t s) -> util::Result<ShardPtr> {
-          return factory(std::move(slices[s]), metric, s);
-        },
-        build_threads);
-    DP_CHECK(db.ok());
-    return std::move(db).value();
-  }
-
-  /// Like Build, but the index type and its options come from a
-  /// runtime `index_spec` string resolved through index::Registry
-  /// (e.g. "vp-tree", "laesa:k=16", "distperm:k=8,fraction=0.2").
+  /// with std::move to slice by element moves instead of copies.  The
+  /// index type and its options come from a runtime `index_spec`
+  /// string resolved through index::Registry (e.g. "vp-tree",
+  /// "laesa:k=16", "distperm:k=8,fraction=0.2").
   /// Each shard gets its own deterministic RNG stream derived from
   /// `seed`, so a given (data, spec, shard_count, seed) always builds
   /// the same database — with any number of build threads.  Returns the

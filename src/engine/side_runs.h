@@ -142,7 +142,7 @@ class SideRuns {
   DeltaHits Search(const QuerySpec<P>& spec, const Overlay<P>& overlay,
                    const metric::Metric<P>& metric) const {
     DeltaHits out;
-    const bool range = spec.mode == QueryType::kRange;
+    const bool range = spec.mode == index::SearchMode::kRange;
     index::KnnCollector collector(spec.k);
     const auto offer = [&](size_t id, double d) {
       range ? out.results.push_back({id, d}) : collector.Offer(id, d);
@@ -150,7 +150,7 @@ class SideRuns {
     const auto scan = [&](const Entry* entry) {
       const double d = metric(spec.point, entry->point);
       ++out.distance_computations;
-      if (spec.mode == QueryType::kKnn || d <= spec.radius) {
+      if (spec.mode == index::SearchMode::kKnn || d <= spec.radius) {
         offer(entry->id, d);
       }
     };
@@ -167,7 +167,7 @@ class SideRuns {
     const size_t want = spec.k + overlay.removed.size() - overlay.removed_base;
     QuerySpec<P> request =
         range ? QuerySpec<P>::Range(spec.point, spec.radius)
-        : spec.mode == QueryType::kKnnWithinRadius
+        : spec.mode == index::SearchMode::kKnnWithinRadius
             ? QuerySpec<P>::KnnWithinRadius(spec.point, want, spec.radius)
             : QuerySpec<P>::Knn(spec.point, want);
     for (const auto& runs : shards_) {

@@ -21,7 +21,6 @@
 #define DISTPERM_INDEX_DISTPERM_INDEX_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -269,15 +268,9 @@ class DistPermIndex : public SearchIndex<P> {
   /// Stored prefix length (equals sites().size() for full permutations).
   size_t prefix_length() const { return prefix_; }
 
-  /// Default fraction of the database verified per query.  Stored in an
-  /// atomic so the engine can retune it while queries are in flight.
-  double fraction() const {
-    return fraction_.load(std::memory_order_relaxed);
-  }
-  void set_fraction(double fraction) {
-    DP_CHECK(fraction > 0.0 && fraction <= 1.0);
-    fraction_.store(fraction, std::memory_order_relaxed);
-  }
+  /// Default fraction of the database verified per query; a request
+  /// overrides it through SearchRequest::approx_candidate_fraction.
+  double fraction() const { return fraction_; }
 
  protected:
   void SearchImpl(const SearchRequest<P>& request, const QueryContext& query,
@@ -394,7 +387,7 @@ class DistPermIndex : public SearchIndex<P> {
   /// Points per table row, derived from ids_; query-time selection
   /// counts footrules per distinct row instead of per point.
   std::vector<uint32_t> row_points_;
-  std::atomic<double> fraction_;
+  double fraction_;
 };
 
 }  // namespace index

@@ -60,12 +60,6 @@ struct QueryStats {
   /// fraction of a distperm query is candidates_verified / database
   /// size.  Exact indexes report 0.
   uint64_t candidates_verified = 0;
-
-  void Merge(const QueryStats& other) {
-    distance_computations += other.distance_computations;
-    pruning_eliminated += other.pruning_eliminated;
-    candidates_verified += other.candidates_verified;
-  }
 };
 
 /// What a SearchRequest asks for.
@@ -313,9 +307,6 @@ class KnnCollector {
   /// +infinity while fewer than k results are kept (-infinity when
   /// k = 0: nothing can ever be kept).
   double Radius() const;
-
-  /// True iff a candidate at `distance` could still enter the result.
-  bool Admits(double distance) const { return distance <= Radius(); }
 
   /// Extracts the results, sorted by (distance, id).
   std::vector<SearchResult> Take();

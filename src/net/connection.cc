@@ -14,9 +14,10 @@ Connection::Connection(int fd) : fd_(fd) { Touch(); }
 Connection::~Connection() { close(fd_); }
 
 Connection::ReadResult Connection::ReadReady() {
-  // Compact before growing: the unparsed tail (at most one partial
-  // frame) moves to the front so the buffer never accumulates dead
-  // prefix across reads.
+  // Compact before growing: the unparsed tail (a partial frame, or
+  // frames a server left buffered while its write backlog drains)
+  // moves to the front so the buffer never accumulates dead prefix
+  // across reads.
   if (read_consumed_ > 0) {
     read_buffer_.erase(0, read_consumed_);
     read_consumed_ = 0;

@@ -66,7 +66,7 @@ void EventLoop::Run() {
   while (!stop_.load(std::memory_order_acquire)) {
     const int ready = epoll_wait(epoll_fd_, events.data(),
                                  static_cast<int>(events.size()),
-                                 tick_interval_ms_);
+                                 kTickIntervalMs);
     if (ready < 0 && errno != EINTR) break;
     for (int i = 0; i < ready; ++i) {
       const int fd = events[i].data.fd;

@@ -51,7 +51,6 @@ class EventLoop {
   void Wake();
 
   void set_tick(std::function<void()> tick) { tick_ = std::move(tick); }
-  void set_tick_interval_ms(int ms) { tick_interval_ms_ = ms; }
 
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
@@ -62,7 +61,7 @@ class EventLoop {
   std::atomic<bool> running_{false};
   std::unordered_map<int, Callback> callbacks_;
   std::function<void()> tick_;
-  int tick_interval_ms_ = 200;
+  static constexpr int kTickIntervalMs = 200;
 };
 
 }  // namespace net

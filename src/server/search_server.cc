@@ -21,6 +21,8 @@ std::string StatzJson(const ServerStatz& statz) {
   field("batches", statz.batches, false);
   field("overload_rejected", statz.overload_rejected, false);
   field("decode_errors", statz.decode_errors, false);
+  field("paused_connections", statz.paused_connections, false);
+  field("write_backlog_max_bytes", statz.write_backlog_max_bytes, false);
   field("cache_hits", statz.cache_hits, false);
   field("cache_misses", statz.cache_misses, false);
   field("cache_bound_seeds", statz.cache_bound_seeds, false);

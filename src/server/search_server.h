@@ -21,8 +21,13 @@
 // A connection whose unsent responses exceed kMaxWriteBacklog is not
 // read until its client drains them below the cap, so a client that
 // pipelines requests and never reads fills its own socket buffers, not
-// server memory.  Bytes already read are still answered in full: the
-// backlog can pass the cap by one read's answers.
+// server memory.  Frames already read are answered only while the
+// backlog stays under the cap: a batch is cut where its answers, kNN
+// ones counted at k results each, would pass it, and the rest of the
+// read stays buffered until a flush brings the backlog back under.  So
+// the backlog passes the cap by at most one answer, plus whatever range
+// answers (whose size is not known in advance) hold beyond their fixed
+// fields.
 //
 // The perm cache (see perm_cache.h) sits in front of the engine:
 // mutation tags are read BEFORE the snapshot pin, hits replay verbatim
@@ -81,6 +86,8 @@ struct ServerStatz {
   uint64_t batches = 0;
   uint64_t overload_rejected = 0;
   uint64_t decode_errors = 0;
+  uint64_t paused_connections = 0;
+  uint64_t write_backlog_max_bytes = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_bound_seeds = 0;
@@ -149,9 +156,16 @@ class SearchServer {
       obs_decode_errors_ =
           options_.metrics->GetCounter("server_decode_errors_total");
       obs_batches_ = options_.metrics->GetCounter("server_batches_total");
-      connections_gauge_handle_ = options_.metrics->RegisterCallback(
+      gauge_handles_.push_back(options_.metrics->RegisterCallback(
           "server_active_connections",
-          [this]() { return static_cast<double>(connections_.size()); });
+          [this]() { return static_cast<double>(connections_.size()); }));
+      gauge_handles_.push_back(options_.metrics->RegisterCallback(
+          "server_paused_connections",
+          [this]() { return static_cast<double>(paused_connections()); }));
+      gauge_handles_.push_back(options_.metrics->RegisterCallback(
+          "server_write_backlog_max_bytes", [this]() {
+            return static_cast<double>(write_backlog_max_bytes());
+          }));
     }
     bounds_allowed_ = db_->index_spec().rfind("distperm", 0) != 0;
     approx_size_.store(std::max<uint64_t>(1, db_->size()),
@@ -182,12 +196,11 @@ class SearchServer {
             "replication_snapshot_bytes_total");
         obs_repl_frames_ = options_.metrics->GetCounter(
             "replication_wal_frames_total");
-        repl_subscribers_gauge_handle_ = options_.metrics->RegisterCallback(
+        gauge_handles_.push_back(options_.metrics->RegisterCallback(
             "replication_subscribers", [this]() {
               return static_cast<double>(repl_subscriber_count_.load(
                   std::memory_order_relaxed));
-            });
-        repl_gauge_registered_ = true;
+            }));
       }
     }
     loop_.set_tick([this]() { Tick(); });
@@ -197,11 +210,8 @@ class SearchServer {
     // Detach first: after this returns no writer thread is inside a
     // listener callback, so member teardown cannot race one.
     if (source_listener_ != nullptr) db_->DetachReplicationListener();
-    if (options_.metrics != nullptr) {
-      if (repl_gauge_registered_) {
-        options_.metrics->UnregisterCallback(repl_subscribers_gauge_handle_);
-      }
-      options_.metrics->UnregisterCallback(connections_gauge_handle_);
+    for (const uint64_t handle : gauge_handles_) {
+      options_.metrics->UnregisterCallback(handle);
     }
   }
   SearchServer(const SearchServer&) = delete;
@@ -255,6 +265,14 @@ class SearchServer {
   }
   uint64_t batches_executed() const {
     return batches_.load(std::memory_order_relaxed);
+  }
+  /// Connections not being read because their backlog passed the cap.
+  uint64_t paused_connections() const {
+    return paused_count_.load(std::memory_order_relaxed);
+  }
+  /// High-water mark of any search connection's unsent bytes.
+  uint64_t write_backlog_max_bytes() const {
+    return backlog_max_.load(std::memory_order_relaxed);
   }
   const PermCacheStore* cache_store() const {
     return cache_ ? &cache_->store() : nullptr;
@@ -325,19 +343,33 @@ class SearchServer {
     auto it = connections_.find(fd);
     if (it == connections_.end()) return;
     net::Connection& conn = *it->second;
-    bool close_after = false;
-    if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
-      const net::Connection::ReadResult read = conn.ReadReady();
-      const bool keep = ProcessFrames(&conn, &close_after);
-      if (!keep || read != net::Connection::ReadResult::kOpen) {
-        // Answer what we parsed, then drop: flush below and close.
-        close_after = true;
+    bool close_after = closing_.count(fd) != 0;
+    if ((events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0 &&
+        conn.ReadReady() != net::Connection::ReadResult::kOpen) {
+      // Answer what arrived, then drop: close once it is flushed.
+      close_after = true;
+    }
+    // Flush, then answer buffered frames while the backlog is under the
+    // cap: a pass stops taking frames once it passes the cap, and a
+    // flush that brings it back under lets the next pass go on.
+    // Reading resumes only once every buffered frame is answered.
+    bool keep = true;
+    bool took_frames = true;
+    for (;;) {
+      if (!conn.Flush().ok()) {
+        CloseConnection(fd);
+        return;
       }
+      if (!keep || !took_frames ||
+          conn.pending_write_bytes() > kMaxWriteBacklog) {
+        break;
+      }
+      const size_t buffered = conn.read_size();
+      keep = ProcessFrames(&conn);
+      NoteBacklog(conn);
+      took_frames = conn.read_size() != buffered;
     }
-    if (!conn.Flush().ok()) {
-      CloseConnection(fd);
-      return;
-    }
+    if (!keep) close_after = true;
     if (close_after && !conn.has_pending_write()) {
       CloseConnection(fd);
       return;
@@ -391,6 +423,8 @@ class SearchServer {
       statz.batches = batches_.load(std::memory_order_relaxed);
       statz.overload_rejected = overloads_.load(std::memory_order_relaxed);
       statz.decode_errors = decode_errors_.load(std::memory_order_relaxed);
+      statz.paused_connections = paused_connections();
+      statz.write_backlog_max_bytes = write_backlog_max_bytes();
       if (cache_) {
         const PermCacheStore& store = cache_->store();
         statz.cache_hits = store.hits();
@@ -404,13 +438,21 @@ class SearchServer {
     return HttpTextResponse(404, "not found: " + path + "\n");
   }
 
-  /// Parses every complete frame in the connection's read buffer.
-  /// Returns false when the connection must close (protocol error).
-  bool ProcessFrames(net::Connection* conn, bool* close_after) {
+  /// Parses complete frames from the connection's read buffer until it
+  /// is empty or the answers queued and owed pass kMaxWriteBacklog; the
+  /// first frame is always taken, so a pass under the cap makes
+  /// progress.  Returns false when the connection must close (protocol
+  /// error); the unparsed rest of the buffer is then dropped.
+  bool ProcessFrames(net::Connection* conn) {
     std::vector<BatchItem> batch;
     uint64_t batch_cost = 0;
+    size_t batch_answer_bytes = 0;
     bool keep = true;
     for (;;) {
+      if (conn->pending_write_bytes() + batch_answer_bytes >
+          kMaxWriteBacklog) {
+        break;
+      }
       net::FrameView view;
       size_t frame_size = 0;
       util::Status error;
@@ -425,16 +467,33 @@ class SearchServer {
         keep = false;
         break;
       }
+      const size_t batched = batch.size();
       const bool frame_ok = DispatchFrame(conn, view, &batch, &batch_cost);
       conn->Consume(frame_size);
       if (!frame_ok) {
         keep = false;
         break;
       }
+      if (batch.empty()) {
+        batch_answer_bytes = 0;  // a non-search frame ran the batch
+      } else if (batch.size() > batched && !batch.back().rejected) {
+        batch_answer_bytes += AnswerBytes(batch.back().request);
+      }
     }
     ExecuteSearchBatch(conn, &batch);
-    if (!keep) *close_after = true;
+    if (!keep) conn->Consume(conn->read_size());
     return keep;
+  }
+
+  /// Wire bytes of an OK answer to `request`: the frame header, the 42
+  /// bytes of fixed fields net::EncodeSearchResponse writes, and 16 per
+  /// result — k of them for a kNN search (k clamped so the product
+  /// cannot overflow), none for a range search, whose result count is
+  /// not known in advance.
+  static size_t AnswerBytes(const index::SearchRequest<P>& request) {
+    constexpr size_t kFixedBytes = net::kFrameHeaderSize + 42;
+    if (request.mode == index::SearchMode::kRange) return kFixedBytes;
+    return kFixedBytes + std::min<size_t>(request.k, kMaxWriteBacklog) * 16;
   }
 
   bool DispatchFrame(net::Connection* conn, const net::FrameView& view,
@@ -742,6 +801,7 @@ class SearchServer {
     for (const int fd : touched) {
       auto it = connections_.find(fd);
       if (it == connections_.end()) continue;
+      NoteBacklog(*it->second);
       if (!it->second->Flush().ok()) {
         CloseConnection(fd);
         continue;
@@ -929,17 +989,34 @@ class SearchServer {
   }
 
   void UpdateInterest(int fd, const net::Connection& conn) {
-    if (conn.pending_write_bytes() > kMaxWriteBacklog) {
+    const bool paused = conn.pending_write_bytes() > kMaxWriteBacklog;
+    if (paused) {
       loop_.Modify(fd, EPOLLOUT);
     } else {
       loop_.Modify(fd, conn.has_pending_write() ? (EPOLLIN | EPOLLOUT)
                                                 : EPOLLIN);
+    }
+    SetPaused(fd, paused);
+  }
+
+  void SetPaused(int fd, bool paused) {
+    if (paused ? paused_.insert(fd).second : paused_.erase(fd) != 0) {
+      paused_count_.store(paused_.size(), std::memory_order_relaxed);
+    }
+  }
+
+  /// Raises the backlog high-water mark to `conn`'s unsent bytes.
+  void NoteBacklog(const net::Connection& conn) {
+    const uint64_t pending = conn.pending_write_bytes();
+    if (pending > backlog_max_.load(std::memory_order_relaxed)) {
+      backlog_max_.store(pending, std::memory_order_relaxed);
     }
   }
 
   void CloseConnection(int fd) {
     loop_.Remove(fd);
     closing_.erase(fd);
+    SetPaused(fd, false);
     if (repl_subscribers_.erase(fd) != 0) {
       repl_subscriber_count_.store(repl_subscribers_.size(),
                                    std::memory_order_relaxed);
@@ -950,6 +1027,7 @@ class SearchServer {
   void CloseMetricsConnection(int fd) {
     loop_.Remove(fd);
     closing_.erase(fd);
+    SetPaused(fd, false);
     metrics_connections_.erase(fd);
   }
 
@@ -965,7 +1043,8 @@ class SearchServer {
         metrics_listener_.reset();
       }
       // Everything parsed has been answered inline; flush best-effort
-      // and drop the rest.
+      // and drop the rest, including frames a paused connection has
+      // not parsed yet.
       for (auto& entry : connections_) entry.second->Flush();
       for (auto& entry : metrics_connections_) entry.second->Flush();
       while (!connections_.empty()) {
@@ -1022,7 +1101,12 @@ class SearchServer {
   obs::Counter* obs_overload_ = nullptr;
   obs::Counter* obs_decode_errors_ = nullptr;
   obs::Counter* obs_batches_ = nullptr;
-  uint64_t connections_gauge_handle_ = 0;
+  /// Every callback gauge this server registered.
+  std::vector<uint64_t> gauge_handles_;
+  /// Paused connections (loop thread) and the mirrors the gauges read.
+  std::unordered_set<int> paused_;
+  std::atomic<uint64_t> paused_count_{0};
+  std::atomic<uint64_t> backlog_max_{0};
 
   /// Replication source state.  The inbox is the writer->loop handoff
   /// (under repl_inbox_mutex_); everything else is loop-thread-only
@@ -1041,8 +1125,6 @@ class SearchServer {
   obs::Counter* obs_repl_chunks_ = nullptr;
   obs::Counter* obs_repl_chunk_bytes_ = nullptr;
   obs::Counter* obs_repl_frames_ = nullptr;
-  uint64_t repl_subscribers_gauge_handle_ = 0;
-  bool repl_gauge_registered_ = false;
 };
 
 }  // namespace server

@@ -185,7 +185,7 @@ TEST(BorrowedRows, OutliveTheReaderTheFileAndTheRestoredGeneration) {
         data, L2(), kShards, spec, kSeed);
     ASSERT_TRUE(fresh.ok()) << fresh.status();
     QueryEngine<Vector> engine(1);
-    ExpectSameAnswers(live->RunBatch(batch),
+    ExpectSameAnswers(live->RunBatch(engine, live->Pin(), batch),
                       engine.RunBatch(fresh.value(), batch),
                       spec + " restored");
 
@@ -205,13 +205,15 @@ TEST(BorrowedRows, OutliveTheReaderTheFileAndTheRestoredGeneration) {
     EXPECT_EQ(borrowed, kShards - 1) << spec;
     const auto folded_slices = live->Pin().MaterializeSlices();
     const auto want = FreshAnswers(folded_slices, spec, batch);
-    ExpectSameAnswers(live->RunBatch(batch), want, spec + " folded");
+    ExpectSameAnswers(live->RunBatch(engine, live->Pin(), batch), want,
+                      spec + " folded");
 
     live.reset();
     auto reopened =
         LiveDatabase<Vector>::Open({}, L2(), kShards, live_spec, kSeed);
     ASSERT_TRUE(reopened.ok()) << reopened.status();
-    ExpectSameAnswers(reopened.value()->RunBatch(batch), want,
+    LiveDatabase<Vector>& store = *reopened.value();
+    ExpectSameAnswers(store.RunBatch(engine, store.Pin(), batch), want,
                       spec + " reopened");
   }
 }

@@ -11,8 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dataset/vector_gen.h"
@@ -69,10 +69,9 @@ TEST(ParallelBuild, RegistryBuildsAreDeterministicAcrossThreadCounts) {
       EXPECT_EQ(serial.value().build_distance_computations(),
                 parallel.value().build_distance_computations())
           << spec;
-      QueryEngine<Vector> serial_engine(&serial.value(), 1);
-      QueryEngine<Vector> parallel_engine(&parallel.value(), 1);
-      auto a = serial_engine.RunBatch(batch);
-      auto b = parallel_engine.RunBatch(batch);
+      QueryEngine<Vector> engine(1);
+      auto a = engine.RunBatch(serial.value(), batch);
+      auto b = engine.RunBatch(parallel.value(), batch);
       EXPECT_EQ(a.results, b.results) << spec << " shards=" << shards;
       EXPECT_EQ(a.per_query_distance_computations,
                 b.per_query_distance_computations)
@@ -81,21 +80,19 @@ TEST(ParallelBuild, RegistryBuildsAreDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelBuild, FactoryPathBuildsConcurrentlyAndSlicesByMove) {
+TEST(ParallelBuild, ConcurrentBuildSlicesByMove) {
   util::Rng rng(59);
   auto data = dataset::UniformCube(103, 2, &rng);  // not divisible by 4
-  auto factory = [](std::vector<Vector> shard_data,
-                    const Metric<Vector>& metric, size_t) {
-    return std::make_unique<LinearScanIndex<Vector>>(std::move(shard_data),
-                                                     metric);
-  };
   // Moved-in data slices by element moves; the shards must still cover
   // every point in order, identically to a copied build.
   std::vector<Vector> copy = data;
-  auto moved =
-      ShardedDatabase<Vector>::Build(std::move(copy), L2(), 4, factory,
-                                     /*build_threads=*/4);
-  auto copied = ShardedDatabase<Vector>::Build(data, L2(), 4, factory);
+  auto moved = ShardedDatabase<Vector>::BuildFromRegistry(
+                   std::move(copy), L2(), 4, "linear-scan", 0,
+                   /*build_threads=*/4)
+                   .value();
+  auto copied = ShardedDatabase<Vector>::BuildFromRegistry(
+                    data, L2(), 4, "linear-scan", 0)
+                    .value();
   ASSERT_EQ(moved.shard_count(), 4u);
   EXPECT_EQ(moved.size(), data.size());
   size_t covered = 0;

@@ -301,7 +301,8 @@ void CheckAgainstModel(LiveDatabase<P>& live, const Model<P>& model,
   batch.reserve(probes.size());
   for (const auto& probe : probes) batch.push_back(probe.ToSpec());
   auto snapshot = live.Pin();
-  auto got = live.RunBatch(batch);
+  QueryEngine<P> engine(1);
+  auto got = live.RunBatch(engine, snapshot, batch);
   ASSERT_TRUE(got.all_ok()) << context;
   const std::vector<P> points = model.Points();
   auto resolve = SnapshotResolver<P>(snapshot);
@@ -414,7 +415,8 @@ void RunDifferentialSequence(
   std::vector<QuerySpec<P>> batch;
   batch.reserve(probes.size());
   for (const auto& probe : probes) batch.push_back(probe.ToSpec());
-  auto got = live.RunBatch(batch);
+  QueryEngine<P> engine(1);
+  auto got = live.RunBatch(engine, live.Pin(), batch);
   ASSERT_TRUE(got.all_ok()) << context;
   typename QueryEngine<P>::BatchOutput want;
   if (any_empty) {

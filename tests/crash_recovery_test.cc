@@ -182,8 +182,9 @@ TEST(CrashRecovery, KillMidCompactionRecoversAckedPrefix) {
         {qrng.NextDouble(), qrng.NextDouble(), qrng.NextDouble()}, 9));
   }
   auto snapshot = live.value()->Pin();
-  auto got = live.value()->RunBatch(batch);
-  auto want = fresh.value()->RunBatch(batch);
+  QueryEngine<Vector> engine(1);
+  auto got = live.value()->RunBatch(engine, snapshot, batch);
+  auto want = fresh.value()->RunBatch(engine, fresh.value()->Pin(), batch);
   ASSERT_TRUE(got.all_ok());
   ASSERT_TRUE(want.all_ok());
   for (size_t q = 0; q < batch.size(); ++q) {

@@ -197,6 +197,7 @@ void RoundTripStore(const std::string& tag, const std::string& base_spec,
 
   std::vector<P> final_view;
   typename QueryEngine<P>::BatchOutput before;
+  QueryEngine<P> engine(1);
   {
     auto live = LiveDatabase<P>::Open(data, metric, 3, spec, seed);
     ASSERT_TRUE(live.ok()) << live.status();
@@ -211,8 +212,9 @@ void RoundTripStore(const std::string& tag, const std::string& base_spec,
       ASSERT_TRUE(store.Insert(extra[i]).ok());
     }
     ASSERT_TRUE(store.Remove(0).ok());
-    final_view = store.Pin().Materialize();
-    before = store.RunBatch(batch);
+    auto snapshot = store.Pin();
+    final_view = snapshot.Materialize();
+    before = store.RunBatch(engine, snapshot, batch);
     ASSERT_TRUE(before.all_ok());
   }
 
@@ -224,7 +226,7 @@ void RoundTripStore(const std::string& tag, const std::string& base_spec,
   // included), same generation, and the same answers with the same ids.
   EXPECT_EQ(store.generation_number(), 2u) << base_spec;
   EXPECT_EQ(store.Pin().Materialize(), final_view) << base_spec;
-  auto after = store.RunBatch(batch);
+  auto after = store.RunBatch(engine, store.Pin(), batch);
   ASSERT_TRUE(after.all_ok());
   EXPECT_EQ(after.results, before.results) << base_spec;
 
@@ -236,7 +238,7 @@ void RoundTripStore(const std::string& tag, const std::string& base_spec,
   if (!exact) return;
   auto fresh = LiveDatabase<P>::Open(final_view, metric, 3, base_spec, seed);
   ASSERT_TRUE(fresh.ok());
-  auto want = fresh.value()->RunBatch(batch);
+  auto want = fresh.value()->RunBatch(engine, fresh.value()->Pin(), batch);
   ASSERT_TRUE(want.all_ok());
   auto snapshot = store.Pin();
   const std::function<P(size_t)> live_resolve = [&snapshot](size_t id) {

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <limits>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "engine/query.h"
 #include "engine/query_engine.h"
 #include "engine/sharded_database.h"
-#include "index/laesa.h"
 #include "index/linear_scan.h"
 #include "index/vp_tree.h"
 #include "metric/lp.h"
@@ -39,35 +37,6 @@ using index::SearchResult;
 using metric::Vector;
 
 metric::Metric<Vector> L2() { return metric::LpMetric::L2(); }
-
-template <typename P>
-typename ShardedDatabase<P>::IndexFactory LinearFactory() {
-  return [](std::vector<P> data, const metric::Metric<P>& metric, size_t) {
-    return std::make_unique<LinearScanIndex<P>>(std::move(data), metric);
-  };
-}
-
-template <typename P>
-typename ShardedDatabase<P>::IndexFactory VpFactory(uint64_t seed) {
-  return [seed](std::vector<P> data, const metric::Metric<P>& metric,
-                size_t shard) {
-    util::Rng rng(seed + shard);
-    return std::make_unique<index::VpTreeIndex<P>>(std::move(data), metric,
-                                                   &rng);
-  };
-}
-
-template <typename P>
-typename ShardedDatabase<P>::IndexFactory LaesaFactory(uint64_t seed,
-                                                       size_t pivots) {
-  return [seed, pivots](std::vector<P> data,
-                        const metric::Metric<P>& metric, size_t shard) {
-    util::Rng rng(seed + shard);
-    size_t count = std::min(pivots, data.size());
-    return std::make_unique<index::LaesaIndex<P>>(std::move(data), metric,
-                                                  count, &rng);
-  };
-}
 
 // Sequential ground truth: one linear scan over the unsharded database.
 template <typename P>
@@ -180,8 +149,9 @@ TEST(ThreadPool, CountersTrackSubmittedQueuedAndExecutedTasks) {
 TEST(ShardedDatabase, ContiguousSlicingCoversEveryPoint) {
   util::Rng rng(90);
   auto data = dataset::UniformCube(103, 2, &rng);  // not divisible by 4
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), 4,
-                                           LinearFactory<Vector>());
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), 4,
+                                                       "linear-scan", 0)
+                .value();
   ASSERT_EQ(db.shard_count(), 4u);
   EXPECT_EQ(db.size(), data.size());
   size_t covered = 0;
@@ -216,20 +186,18 @@ TEST(QueryEngine, ShardedBatchesMatchSequentialLinearScanOnVectors) {
     }
     auto truth = SequentialTruth(data, L2(), batch);
 
-    std::vector<typename ShardedDatabase<Vector>::IndexFactory> factories =
-        {LinearFactory<Vector>(), VpFactory<Vector>(seed),
-         LaesaFactory<Vector>(seed, 6)};
-    for (size_t f = 0; f < factories.size(); ++f) {
+    for (const char* spec : {"linear-scan", "vp-tree", "laesa:k=6"}) {
       for (size_t shards : {1u, 3u, 4u, 7u}) {
-        auto db = ShardedDatabase<Vector>::Build(data, L2(), shards,
-                                                 factories[f]);
+        auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), shards,
+                                                             spec, seed)
+                      .value();
         for (size_t threads : {1u, 4u}) {
-          QueryEngine<Vector> engine(&db, threads);
-          auto out = engine.RunBatch(batch);
+          QueryEngine<Vector> engine(threads);
+          auto out = engine.RunBatch(db, batch);
           ASSERT_EQ(out.results.size(), batch.size());
           for (size_t q = 0; q < batch.size(); ++q) {
             EXPECT_EQ(out.results[q], truth[q])
-                << "factory=" << f << " shards=" << shards
+                << "spec=" << spec << " shards=" << shards
                 << " threads=" << threads << " query=" << q;
           }
           EXPECT_EQ(AverageRecall(out.results, truth), 1.0);
@@ -255,10 +223,11 @@ TEST(QueryEngine, ShardedBatchesMatchSequentialLinearScanOnStrings) {
   }
   auto truth = SequentialTruth(words, lev, batch);
 
-  auto db = ShardedDatabase<std::string>::Build(words, lev, 5,
-                                                VpFactory<std::string>(9));
-  QueryEngine<std::string> engine(&db, 4);
-  auto out = engine.RunBatch(batch);
+  auto db = ShardedDatabase<std::string>::BuildFromRegistry(words, lev, 5,
+                                                            "vp-tree", 9)
+                .value();
+  QueryEngine<std::string> engine(4);
+  auto out = engine.RunBatch(db, batch);
   for (size_t q = 0; q < batch.size(); ++q) {
     EXPECT_EQ(out.results[q], truth[q]) << q;
   }
@@ -277,11 +246,12 @@ TEST(QueryEngine, DistanceAccountingMatchesSingleThreadedCostModel) {
                                            5));
   }
   for (size_t shards : {1u, 4u, 6u}) {
-    auto db = ShardedDatabase<Vector>::Build(data, L2(), shards,
-                                             LinearFactory<Vector>());
+    auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), shards,
+                                                         "linear-scan", 0)
+                  .value();
     for (size_t threads : {1u, 4u}) {
-      QueryEngine<Vector> engine(&db, threads);
-      auto out = engine.RunBatch(batch);
+      QueryEngine<Vector> engine(threads);
+      auto out = engine.RunBatch(db, batch);
       for (size_t q = 0; q < batch.size(); ++q) {
         EXPECT_EQ(out.per_query_distance_computations[q], n)
             << "shards=" << shards << " threads=" << threads;
@@ -303,12 +273,13 @@ TEST(QueryEngine, ThreadCountDoesNotPerturbDistanceCounts) {
     batch.push_back(q % 2 == 0 ? QuerySpec<Vector>::Knn(point, 7)
                                : QuerySpec<Vector>::Range(point, 0.3));
   }
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), 4,
-                                           VpFactory<Vector>(21));
-  QueryEngine<Vector> single(&db, 1);
-  QueryEngine<Vector> pooled(&db, 8);
-  auto a = single.RunBatch(batch);
-  auto b = pooled.RunBatch(batch);
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), 4,
+                                                       "vp-tree", 21)
+                .value();
+  QueryEngine<Vector> single(1);
+  QueryEngine<Vector> pooled(8);
+  auto a = single.RunBatch(db, batch);
+  auto b = pooled.RunBatch(db, batch);
   EXPECT_EQ(a.stats.distance_computations, b.stats.distance_computations);
   EXPECT_EQ(a.per_query_distance_computations,
             b.per_query_distance_computations);
@@ -318,12 +289,13 @@ TEST(QueryEngine, ThreadCountDoesNotPerturbDistanceCounts) {
 TEST(QueryEngine, BatchStatsAreFilledIn) {
   util::Rng rng(33);
   auto data = dataset::UniformCube(120, 2, &rng);
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), 3,
-                                           LinearFactory<Vector>());
-  QueryEngine<Vector> engine(&db, 2);
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), 3,
+                                                       "linear-scan", 0)
+                .value();
+  QueryEngine<Vector> engine(2);
   std::vector<QuerySpec<Vector>> batch(
       6, QuerySpec<Vector>::Knn({0.5, 0.5}, 4));
-  auto out = engine.RunBatch(batch);
+  auto out = engine.RunBatch(db, batch);
   EXPECT_EQ(out.stats.query_count, 6u);
   EXPECT_EQ(out.stats.shard_count, 3u);
   EXPECT_EQ(out.stats.thread_count, 2u);
@@ -339,17 +311,18 @@ TEST(QueryEngine, EdgeCases) {
   util::Rng rng(34);
   auto data = dataset::UniformCube(10, 2, &rng);
   // More shards than points: some shards are empty.
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), 16,
-                                           LinearFactory<Vector>());
-  QueryEngine<Vector> engine(&db, 4);
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), 16,
+                                                       "linear-scan", 0)
+                .value();
+  QueryEngine<Vector> engine(4);
 
   // Empty batch.
-  auto empty = engine.RunBatch({});
+  auto empty = engine.RunBatch(db, {});
   EXPECT_TRUE(empty.results.empty());
   EXPECT_EQ(empty.stats.distance_computations, 0u);
 
   // k larger than the database.
-  auto out = engine.RunBatch({QuerySpec<Vector>::Knn({0.5, 0.5}, 50)});
+  auto out = engine.RunBatch(db, {QuerySpec<Vector>::Knn({0.5, 0.5}, 50)});
   ASSERT_EQ(out.results.size(), 1u);
   EXPECT_EQ(out.results[0].size(), data.size());
   LinearScanIndex<Vector> scan(data, L2());
@@ -357,7 +330,7 @@ TEST(QueryEngine, EdgeCases) {
             scan.Search(QuerySpec<Vector>::Knn({0.5, 0.5}, 50)).results);
 
   // Radius nothing matches.
-  auto none = engine.RunBatch({QuerySpec<Vector>::Range({9.0, 9.0}, 0.01)});
+  auto none = engine.RunBatch(db, {QuerySpec<Vector>::Range({9.0, 9.0}, 0.01)});
   EXPECT_TRUE(none.results[0].empty());
 }
 
@@ -407,9 +380,10 @@ TEST(SearchIndexConcurrency, SharedIndexServesManyThreads) {
 TEST(QueryEngine, PropagatesPerQueryStatuses) {
   util::Rng rng(44);
   auto data = dataset::UniformCube(150, 2, &rng);
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), 3,
-                                           LinearFactory<Vector>());
-  QueryEngine<Vector> engine(&db, 2);
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), 3,
+                                                       "linear-scan", 0)
+                .value();
+  QueryEngine<Vector> engine(2);
 
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<QuerySpec<Vector>> batch = {
@@ -419,7 +393,7 @@ TEST(QueryEngine, PropagatesPerQueryStatuses) {
       QuerySpec<Vector>::Range({0.5, 0.5}, 0.2),      // valid
       QuerySpec<Vector>::Knn({nan, 0.5}, 3),          // NaN coordinate
   };
-  auto out = engine.RunBatch(batch);
+  auto out = engine.RunBatch(db, batch);
   ASSERT_EQ(out.statuses.size(), batch.size());
   EXPECT_FALSE(out.all_ok());
   EXPECT_TRUE(out.statuses[0].ok());
@@ -449,16 +423,17 @@ TEST(QueryEngine, PropagatesTruncationUnderDistanceBudget) {
   const size_t n = 240;
   auto data = dataset::UniformCube(n, 2, &rng);
   const size_t shards = 3;
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), shards,
-                                           LinearFactory<Vector>());
-  QueryEngine<Vector> engine(&db, 2);
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), shards,
+                                                       "linear-scan", 0)
+                .value();
+  QueryEngine<Vector> engine(2);
 
   const uint64_t budget = 20;
   std::vector<QuerySpec<Vector>> batch = {
       QuerySpec<Vector>::Knn({0.4, 0.4}, 3).WithDistanceBudget(budget),
       QuerySpec<Vector>::Knn({0.4, 0.4}, 3),
   };
-  auto out = engine.RunBatch(batch);
+  auto out = engine.RunBatch(db, batch);
   ASSERT_TRUE(out.all_ok());
   EXPECT_TRUE(out.truncated[0]);
   // The budget applies per (query, shard) task.
@@ -472,9 +447,10 @@ TEST(QueryEngine, PropagatesTruncationUnderDistanceBudget) {
 TEST(QueryEngine, KnnWithinRadiusMatchesSingleIndex) {
   util::Rng rng(46);
   auto data = dataset::UniformCube(300, 3, &rng);
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), 4,
-                                           VpFactory<Vector>(11));
-  QueryEngine<Vector> engine(&db, 3);
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), 4,
+                                                       "vp-tree", 11)
+                .value();
+  QueryEngine<Vector> engine(3);
   LinearScanIndex<Vector> scan(data, L2());
   std::vector<QuerySpec<Vector>> batch;
   for (int q = 0; q < 10; ++q) {
@@ -482,7 +458,7 @@ TEST(QueryEngine, KnnWithinRadiusMatchesSingleIndex) {
     batch.push_back(
         QuerySpec<Vector>::KnnWithinRadius(point, 1 + q, 0.05 + 0.05 * q));
   }
-  auto out = engine.RunBatch(batch);
+  auto out = engine.RunBatch(db, batch);
   ASSERT_TRUE(out.all_ok());
   for (size_t q = 0; q < batch.size(); ++q) {
     auto truth = scan.Search(batch[q]);
@@ -557,14 +533,15 @@ TEST(BatchStatsHelpers, LatencySummaryHundredElements) {
 TEST(QueryEngine, LatencySummaryOnFullyRejectedBatch) {
   util::Rng rng(47);
   auto data = dataset::UniformCube(80, 2, &rng);
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), 2,
-                                           LinearFactory<Vector>());
-  QueryEngine<Vector> engine(&db, 2);
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), 2,
+                                                       "linear-scan", 0)
+                .value();
+  QueryEngine<Vector> engine(2);
   std::vector<QuerySpec<Vector>> batch = {
       QuerySpec<Vector>::Knn({0.5, 0.5}, 0),       // k = 0
       QuerySpec<Vector>::Range({0.5, 0.5}, -1.0),  // negative radius
   };
-  auto out = engine.RunBatch(batch);
+  auto out = engine.RunBatch(db, batch);
   EXPECT_FALSE(out.all_ok());
   EXPECT_EQ(out.stats.latency.count, 0u);
   EXPECT_DOUBLE_EQ(out.stats.latency.min_seconds, 0.0);
@@ -580,16 +557,17 @@ TEST(QueryEngine, LatencySummaryOnFullyRejectedBatch) {
 TEST(QueryEngine, LatencySummaryWithSingleExecutedQuery) {
   util::Rng rng(48);
   auto data = dataset::UniformCube(80, 2, &rng);
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), 2,
-                                           LinearFactory<Vector>());
-  QueryEngine<Vector> engine(&db, 2);
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), 2,
+                                                       "linear-scan", 0)
+                .value();
+  QueryEngine<Vector> engine(2);
   const double nan = std::numeric_limits<double>::quiet_NaN();
   std::vector<QuerySpec<Vector>> batch = {
       QuerySpec<Vector>::Knn({nan, 0.5}, 3),  // NaN coordinate
       QuerySpec<Vector>::Knn({0.5, 0.5}, 3),  // the only executed query
       QuerySpec<Vector>::Knn({0.5, 0.5}, 0),  // k = 0
   };
-  auto out = engine.RunBatch(batch);
+  auto out = engine.RunBatch(db, batch);
   EXPECT_FALSE(out.all_ok());
   EXPECT_TRUE(out.statuses[1].ok());
   EXPECT_EQ(out.stats.latency.count, 1u);
@@ -613,9 +591,10 @@ TEST(QueryEngine, TraceSpansPartitionDistanceCountsExactly) {
   util::Rng rng(49);
   auto data = dataset::UniformCube(320, 3, &rng);
   const size_t shards = 4;
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), shards,
-                                           VpFactory<Vector>(12));
-  QueryEngine<Vector> engine(&db, 3);
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), shards,
+                                                       "vp-tree", 12)
+                .value();
+  QueryEngine<Vector> engine(3);
 
   std::vector<QuerySpec<Vector>> plain;
   for (int q = 0; q < 8; ++q) {
@@ -627,8 +606,8 @@ TEST(QueryEngine, TraceSpansPartitionDistanceCountsExactly) {
   std::vector<QuerySpec<Vector>> traced = plain;
   for (auto& spec : traced) spec.WithTrace();
 
-  auto base = engine.RunBatch(plain);
-  auto out = engine.RunBatch(traced);
+  auto base = engine.RunBatch(db, plain);
+  auto out = engine.RunBatch(db, traced);
   ASSERT_TRUE(out.all_ok());
   EXPECT_EQ(out.results, base.results);
   EXPECT_EQ(out.per_query_distance_computations,
@@ -667,10 +646,11 @@ TEST(QueryEngine, EnableMetricsPopulatesRegistry) {
   util::Rng rng(51);
   auto data = dataset::UniformCube(200, 2, &rng);
   const size_t shards = 3;
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), shards,
-                                           LinearFactory<Vector>());
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), shards,
+                                                       "linear-scan", 0)
+                .value();
   obs::MetricsRegistry registry("test");
-  QueryEngine<Vector> engine(&db, 2);
+  QueryEngine<Vector> engine(2);
   engine.EnableMetrics(&registry);
 
   std::vector<QuerySpec<Vector>> batch = {
@@ -679,7 +659,7 @@ TEST(QueryEngine, EnableMetricsPopulatesRegistry) {
       QuerySpec<Vector>::Knn({0.5, 0.5}, 0),  // rejected: k = 0
       QuerySpec<Vector>::Knn({0.1, 0.1}, 3).WithDistanceBudget(10),
   };
-  auto out = engine.RunBatch(batch);
+  auto out = engine.RunBatch(db, batch);
 
   EXPECT_EQ(registry.GetCounter("engine_queries_total")->Value(), 3u);
   EXPECT_EQ(registry.GetCounter("engine_queries_rejected_total")->Value(),
@@ -700,7 +680,7 @@ TEST(QueryEngine, EnableMetricsPopulatesRegistry) {
             3u * shards);
 
   // A second batch accumulates into the same instruments.
-  engine.RunBatch({QuerySpec<Vector>::Knn({0.3, 0.3}, 2)});
+  engine.RunBatch(db, {QuerySpec<Vector>::Knn({0.3, 0.3}, 2)});
   EXPECT_EQ(registry.GetCounter("engine_queries_total")->Value(), 4u);
 
   const std::string text = registry.TextExposition();
@@ -722,10 +702,11 @@ TEST(QueryEngine, EnableMetricsPopulatesRegistry) {
 TEST(QueryEngine, MetricsCoverPruningSeries) {
   util::Rng rng(52);
   auto data = dataset::UniformCube(300, 3, &rng);
-  auto db = ShardedDatabase<Vector>::Build(data, L2(), 4,
-                                           LaesaFactory<Vector>(7, 6));
+  auto db = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), 4,
+                                                       "laesa:k=6", 7)
+                .value();
   obs::MetricsRegistry registry("pruning");
-  QueryEngine<Vector> engine(&db, 4);
+  QueryEngine<Vector> engine(4);
   engine.EnableMetrics(&registry);
 
   std::vector<QuerySpec<Vector>> batch;
@@ -733,7 +714,7 @@ TEST(QueryEngine, MetricsCoverPruningSeries) {
     Vector point = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
     batch.push_back(QuerySpec<Vector>::Knn(point, 4));
   }
-  auto out = engine.RunBatch(batch);
+  auto out = engine.RunBatch(db, batch);
   ASSERT_TRUE(out.all_ok());
   EXPECT_EQ(registry.GetCounter("engine_pruning_eliminated_total")->Value(),
             out.stats.pruning_eliminated);

@@ -149,12 +149,12 @@ TEST(LiveIngest, IdleStoreMatchesPlainEngineBitForBit) {
     auto plain = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), 2,
                                                             spec, 7);
     ASSERT_TRUE(plain.ok()) << spec;
-    QueryEngine<Vector> plain_engine(&plain.value(), 1);
-    auto want = plain_engine.RunBatch(batch);
+    QueryEngine<Vector> engine(1);
+    auto want = engine.RunBatch(plain.value(), batch);
 
     auto live = LiveDatabase<Vector>::Open(data, L2(), 2, spec, 7);
     ASSERT_TRUE(live.ok()) << spec;
-    auto got = live.value()->RunBatch(batch);
+    auto got = live.value()->RunBatch(engine, live.value()->Pin(), batch);
 
     EXPECT_EQ(got.results, want.results) << spec;
     EXPECT_EQ(got.truncated, want.truncated) << spec;
@@ -170,6 +170,7 @@ TEST(LiveIngest, IdleStoreMatchesPlainEngineBitForBit) {
 // approximate the base index is; removed points vanish; both survive
 // compaction, where ids are remapped but the points stay.
 TEST(LiveIngest, InsertRemoveVisibilityAcrossEverySpec) {
+  QueryEngine<Vector> engine(1);
   util::Rng rng(402);
   auto data = dataset::UniformCube(40, 2, &rng);
   for (const std::string& spec : index::Registry<Vector>::Global().Names()) {
@@ -188,7 +189,8 @@ TEST(LiveIngest, InsertRemoveVisibilityAcrossEverySpec) {
     }
     EXPECT_EQ(live.delta_entries(), 5u);
     Vector probe = {2.0, 2.0};
-    auto out = live.RunBatch({QuerySpec<Vector>::Knn(probe, 5)});
+    auto out =
+        live.RunBatch(engine, live.Pin(), {QuerySpec<Vector>::Knn(probe, 5)});
     ASSERT_TRUE(out.all_ok()) << spec;
     ASSERT_EQ(out.results[0].size(), 5u) << spec;
     for (const SearchResult& r : out.results[0]) {
@@ -200,7 +202,8 @@ TEST(LiveIngest, InsertRemoveVisibilityAcrossEverySpec) {
     // Removing a pending insert and a base point hides both at once.
     ASSERT_TRUE(live.Remove(inserted_ids[2]).ok()) << spec;
     ASSERT_TRUE(live.Remove(0).ok()) << spec;
-    out = live.RunBatch({QuerySpec<Vector>::Knn(probe, 5),
+    out = live.RunBatch(engine, live.Pin(),
+                        {QuerySpec<Vector>::Knn(probe, 5),
                          QuerySpec<Vector>::Knn(data[0], live.size())});
     ASSERT_TRUE(out.all_ok()) << spec;
     for (const SearchResult& r : out.results[0]) {
@@ -221,7 +224,7 @@ TEST(LiveIngest, InsertRemoveVisibilityAcrossEverySpec) {
     EXPECT_EQ(live.size(), data.size() - 1 + 4);
     auto snapshot = live.Pin();
     auto resolve = SnapshotResolver<Vector>(snapshot);
-    out = live.RunBatch({QuerySpec<Vector>::Knn(probe, 4)});
+    out = live.RunBatch(engine, live.Pin(), {QuerySpec<Vector>::Knn(probe, 4)});
     ASSERT_TRUE(out.all_ok()) << spec;
     // Folded into the base, the inserts are now found by the index
     // itself — exactly for exact indexes (approximate specs may trade
@@ -242,6 +245,7 @@ TEST(LiveIngest, InsertRemoveVisibilityAcrossEverySpec) {
 }
 
 TEST(LiveIngest, ExactSpecsMatchFreshBuildBeforeAndAfterCompaction) {
+  QueryEngine<Vector> engine(1);
   util::Rng rng(403);
   auto data = dataset::UniformCube(50, 2, &rng);
   for (const std::string& spec : kExactSpecs) {
@@ -269,7 +273,7 @@ TEST(LiveIngest, ExactSpecsMatchFreshBuildBeforeAndAfterCompaction) {
     EXPECT_EQ(final_data.size(), data.size() - 2 + 11);
     EXPECT_EQ(snapshot.live_size(), final_data.size());
     auto fresh = FreshAnswers(final_data, L2(), 3, spec, 13, batch);
-    auto got = live.RunBatch(batch);
+    auto got = live.RunBatch(engine, live.Pin(), batch);
     ASSERT_TRUE(got.all_ok()) << spec;
     auto live_resolve = SnapshotResolver<Vector>(snapshot);
     auto fresh_resolve = DatasetResolver(final_data);
@@ -287,7 +291,7 @@ TEST(LiveIngest, ExactSpecsMatchFreshBuildBeforeAndAfterCompaction) {
         FreshSlicedAnswers(snapshot.MaterializeSlices(), L2(), spec, 13,
                            batch);
     ASSERT_TRUE(live.Compact().ok()) << spec;
-    auto compacted = live.RunBatch(batch);
+    auto compacted = live.RunBatch(engine, live.Pin(), batch);
     EXPECT_EQ(compacted.results, fresh_sliced.results) << spec;
     EXPECT_EQ(compacted.per_query_distance_computations,
               fresh_sliced.per_query_distance_computations)
@@ -297,6 +301,7 @@ TEST(LiveIngest, ExactSpecsMatchFreshBuildBeforeAndAfterCompaction) {
 }
 
 TEST(LiveIngest, ApproxSpecsMatchFreshBuildAfterCompaction) {
+  QueryEngine<Vector> engine(1);
   util::Rng rng(404);
   auto data = dataset::UniformCube(50, 2, &rng);
   for (const std::string& spec : kApproxSpecs) {
@@ -316,7 +321,7 @@ TEST(LiveIngest, ApproxSpecsMatchFreshBuildAfterCompaction) {
     util::Rng query_rng(503);
     auto batch = MixedVectorBatch(2, &query_rng);
     auto fresh = FreshSlicedAnswers(std::move(slices), L2(), spec, 19, batch);
-    auto got = live.RunBatch(batch);
+    auto got = live.RunBatch(engine, live.Pin(), batch);
     EXPECT_EQ(got.results, fresh.results) << spec;
     EXPECT_EQ(got.per_query_distance_computations,
               fresh.per_query_distance_computations)
@@ -325,6 +330,7 @@ TEST(LiveIngest, ApproxSpecsMatchFreshBuildAfterCompaction) {
 }
 
 TEST(LiveIngest, StringsUnderLevenshtein) {
+  QueryEngine<std::string> engine(1);
   util::Rng rng(405);
   auto words = dataset::DnaSequences(60, 4, 5, 12, 0.1, &rng);
   metric::Metric<std::string> lev((metric::LevenshteinMetric()));
@@ -345,7 +351,7 @@ TEST(LiveIngest, StringsUnderLevenshtein) {
   auto snapshot = live.Pin();
   const std::vector<std::string> final_data = snapshot.Materialize();
   auto fresh = FreshAnswers(final_data, lev, 3, "vp-tree", 23, batch);
-  auto got = live.RunBatch(batch);
+  auto got = live.RunBatch(engine, live.Pin(), batch);
   ASSERT_TRUE(got.all_ok());
   auto live_resolve = SnapshotResolver<std::string>(snapshot);
   auto fresh_resolve = DatasetResolver(final_data);
@@ -358,7 +364,7 @@ TEST(LiveIngest, StringsUnderLevenshtein) {
   auto fresh_sliced = FreshSlicedAnswers(snapshot.MaterializeSlices(), lev,
                                          "vp-tree", 23, batch);
   ASSERT_TRUE(live.Compact().ok());
-  auto compacted = live.RunBatch(batch);
+  auto compacted = live.RunBatch(engine, live.Pin(), batch);
   EXPECT_EQ(compacted.results, fresh_sliced.results);
   EXPECT_EQ(compacted.per_query_distance_computations,
             fresh_sliced.per_query_distance_computations);
@@ -389,9 +395,9 @@ TEST(LiveIngest, BudgetAndTruncationAccountingUnchangedByDeltaPath) {
   auto plain = ShardedDatabase<Vector>::BuildFromRegistry(data, L2(), shards,
                                                           "linear-scan", 29);
   ASSERT_TRUE(plain.ok());
-  QueryEngine<Vector> plain_engine(&plain.value(), 1);
-  auto want = plain_engine.RunBatch(batch);
-  auto idle = live.RunBatch(batch);
+  QueryEngine<Vector> engine(1);
+  auto want = engine.RunBatch(plain.value(), batch);
+  auto idle = live.RunBatch(engine, live.Pin(), batch);
   EXPECT_EQ(idle.results, want.results);
   EXPECT_EQ(idle.truncated, want.truncated);
   EXPECT_EQ(idle.per_query_distance_computations,
@@ -406,7 +412,7 @@ TEST(LiveIngest, BudgetAndTruncationAccountingUnchangedByDeltaPath) {
   for (size_t i = 0; i < inserts; ++i) {
     ASSERT_TRUE(live.Insert({2.0, 2.0 + 0.1 * static_cast<double>(i)}).ok());
   }
-  auto out = live.RunBatch(batch);
+  auto out = live.RunBatch(engine, live.Pin(), batch);
   EXPECT_TRUE(out.truncated[0]);
   EXPECT_EQ(out.per_query_distance_computations[0],
             budget * shards + inserts);
@@ -511,6 +517,7 @@ TEST(LiveIngest, DeltaScanLimitAppliesBackpressure) {
 // zero cost, and a store with no points yet accepts the first
 // dimension it sees.
 TEST(LiveIngest, WrongDimensionWritesAndQueriesAreRejected) {
+  QueryEngine<Vector> engine(1);
   storage::Env* env = storage::Env::Default();
   const std::string dir = FreshDir("live_wrong_dimension");
   const std::string spec = "vp-tree:wal_dir=" + dir + ",fsync=always";
@@ -537,7 +544,7 @@ TEST(LiveIngest, WrongDimensionWritesAndQueriesAreRejected) {
         QuerySpec<Vector>::Knn({0.5, 0.5}, 3),
         QuerySpec<Vector>::Range({0.5}, 0.4)};
     for (int pass = 0; pass < 2; ++pass) {  // with and without a delta
-      auto out = live.RunBatch(batch);
+      auto out = live.RunBatch(engine, live.Pin(), batch);
       for (size_t q : {0u, 2u}) {
         EXPECT_EQ(out.statuses[q].code(), util::StatusCode::kInvalidArgument)
             << "pass " << pass << " query " << q;
@@ -577,6 +584,7 @@ TEST(LiveIngest, WrongDimensionWritesAndQueriesAreRejected) {
 }
 
 TEST(LiveIngest, AutoCompactionRunsInBackground) {
+  QueryEngine<Vector> engine(1);
   util::Rng rng(409);
   auto data = dataset::UniformCube(30, 2, &rng);
   auto live_result = LiveDatabase<Vector>::Open(
@@ -601,7 +609,7 @@ TEST(LiveIngest, AutoCompactionRunsInBackground) {
   auto batch = MixedVectorBatch(2, &rng);
   auto fresh =
       FreshAnswers(snapshot.Materialize(), L2(), 2, "vp-tree", 37, batch);
-  auto got = live.RunBatch(batch);
+  auto got = live.RunBatch(engine, live.Pin(), batch);
   EXPECT_EQ(got.results, fresh.results);
 }
 
@@ -609,6 +617,7 @@ TEST(LiveIngest, AutoCompactionRunsInBackground) {
 // carried into the new generation with every id remapped into the new
 // space — including removes that target points the fold just moved.
 TEST(LiveIngest, CompactPrefixRemapsThePendingTail) {
+  QueryEngine<Vector> engine(1);
   util::Rng rng(410);
   auto data = dataset::UniformCube(10, 2, &rng);
   auto live_result =
@@ -636,7 +645,8 @@ TEST(LiveIngest, CompactPrefixRemapsThePendingTail) {
 
   auto snapshot = live.Pin();
   auto resolve = SnapshotResolver<Vector>(snapshot);
-  auto out = live.RunBatch({QuerySpec<Vector>::Knn({3.5, 3.5}, 2)});
+  auto out = live.RunBatch(engine, live.Pin(),
+                           {QuerySpec<Vector>::Knn({3.5, 3.5}, 2)});
   ASSERT_TRUE(out.all_ok());
   ASSERT_EQ(out.results[0].size(), 2u);
   EXPECT_EQ(resolve(out.results[0][0].id), b);  // a is gone, b closest
@@ -649,7 +659,7 @@ TEST(LiveIngest, CompactPrefixRemapsThePendingTail) {
   EXPECT_EQ(final_data.size(), 10u);
   auto batch = MixedVectorBatch(2, &rng);
   auto fresh = FreshAnswers(final_data, L2(), 2, "linear-scan", 41, batch);
-  auto got = live.RunBatch(batch);
+  auto got = live.RunBatch(engine, live.Pin(), batch);
   EXPECT_EQ(got.results, fresh.results);
 }
 
@@ -688,6 +698,7 @@ TEST(LiveIngest, RetiredGenerationsAreFreedWhenUnpinned) {
 // Tracing changes nothing else: results and accounting stay identical
 // to the untraced run.
 TEST(LiveIngest, TraceCoversDeltaLegAndSumsExactly) {
+  QueryEngine<Vector> engine(1);
   util::Rng rng(412);
   auto data = dataset::UniformCube(50, 2, &rng);
   const size_t shards = 3;
@@ -706,8 +717,8 @@ TEST(LiveIngest, TraceCoversDeltaLegAndSumsExactly) {
   std::vector<QuerySpec<Vector>> traced = plain;
   for (auto& spec : traced) spec.WithTrace();
 
-  auto base = live.RunBatch(plain);
-  auto out = live.RunBatch(traced);
+  auto base = live.RunBatch(engine, live.Pin(), plain);
+  auto out = live.RunBatch(engine, live.Pin(), traced);
   ASSERT_TRUE(out.all_ok());
   EXPECT_EQ(out.results, base.results);
   EXPECT_EQ(out.per_query_distance_computations,
@@ -733,7 +744,7 @@ TEST(LiveIngest, TraceCoversDeltaLegAndSumsExactly) {
   // After compaction the delta is empty: traces drop the delta span
   // and flow straight from the engine.
   ASSERT_TRUE(live.Compact().ok());
-  auto folded = live.RunBatch(traced);
+  auto folded = live.RunBatch(engine, live.Pin(), traced);
   ASSERT_TRUE(folded.all_ok());
   for (size_t q = 0; q < traced.size(); ++q) {
     EXPECT_EQ(folded.traces[q].spans.size(), shards) << q;
@@ -787,8 +798,11 @@ TEST(LiveIngest, MetricsRecordWritesCompactionsAndGauges) {
   EXPECT_NE(text.find("live_pinned_generations 1"), std::string::npos)
       << text;
 
-  // The built-in serving engine shares the registry.
-  auto out = live.RunBatch({QuerySpec<Vector>::Knn({0.5, 0.5}, 3)});
+  // An engine enabled on the same registry records the engine series.
+  QueryEngine<Vector> engine(1);
+  engine.EnableMetrics(&registry);
+  auto out = live.RunBatch(engine, live.Pin(),
+                           {QuerySpec<Vector>::Knn({0.5, 0.5}, 3)});
   ASSERT_TRUE(out.all_ok());
   EXPECT_EQ(registry.GetCounter("engine_queries_total")->Value(), 1u);
   EXPECT_EQ(registry.GetCounter("engine_distance_computations_total")
@@ -871,6 +885,7 @@ TEST(LiveIngest, SideRunUpkeepIsLogarithmicInDepth) {
 // them; base removes make the generation leg over-fetch too.  The runs
 // may only save distance computations, never add them.
 TEST(LiveIngest, SideRunsAnswerLikeTheFlatScanAtEveryPublication) {
+  QueryEngine<Vector> engine(1);
   constexpr size_t kDim = 3;
   constexpr size_t kShards = 2;
   constexpr size_t kMin = 8;
@@ -950,8 +965,8 @@ TEST(LiveIngest, SideRunsAnswerLikeTheFlatScanAtEveryPublication) {
       batch.push_back(QuerySpec<Vector>::Range(point, 0.1 + 0.05 * q));
       batch.push_back(QuerySpec<Vector>::KnnWithinRadius(point, 8, 0.2));
     }
-    auto got = side.RunBatch(batch);
-    auto want = flat.RunBatch(batch);
+    auto got = side.RunBatch(engine, side.Pin(), batch);
+    auto want = flat.RunBatch(engine, flat.Pin(), batch);
     ASSERT_TRUE(got.all_ok()) << "op " << op;
     ASSERT_TRUE(want.all_ok()) << "op " << op;
     for (size_t q = 0; q < batch.size(); ++q) {
@@ -973,6 +988,7 @@ TEST(LiveIngest, SideRunsAnswerLikeTheFlatScanAtEveryPublication) {
 // wrote the same window holds a deeper stack.  Answers match; only the
 // stack shape (and so the distance counts) may differ.
 TEST(LiveIngest, RecoveryCoversTheWindowWithOneRunPerShard) {
+  QueryEngine<Vector> engine(1);
   const std::string dir = FreshDir("live_side_recovery");
   const std::string spec =
       "vp-tree:delta_index_min=8,wal_dir=" + dir + ",fsync=batched";
@@ -1001,7 +1017,7 @@ TEST(LiveIngest, RecoveryCoversTheWindowWithOneRunPerShard) {
     }
     EXPECT_GT(ExposedValue(registry.TextExposition(), "live_side_index_runs"),
               3.0);
-    auto out = live.RunBatch(batch);
+    auto out = live.RunBatch(engine, live.Pin(), batch);
     ASSERT_TRUE(out.all_ok());
     live_answers = out.results;
     ASSERT_TRUE(live.SyncWal().ok());
@@ -1013,7 +1029,7 @@ TEST(LiveIngest, RecoveryCoversTheWindowWithOneRunPerShard) {
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ(ExposedValue(registry.TextExposition(), "live_side_index_runs"),
             3.0);
-  auto out = reopened.value()->RunBatch(batch);
+  auto out = reopened.value()->RunBatch(engine, reopened.value()->Pin(), batch);
   ASSERT_TRUE(out.all_ok());
   EXPECT_EQ(out.results, live_answers);
 }
@@ -1029,6 +1045,7 @@ class RecordTap : public ReplicationListener {
 };
 
 TEST(LiveIngest, ApplyReplicatedReproducesThePrimaryAndRejectsLikeIt) {
+  QueryEngine<Vector> engine(1);
   storage::Env* env = storage::Env::Default();
   const std::string primary_dir = FreshDir("live_apply_primary");
   const std::string replica_dir = FreshDir("live_apply_replica");
@@ -1077,8 +1094,8 @@ TEST(LiveIngest, ApplyReplicatedReproducesThePrimaryAndRejectsLikeIt) {
   EXPECT_EQ(replica.remove_clock(), primary.remove_clock());
   EXPECT_EQ(replica.size(), primary.size());
   const auto batch = MixedVectorBatch(3, &rng);
-  auto primary_out = primary.RunBatch(batch);
-  auto replica_out = replica.RunBatch(batch);
+  auto primary_out = primary.RunBatch(engine, primary.Pin(), batch);
+  auto replica_out = replica.RunBatch(engine, replica.Pin(), batch);
   ASSERT_TRUE(primary_out.all_ok());
   ASSERT_TRUE(replica_out.all_ok());
   EXPECT_EQ(replica_out.results, primary_out.results);

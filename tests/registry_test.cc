@@ -264,8 +264,8 @@ TEST(Registry, ShardedDatabaseBuildFromRegistry) {
           data, L2(), shards, spec, 500);
       ASSERT_TRUE(db.ok()) << spec << ": " << db.status();
       EXPECT_EQ(db.value().shard_count(), shards);
-      engine::QueryEngine<Vector> engine(&db.value(), 3);
-      auto out = engine.RunBatch(batch);
+      engine::QueryEngine<Vector> engine(3);
+      auto out = engine.RunBatch(db.value(), batch);
       EXPECT_TRUE(out.all_ok());
       for (size_t q = 0; q < batch.size(); ++q) {
         EXPECT_EQ(out.results[q], truth[q])
@@ -281,8 +281,9 @@ TEST(Registry, ShardedDatabaseBuildFromRegistry) {
   auto b = engine::ShardedDatabase<Vector>::BuildFromRegistry(
       data, L2(), 4, "vp-tree", 7);
   ASSERT_TRUE(a.ok() && b.ok());
-  engine::QueryEngine<Vector> ea(&a.value(), 2), eb(&b.value(), 2);
-  auto ra = ea.RunBatch(batch), rb = eb.RunBatch(batch);
+  engine::QueryEngine<Vector> engine(2);
+  auto ra = engine.RunBatch(a.value(), batch);
+  auto rb = engine.RunBatch(b.value(), batch);
   EXPECT_EQ(ra.results, rb.results);
   EXPECT_EQ(ra.per_query_distance_computations,
             rb.per_query_distance_computations);

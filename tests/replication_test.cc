@@ -460,7 +460,8 @@ TEST(Replication, BootstrapTailRotateConvergeWithExactMetrics) {
         dataset::UniformCube(1, 4, &qrng)[0], 5));
   }
   QueryEngine<Vector> local_engine(1);
-  const auto local = primary->db->RunBatch(local_engine, batch);
+  const auto local =
+      primary->db->RunBatch(local_engine, primary->db->Pin(), batch);
   auto remote = client.value()->SearchBatch(batch);
   ASSERT_TRUE(remote.ok()) << remote.status();
   ASSERT_EQ(remote.value().size(), batch.size());

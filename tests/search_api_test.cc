@@ -74,8 +74,8 @@ void ExpectEngineMatchesSearch(const std::vector<P>& data,
   for (auto& built : BuildAll(data, metric, seed)) {
     std::shared_ptr<const SearchIndex<P>> shard(std::move(built));
     auto db = engine::ShardedDatabase<P>::FromShards({shard});
-    engine::QueryEngine<P> engine(&db, 1);
-    auto out = engine.RunBatch(batch);
+    engine::QueryEngine<P> engine(1);
+    auto out = engine.RunBatch(db, batch);
     for (size_t q = 0; q < batch.size(); ++q) {
       SearchResponse direct = shard->Search(batch[q]);
       EXPECT_TRUE(direct.status.ok()) << shard->name();

@@ -192,7 +192,7 @@ TEST(ServerE2E, LoopbackBitIdenticalAcrossRegistrySpecs) {
 
     const std::vector<SearchRequest<Vector>> batch = MixedBatch(6, 7);
     QueryEngine<Vector> local_engine(1);
-    const auto local = ts->db->RunBatch(local_engine, batch);
+    const auto local = ts->db->RunBatch(local_engine, ts->db->Pin(), batch);
 
     auto remote = client->SearchBatch(batch);
     ASSERT_TRUE(remote.ok()) << remote.status();
@@ -461,7 +461,7 @@ TEST(ServerE2E, CacheInvalidatesAcrossMutationsAndCompaction) {
   EXPECT_EQ(after_compact.value().generation,
             ts->db->generation_number());
   QueryEngine<Vector> local_engine(1);
-  const auto local = ts->db->RunBatch(local_engine, {request});
+  const auto local = ts->db->RunBatch(local_engine, ts->db->Pin(), {request});
   ExpectBitIdentical(after_compact.value(), local, 0, "post-compact");
   const PermCacheStore* store = ts->server->cache_store();
   ASSERT_NE(store, nullptr);
@@ -497,7 +497,7 @@ TEST(ServerE2E, BoundSeedingOnlyReducesDistanceComputations) {
 
   // Ground truth without any cache interference.
   QueryEngine<Vector> local_engine(1);
-  const auto local = ts->db->RunBatch(local_engine, {request});
+  const auto local = ts->db->RunBatch(local_engine, ts->db->Pin(), {request});
   ASSERT_TRUE(local.statuses[0].ok());
 
   // Exact results, never more distance computations than unhinted.
@@ -598,129 +598,97 @@ TEST(ServerE2E, MetricsEndpointServesExpositionAndStatz) {
   EXPECT_NE(metrics.find("perm_cache_misses_total 1"), std::string::npos);
   EXPECT_NE(metrics.find("server_requests_total 2"), std::string::npos);
   EXPECT_NE(metrics.find("engine_queries_total"), std::string::npos);
+  EXPECT_NE(metrics.find("server_paused_connections 0"), std::string::npos);
+  EXPECT_NE(metrics.find("server_write_backlog_max_bytes "),
+            std::string::npos);
 
   const std::string statz = HttpGet(metrics_port, "/statz");
   EXPECT_NE(statz.find("\"generation\": 1"), std::string::npos);
   EXPECT_NE(statz.find("\"cache_hits\": 1"), std::string::npos);
   EXPECT_NE(statz.find("\"requests\": 2"), std::string::npos);
+  EXPECT_NE(statz.find("\"paused_connections\": 0"), std::string::npos);
+  EXPECT_NE(statz.find("\"write_backlog_max_bytes\": "), std::string::npos);
 
   const std::string missing = HttpGet(metrics_port, "/nope");
   EXPECT_NE(missing.find("HTTP/1.0 404"), std::string::npos);
 }
 
-// A client that pipelines requests and never reads its answers must
-// fill its own socket, not server memory: once the unsent backlog
-// passes the cap the server stops reading that connection, keeps
-// serving others, and resumes — in order — when the client drains.
-TEST(ServerE2E, SlowReaderIsPausedNotBuffered) {
-  using Clock = std::chrono::steady_clock;
-  SearchServer<Vector>::Options options;
-  options.max_requests_per_connection = std::numeric_limits<size_t>::max();
-  auto ts = StartServer("linear-scan", 512, 4, 17, options);
-  ASSERT_NE(ts, nullptr);
+/// A pipelined stream of k-NN requests with answers of at least
+/// 4 KiB each, plus the local answers they must match.
+struct SlowReaderStream {
+  static constexpr size_t kK = 256;
+  static constexpr size_t kProbes = 64;
 
-  // k = 256 makes every answer at least 4 KiB, so the stream's answers
-  // total 6x the cap — well over 4x the cap plus both socket buffers
-  // (the client's receive buffer is pinned small below).
-  constexpr size_t kK = 256;
-  constexpr size_t kProbes = 64;
-  constexpr size_t kChunk = 64;
-  const size_t total =
-      6 * SearchServer<Vector>::kMaxWriteBacklog / (kK * 16);
-  util::Rng rng(18);
-  const std::vector<Vector> probes = dataset::UniformCube(kProbes, 4, &rng);
+  explicit SlowReaderStream(const TestServer& ts) {
+    // The answers total 6x the cap — well over 4x the cap plus both
+    // socket buffers (the client's receive buffer is pinned small).
+    total = 6 * SearchServer<Vector>::kMaxWriteBacklog / (kK * 16);
+    util::Rng rng(18);
+    const std::vector<Vector> probes = dataset::UniformCube(kProbes, 4, &rng);
+    for (const Vector& probe : probes) {
+      cycle.push_back(SearchRequest<Vector>::Knn(probe, kK));
+    }
+    QueryEngine<Vector> local_engine(1);
+    local = ts.db->RunBatch(local_engine, ts.db->Pin(), cycle);
+    for (size_t i = 0; i < total; ++i) {
+      std::string payload;
+      net::EncodeSearchRequest(&payload, cycle[i % kProbes]);
+      bytes += net::EncodeFrame(net::MessageType::kSearch, payload);
+      frame_ends.push_back(bytes.size());
+    }
+  }
+
+  /// Requests wholly inside the first `sent` bytes.
+  uint64_t RequestsSent(size_t sent) const {
+    return static_cast<uint64_t>(
+        std::upper_bound(frame_ends.begin(), frame_ends.end(), sent) -
+        frame_ends.begin());
+  }
+
+  size_t total = 0;
   std::vector<SearchRequest<Vector>> cycle;
-  for (const Vector& probe : probes) {
-    cycle.push_back(SearchRequest<Vector>::Knn(probe, kK));
-  }
-  QueryEngine<Vector> local_engine(1);
-  const auto local = ts->db->RunBatch(local_engine, cycle);
-  std::string stream;
+  QueryEngine<Vector>::BatchOutput local;
+  std::string bytes;
   std::vector<size_t> frame_ends;
-  for (size_t i = 0; i < total; ++i) {
-    std::string payload;
-    net::EncodeSearchRequest(&payload, cycle[i % kProbes]);
-    stream += net::EncodeFrame(net::MessageType::kSearch, payload);
-    frame_ends.push_back(stream.size());
-  }
+};
 
+/// A non-blocking loopback socket to `port` with a small receive
+/// buffer, so unread answers back up into the server quickly.
+int ConnectSlowReader(uint16_t port) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+  if (fd < 0) return -1;
   const int rcvbuf = 64 << 10;
   setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
   sockaddr_in address{};
   address.sin_family = AF_INET;
-  address.sin_port = htons(ts->server->port());
+  address.sin_port = htons(port);
   inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
-  ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&address),
-                    sizeof(address)),
-            0);
-  ASSERT_EQ(fcntl(fd, F_SETFL, fcntl(fd, F_GETFL) | O_NONBLOCK), 0);
-  size_t sent = 0;  // bytes of `stream` the socket accepted
-  const auto requests_sent = [&]() {
-    return static_cast<uint64_t>(
-        std::upper_bound(frame_ends.begin(), frame_ends.end(), sent) -
-        frame_ends.begin());
-  };
-
-  // Pipeline in chunks without reading, waiting after each for the
-  // server to answer it, until the server stops answering.  Chunking
-  // keeps each server read small, so the stop is the cap's doing, not
-  // one huge read's.
-  const auto deadline = Clock::now() + std::chrono::seconds(60);
-  uint64_t served = 0;
-  bool stalled = false;
-  while (sent < stream.size() && !stalled && Clock::now() < deadline) {
-    const size_t chunk_end =
-        frame_ends[std::min(requests_sent() + kChunk, total) - 1];
-    auto progress = Clock::now();
-    while (sent < chunk_end &&
-           Clock::now() - progress < std::chrono::seconds(1)) {
-      const ssize_t n = send(fd, stream.data() + sent, chunk_end - sent,
-                             MSG_NOSIGNAL);
-      if (n > 0) {
-        sent += static_cast<size_t>(n);
-        progress = Clock::now();
-      } else {
-        ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-            << std::strerror(errno);
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    progress = Clock::now();
-    while (served < requests_sent() &&
-           Clock::now() - progress < std::chrono::seconds(1)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      const uint64_t now_served = ts->server->requests_served();
-      if (now_served != served) progress = Clock::now();
-      served = now_served;
-    }
-    stalled = served < requests_sent();
+  if (connect(fd, reinterpret_cast<const sockaddr*>(&address),
+              sizeof(address)) != 0 ||
+      fcntl(fd, F_SETFL, fcntl(fd, F_GETFL) | O_NONBLOCK) != 0) {
+    close(fd);
+    return -1;
   }
-  EXPECT_TRUE(stalled) << "server answered all " << served
-                       << " pipelined requests without being read";
-  EXPECT_LT(served, requests_sent());
-  EXPECT_LT(served, total);
+  return fd;
+}
 
-  // The paused connection does not stall the loop.
-  auto other = Connect(*ts);
-  ASSERT_NE(other, nullptr);
-  auto answer = other->Search(cycle[0]);
-  ASSERT_TRUE(answer.ok()) << answer.status();
-  EXPECT_EQ(answer.value().results, local.results[0]);
-
-  // Draining resumes the stream: every answer arrives, in order.
+/// Reads answers off `fd` — sending the rest of the stream as the
+/// socket accepts it — until every request is answered or `deadline`
+/// passes; expects each answer in request order.
+void DrainInOrder(int fd, const SlowReaderStream& stream, size_t sent,
+                  std::chrono::steady_clock::time_point deadline) {
   std::string in;
   size_t consumed = 0;
   size_t answered = 0;
   size_t mismatches = 0;
-  while (answered < total && Clock::now() < deadline) {
+  while (answered < stream.total &&
+         std::chrono::steady_clock::now() < deadline) {
     pollfd poll_fd{fd, POLLIN, 0};
-    if (sent < stream.size()) poll_fd.events |= POLLOUT;
+    if (sent < stream.bytes.size()) poll_fd.events |= POLLOUT;
     poll(&poll_fd, 1, 100);
-    if (sent < stream.size()) {
-      const ssize_t n = send(fd, stream.data() + sent, stream.size() - sent,
-                             MSG_NOSIGNAL);
+    if (sent < stream.bytes.size()) {
+      const ssize_t n = send(fd, stream.bytes.data() + sent,
+                             stream.bytes.size() - sent, MSG_NOSIGNAL);
       if (n > 0) sent += static_cast<size_t>(n);
     }
     char buffer[65536];
@@ -741,7 +709,8 @@ TEST(ServerE2E, SlowReaderIsPausedNotBuffered) {
       auto response =
           net::DecodeSearchResponse(view.payload, view.payload_size);
       if (view.type != net::MessageType::kSearchResult || !response.ok() ||
-          response.value().results != local.results[answered % kProbes]) {
+          response.value().results !=
+              stream.local.results[answered % SlowReaderStream::kProbes]) {
         ++mismatches;
       }
       ++answered;
@@ -749,9 +718,131 @@ TEST(ServerE2E, SlowReaderIsPausedNotBuffered) {
     in.erase(0, consumed);
     consumed = 0;
   }
-  close(fd);
-  EXPECT_EQ(answered, total);
+  EXPECT_EQ(answered, stream.total);
   EXPECT_EQ(mismatches, 0u);
+}
+
+// A client that pipelines requests and never reads its answers must
+// fill its own socket, not server memory: once the unsent backlog
+// passes the cap the server stops reading that connection, keeps
+// serving others, and resumes — in order — when the client drains.
+TEST(ServerE2E, SlowReaderIsPausedNotBuffered) {
+  using Clock = std::chrono::steady_clock;
+  SearchServer<Vector>::Options options;
+  options.max_requests_per_connection = std::numeric_limits<size_t>::max();
+  auto ts = StartServer("linear-scan", 512, 4, 17, options);
+  ASSERT_NE(ts, nullptr);
+  const SlowReaderStream stream(*ts);
+  constexpr size_t kChunk = 64;
+  const int fd = ConnectSlowReader(ts->server->port());
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  size_t sent = 0;  // bytes of the stream the socket accepted
+
+  // Pipeline in chunks without reading, waiting after each for the
+  // server to answer it, until the server stops answering.  Chunking
+  // keeps each server read small, so the stop is the cap's doing, not
+  // one huge read's.
+  const auto deadline = Clock::now() + std::chrono::seconds(60);
+  uint64_t served = 0;
+  bool stalled = false;
+  while (sent < stream.bytes.size() && !stalled && Clock::now() < deadline) {
+    const size_t chunk_end = stream.frame_ends[std::min(
+        stream.RequestsSent(sent) + kChunk, stream.total) - 1];
+    auto progress = Clock::now();
+    while (sent < chunk_end &&
+           Clock::now() - progress < std::chrono::seconds(1)) {
+      const ssize_t n = send(fd, stream.bytes.data() + sent,
+                             chunk_end - sent, MSG_NOSIGNAL);
+      if (n > 0) {
+        sent += static_cast<size_t>(n);
+        progress = Clock::now();
+      } else {
+        ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
+            << std::strerror(errno);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    progress = Clock::now();
+    while (served < stream.RequestsSent(sent) &&
+           Clock::now() - progress < std::chrono::seconds(1)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      const uint64_t now_served = ts->server->requests_served();
+      if (now_served != served) progress = Clock::now();
+      served = now_served;
+    }
+    stalled = served < stream.RequestsSent(sent);
+  }
+  EXPECT_TRUE(stalled) << "server answered all " << served
+                       << " pipelined requests without being read";
+  EXPECT_LT(served, stream.RequestsSent(sent));
+  EXPECT_LT(served, stream.total);
+
+  // The paused connection does not stall the loop.
+  auto other = Connect(*ts);
+  ASSERT_NE(other, nullptr);
+  auto answer = other->Search(stream.cycle[0]);
+  ASSERT_TRUE(answer.ok()) << answer.status();
+  EXPECT_EQ(answer.value().results, stream.local.results[0]);
+
+  // Draining resumes the stream: every answer arrives, in order.
+  DrainInOrder(fd, stream, sent, deadline);
+  close(fd);
+}
+
+// The same stream sent in one unpaced loop, so one server read can
+// return thousands of requests at once: the server answers them only
+// while the backlog is under the cap and leaves the rest buffered, so
+// the unsent answers stay under twice the cap, and every answer still
+// arrives in order once the client drains.
+TEST(ServerE2E, UnpacedBurstStaysUnderTheBacklogCap) {
+  using Clock = std::chrono::steady_clock;
+  constexpr size_t kCap = SearchServer<Vector>::kMaxWriteBacklog;
+  SearchServer<Vector>::Options options;
+  options.max_requests_per_connection = std::numeric_limits<size_t>::max();
+  auto ts = StartServer("linear-scan", 512, 4, 17, options);
+  ASSERT_NE(ts, nullptr);
+  const SlowReaderStream stream(*ts);
+  const int fd = ConnectSlowReader(ts->server->port());
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+
+  // Send until the socket stops accepting bytes for a second.
+  size_t sent = 0;
+  auto progress = Clock::now();
+  while (sent < stream.bytes.size() &&
+         Clock::now() - progress < std::chrono::seconds(1)) {
+    const ssize_t n = send(fd, stream.bytes.data() + sent,
+                           stream.bytes.size() - sent, MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      progress = Clock::now();
+    } else {
+      ASSERT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
+          << std::strerror(errno);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  // The server pauses the connection once the backlog passes the cap
+  // (and answers nothing more until the client reads).
+  const auto paused_by = Clock::now() + std::chrono::seconds(60);
+  while (ts->server->paused_connections() == 0 &&
+         ts->server->requests_served() < stream.total &&
+         Clock::now() < paused_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(ts->server->paused_connections(), 1u);
+  EXPECT_LT(ts->server->requests_served(), stream.total)
+      << "server answered every pipelined request without being read";
+  const uint64_t high_water = ts->server->write_backlog_max_bytes();
+  EXPECT_GT(high_water, kCap);
+  EXPECT_LT(high_water, 2 * kCap);
+
+  DrainInOrder(fd, stream, sent, Clock::now() + std::chrono::seconds(60));
+  close(fd);
+  const auto deadline = Clock::now() + std::chrono::seconds(10);
+  while (ts->server->paused_connections() != 0 && Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(ts->server->paused_connections(), 0u);
 }
 
 // ----------------------------------------------------------- LiveClock
