@@ -40,11 +40,11 @@
 //     time and build distance computations, shards rebuilt and shared,
 //     and the folded store's answers against the rebuild.
 //
-//  5. Observability — steady-state q/s of a metrics-off engine versus
-//     the same engine wired into an obs::MetricsRegistry, interleaved
-//     rounds with best-of per mode, plus per-query trace exactness:
-//     bit-identical results with spans that partition each query's
-//     distance count.
+//  5. Observability — q/s of a metrics-off engine versus the same
+//     engine wired into an obs::MetricsRegistry, the median of paired
+//     alternating batches with its quartiles, plus per-query trace
+//     exactness: bit-identical results with spans that partition each
+//     query's distance count.
 //
 //  6. Durability — the cost of the write-ahead log and the payoff of
 //     snapshots.  (a) Insert throughput of a durable store
@@ -147,6 +147,18 @@ double Now() {
       .count();
 }
 
+// Quantile q of `values` by linear interpolation between order
+// statistics (rank q * (n - 1)); 0 when empty.
+double Quantile(std::vector<double> values, double q) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  const double rank = q * static_cast<double>(values.size() - 1);
+  const size_t low = static_cast<size_t>(rank);
+  const size_t high = std::min(low + 1, values.size() - 1);
+  return values[low] +
+         (rank - static_cast<double>(low)) * (values[high] - values[low]);
+}
+
 struct ThroughputRow {
   std::string index;
   size_t shards = 0;
@@ -168,9 +180,14 @@ struct BuildRow {
 };
 
 struct ObservabilityResult {
-  double qps_off = 0.0;  // metrics disabled (the seed behavior)
-  double qps_on = 0.0;   // EnableMetrics wired into a registry
-  double overhead_fraction = 0.0;  // max(0, 1 - qps_on / qps_off)
+  double qps_off = 0.0;  // metrics disabled (the seed behavior), median
+  double qps_on = 0.0;   // EnableMetrics wired into a registry, median
+  // 1 - off / on over the per-sample time ratios on / off: the median,
+  // floored at 0 (gated), and the quartiles (the spread, signed).
+  double overhead_fraction = 0.0;
+  double overhead_q25 = 0.0;
+  double overhead_q75 = 0.0;
+  size_t samples = 0;
   bool trace_exact = true;
 };
 
@@ -272,6 +289,10 @@ constexpr bool kOptimizedBuild = false;
 #endif
 
 constexpr size_t kIncShards = 8;
+
+// Paired samples behind the observability overhead: one batch per
+// engine each, ~16 ms at the section's floor size on a 4-vCPU host.
+constexpr size_t kObsSamples = 201;
 
 constexpr double Bit(bool b) { return b ? 1.0 : 0.0; }
 
@@ -484,6 +505,9 @@ bool WriteJson(const std::string& path, size_t points, size_t queries,
       << Fixed(obs.qps_off, 1)
       << ", \"qps_metrics_on\": " << Fixed(obs.qps_on, 1)
       << ", \"overhead_fraction\": " << Fixed(obs.overhead_fraction, 4)
+      << ", \"overhead_q25\": " << Fixed(obs.overhead_q25, 4)
+      << ", \"overhead_q75\": " << Fixed(obs.overhead_q75, 4)
+      << ", \"samples\": " << obs.samples
       << ", \"trace_exact\": " << (obs.trace_exact ? "true" : "false")
       << "},\n";
   out << "  \"durability\": {\"ingest_spec\": \"" << durability.ingest_spec
@@ -1023,20 +1047,24 @@ int main(int argc, char** argv) {
   // -------------------------------------------------- observability
   // Metrics overhead: the same sharded batch on two engines over one
   // database — one plain (the seed behavior: no registry, no clock
-  // reads), one wired into a MetricsRegistry.  The modes run
-  // interleaved and the best round per mode is kept, so scheduler and
-  // frequency noise hit both sides alike.  Tracing is then checked for
-  // exactness: bit-identical results and spans that partition each
-  // query's distance count.
+  // reads), one wired into a MetricsRegistry.  One sample times one
+  // batch on each engine, the two in alternating order, and yields the
+  // ratio of the two times; the gated overhead is the median ratio's,
+  // reported with the quartiles.  A ratio of adjacent timings cancels
+  // the host's slow drifts, and the median of many samples ignores the
+  // preempted ones.  Tracing is then checked for exactness:
+  // bit-identical results and spans that partition each query's
+  // distance count.
   //
-  // The workload is floored at 4000 points x 48 queries regardless of
+  // The workload is floored at 20000 points x 48 queries regardless of
   // --points/--queries: the overhead gate measures per-task instrument
-  // cost amortized over serving-regime shard searches, and on a toy
-  // store the fixed clock reads dominate the task itself, which is
-  // noise for this gate, not signal (the CI smoke profile runs 1500
-  // points).
+  // cost amortized over serving-regime shard searches (5000-point
+  // shards here; the repo benchmark serves 50000-point ones).  On
+  // 1000-point shards the fixed per-task cost reads near 2%, within the
+  // noise of a 4-vCPU host (sample quartiles about 5% apart) of the
+  // 0.03 gate, so the verdict was a coin flip.
   ObservabilityResult& obs_row = report.obs;
-  const size_t obs_points = std::max<size_t>(points, 4000);
+  const size_t obs_points = std::max<size_t>(points, 20000);
   const size_t obs_queries = std::max<size_t>(queries, 48);
   {
     Rng obs_rng(seed);
@@ -1061,21 +1089,32 @@ int main(int argc, char** argv) {
     plain_engine.RunBatch(db, obs_batch);  // warm both pools and the scratch
     metered_engine.RunBatch(db, obs_batch);
 
-    const int obs_reps = smoke ? 12 : 30;
-    double best_off = 1e100;
-    double best_on = 1e100;
-    for (int rep = 0; rep < obs_reps; ++rep) {
-      double t0 = Now();
-      plain_engine.RunBatch(db, obs_batch);
-      best_off = std::min(best_off, Now() - t0);
-      t0 = Now();
-      metered_engine.RunBatch(db, obs_batch);
-      best_on = std::min(best_on, Now() - t0);
+    const auto time_batch = [&](QueryEngine<Vector>& engine) {
+      const double t0 = Now();
+      engine.RunBatch(db, obs_batch);
+      return Now() - t0;
+    };
+    std::vector<double> off_s, on_s, overheads;
+    for (size_t sample = 0; sample < kObsSamples; ++sample) {
+      double off = 0.0, on = 0.0;
+      if (sample % 2 == 0) {
+        off = time_batch(plain_engine);
+        on = time_batch(metered_engine);
+      } else {
+        on = time_batch(metered_engine);
+        off = time_batch(plain_engine);
+      }
+      off_s.push_back(off);
+      on_s.push_back(on);
+      overheads.push_back(1.0 - off / on);
     }
-    obs_row.qps_off = static_cast<double>(obs_queries) / best_off;
-    obs_row.qps_on = static_cast<double>(obs_queries) / best_on;
-    obs_row.overhead_fraction =
-        std::max(0.0, 1.0 - obs_row.qps_on / obs_row.qps_off);
+    const double queries_per_batch = static_cast<double>(obs_queries);
+    obs_row.qps_off = queries_per_batch / Quantile(off_s, 0.5);
+    obs_row.qps_on = queries_per_batch / Quantile(on_s, 0.5);
+    obs_row.overhead_fraction = std::max(0.0, Quantile(overheads, 0.5));
+    obs_row.overhead_q25 = Quantile(overheads, 0.25);
+    obs_row.overhead_q75 = Quantile(overheads, 0.75);
+    obs_row.samples = kObsSamples;
 
     auto traced_batch = obs_batch;
     for (auto& q : traced_batch) q.WithTrace();
@@ -1091,13 +1130,16 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nobservability (vp-tree, n=" << obs_points << ", "
             << obs_queries << " x " << k
-            << "-NN, 4 shards, 4 threads, best of " << (smoke ? 12 : 30)
-            << " interleaved rounds):\n\n";
+            << "-NN, 4 shards, 4 threads, median of " << kObsSamples
+            << " alternating paired batches):\n\n";
   distperm::util::TablePrinter obs_table;
-  obs_table.SetHeader({"mode", "q/s", "overhead", "traces"});
-  obs_table.AddRow({"metrics off", Fixed(obs_row.qps_off, 0), "-", "-"});
+  obs_table.SetHeader({"mode", "q/s", "overhead", "quartiles", "traces"});
+  obs_table.AddRow(
+      {"metrics off", Fixed(obs_row.qps_off, 0), "-", "-", "-"});
   obs_table.AddRow({"metrics on", Fixed(obs_row.qps_on, 0),
                     Fixed(100.0 * obs_row.overhead_fraction, 2) + "%",
+                    Fixed(100.0 * obs_row.overhead_q25, 2) + "% .. " +
+                        Fixed(100.0 * obs_row.overhead_q75, 2) + "%",
                     obs_row.trace_exact ? "exact" : "MISMATCH"});
   obs_table.Print(std::cout);
 

@@ -1,5 +1,6 @@
 // Microbench for the flat data path: raw kernel throughput, end-to-end
-// L2 linear-scan speedup over the scalar (pre-flat) path, and the
+// L2 linear-scan speedup over the scalar (pre-flat) path, the footrule
+// block kernel the distperm index scores its table with, and the
 // distperm candidate-ranking speedup over the original full-ordering
 // formulation.  Emits a machine-readable JSON report (BENCH_kernels.json
 // schema) next to the human-readable tables.
@@ -11,7 +12,10 @@
 // kernel-tagged metric, which the point store evaluates with the
 // blocked kernels.  The distperm baseline reproduces the seed query
 // path: per-pair Spearman footrule with on-the-fly permutation
-// inversion, bucketed over the full footrule range.
+// inversion, bucketed over the full footrule range.  The footrule rows
+// time core::FootruleBlock (one _mm_sad_epu8 per row on x86-64) against
+// core::FootruleBlockScalar over one random table, in ns per row, and
+// fail the run unless the two agree on every row.
 //
 // Default run asserts the tentpole claim — >= 2x L2 linear-scan
 // throughput at every dim >= 32 — and exits nonzero if it does not
@@ -112,6 +116,15 @@ struct ScanRow {
   double speedup = 0.0;
   bool counts_match = false;
   bool results_match = false;
+};
+
+struct FootruleRow {
+  size_t sites = 0;
+  size_t rows = 0;
+  double scalar_ns = 0.0;  // per row, FootruleBlockScalar
+  double block_ns = 0.0;   // per row, FootruleBlock
+  double speedup = 0.0;
+  bool identical = false;
 };
 
 struct DistPermRow {
@@ -235,6 +248,67 @@ KernelRow BenchKernel(const std::string& name, size_t dim, size_t points,
   return row;
 }
 
+// ------------------------------------------------ footrule row kernel
+
+// Times both footrule block kernels over `rows` random inverted-rank
+// rows of k sites, laid out as the distperm table stores them (k bytes
+// per row, zero tail slack).  Each timed pass scores the table
+// `passes` times so one pass is well above the clock's resolution.
+FootruleRow BenchFootrule(size_t k, size_t rows, size_t reps, Rng* rng) {
+  std::vector<uint8_t> row(k);
+  const auto random_row = [&]() {
+    for (size_t site = 0; site < k; ++site) {
+      row[site] = static_cast<uint8_t>(site);
+    }
+    std::shuffle(row.begin(), row.end(), *rng);
+  };
+  std::vector<uint8_t> table;
+  table.reserve(rows * k + distperm::core::kFootruleTableSlack);
+  for (size_t r = 0; r < rows; ++r) {
+    random_row();
+    table.insert(table.end(), row.begin(), row.end());
+  }
+  table.resize(rows * k + distperm::core::kFootruleTableSlack, 0);
+  uint8_t query[distperm::core::kFootruleBlockMaxSites] = {};
+  random_row();
+  std::copy(row.begin(), row.end(), query);
+
+  constexpr size_t kPasses = 20;
+  std::vector<uint16_t> scalar(rows), block(rows);
+  volatile uint32_t sink = 0;
+  auto time = [&](void (*kernel)(const uint8_t*, const uint8_t*, size_t,
+                                 size_t, uint16_t*),
+                  std::vector<uint16_t>* out) {
+    const double t0 = Now();
+    for (size_t pass = 0; pass < kPasses; ++pass) {
+      kernel(query, table.data(), rows, k, out->data());
+      sink = sink + (*out)[pass % rows];
+    }
+    return Now() - t0;
+  };
+  double scalar_best = 1e300, block_best = 1e300;
+  for (size_t r = 0; r < reps; ++r) {
+    scalar_best = std::min(
+        scalar_best, time(&distperm::core::FootruleBlockScalar, &scalar));
+    block_best =
+        std::min(block_best, time(&distperm::core::FootruleBlock, &block));
+  }
+
+  FootruleRow result;
+  result.sites = k;
+  result.rows = rows;
+  const double per_row = 1e9 / static_cast<double>(kPasses * rows);
+  result.scalar_ns = scalar_best * per_row;
+  result.block_ns = block_best * per_row;
+  result.speedup = scalar_best / block_best;
+  result.identical = scalar == block;
+  for (size_t r = 0; r < rows && result.identical; ++r) {
+    result.identical = scalar[r] == distperm::core::FootruleFromRanks(
+                                        query, &table[r * k], k);
+  }
+  return result;
+}
+
 // -------------------------------------------- L2 linear scan end to end
 
 ScanRow BenchLinearScan(size_t points, size_t dim, size_t queries, size_t k,
@@ -355,11 +429,7 @@ DistPermRow BenchDistPerm(size_t points, size_t dim, size_t sites,
   Rng site_rng(rng->NextU64());
   DistPermIndex<Vector> index(data, distperm::metric::LpMetric::L2(), sites,
                               &site_rng, fraction, prefix);
-  std::vector<Permutation> stored;
-  stored.reserve(points);
-  for (size_t i = 0; i < points; ++i) {
-    stored.push_back(index.StoredPermutation(i));
-  }
+  const std::vector<Permutation> stored = index.StoredPermutations();
   std::vector<Vector> query_points;
   for (size_t q = 0; q < queries; ++q) {
     Vector p(dim);
@@ -402,6 +472,7 @@ void WriteJson(const std::string& path, size_t points, size_t queries,
                size_t k, size_t reps, uint64_t seed, bool smoke,
                const std::vector<KernelRow>& kernels,
                const std::vector<ScanRow>& scans,
+               const std::vector<FootruleRow>& footrules,
                const std::vector<DistPermRow>& distperms, bool pass) {
   std::ofstream out(path);
   if (!out) {
@@ -434,6 +505,17 @@ void WriteJson(const std::string& path, size_t points, size_t queries,
         << ", \"counts_match\": " << (r.counts_match ? "true" : "false")
         << ", \"results_match\": " << (r.results_match ? "true" : "false")
         << "}" << (i + 1 < scans.size() ? "," : "") << "\n";
+  }
+  out << "  ],\n";
+  out << "  \"footrule_kernel\": [\n";
+  for (size_t i = 0; i < footrules.size(); ++i) {
+    const FootruleRow& r = footrules[i];
+    out << "    {\"sites\": " << r.sites << ", \"rows\": " << r.rows
+        << ", \"scalar_ns_per_row\": " << Fixed(r.scalar_ns, 3)
+        << ", \"block_ns_per_row\": " << Fixed(r.block_ns, 3)
+        << ", \"speedup\": " << Fixed(r.speedup, 3)
+        << ", \"identical\": " << (r.identical ? "true" : "false") << "}"
+        << (i + 1 < footrules.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"distperm_query_path\": [\n";
@@ -521,6 +603,23 @@ int main(int argc, char** argv) {
   }
   stable.Print(std::cout);
 
+  std::cout << "\nfootrule row kernel, FootruleBlock (_mm_sad_epu8 on "
+               "x86-64) vs FootruleBlockScalar:\n";
+  std::vector<FootruleRow> footrules;
+  distperm::util::TablePrinter ftable;
+  ftable.SetHeader({"sites", "rows", "scalar ns/row", "block ns/row",
+                    "speedup", "results"});
+  for (size_t sites : {6u, 12u, 20u}) {
+    FootruleRow row = BenchFootrule(sites, points, reps, &rng);
+    ftable.AddRow({std::to_string(row.sites), std::to_string(row.rows),
+                   Fixed(row.scalar_ns, 2), Fixed(row.block_ns, 2),
+                   Fixed(row.speedup, 2),
+                   row.identical ? "OK" : "MISMATCH"});
+    footrules.push_back(row);
+    correctness_ok = correctness_ok && row.identical;
+  }
+  ftable.Print(std::cout);
+
   std::cout << "\ndistperm query path, partial selection + O(k) footrule "
                "vs seed formulation:\n";
   std::vector<DistPermRow> distperms;
@@ -545,11 +644,11 @@ int main(int argc, char** argv) {
 
   const bool pass = correctness_ok && speedup_ok;
   WriteJson(out_path, points, queries, k, reps, seed, smoke, kernels, scans,
-            distperms, pass);
+            footrules, distperms, pass);
 
   if (!correctness_ok) {
-    std::cout << "\nRESULT: FAIL — flat-path results or distance counts "
-                 "diverged from the scalar path\n";
+    std::cout << "\nRESULT: FAIL — flat-path results, distance counts or "
+                 "footrules diverged from the scalar path\n";
     return strict ? 1 : 0;
   }
   if (!speedup_ok) {
@@ -558,7 +657,7 @@ int main(int argc, char** argv) {
               << " — L2 linear-scan speedup at dim >= 32 fell below 2x\n";
     return (strict && !smoke) ? 1 : 0;
   }
-  std::cout << "\nRESULT: PASS — counts and results match the scalar "
-               "path; L2 linear-scan speedup >= 2x at dim >= 32\n";
+  std::cout << "\nRESULT: PASS — counts, results and footrules match the "
+               "scalar path; L2 linear-scan speedup >= 2x at dim >= 32\n";
   return 0;
 }

@@ -2,6 +2,10 @@
 
 #include <cstdlib>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "util/status.h"
 
 namespace distperm {
@@ -66,6 +70,76 @@ int PrefixFootrule(const Permutation& a, const Permutation& b,
   }
   return sum;
 }
+
+void FootruleBlockScalar(const uint8_t* query, const uint8_t* table,
+                         size_t rows, size_t k, uint16_t* out) {
+  for (size_t r = 0; r < rows; ++r) {
+    out[r] = static_cast<uint16_t>(FootruleFromRanks(query, table + r * k, k));
+  }
+}
+
+#if defined(__SSE2__)
+
+namespace {
+
+// Loading 16 bytes from kLowBytes + 16 - m gives a mask of m 0xff bytes
+// followed by zeros.
+alignas(16) constexpr uint8_t kLowBytes[32] = {
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
+
+__m128i LowBytesMask(size_t m) {
+  return _mm_loadu_si128(
+      reinterpret_cast<const __m128i*>(kLowBytes + 16 - m));
+}
+
+// The two 64-bit halves of a _mm_sad_epu8 result, summed.
+uint16_t SumHalves(__m128i sad) {
+  return static_cast<uint16_t>(
+      _mm_cvtsi128_si32(_mm_add_epi64(sad, _mm_srli_si128(sad, 8))));
+}
+
+}  // namespace
+
+void FootruleBlock(const uint8_t* query, const uint8_t* table, size_t rows,
+                   size_t k, uint16_t* out) {
+  // The query's bytes past k are zero and the row's are masked to
+  // zero, so they add |0 - 0| to the sum.
+  const __m128i query_lo =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(query));
+  if (k <= 16) {
+    const __m128i mask = LowBytesMask(k);
+    for (size_t r = 0; r < rows; ++r) {
+      const __m128i row = _mm_and_si128(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(table + r * k)),
+          mask);
+      out[r] = SumHalves(_mm_sad_epu8(row, query_lo));
+    }
+    return;
+  }
+  const __m128i query_hi =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(query + 16));
+  const __m128i mask_hi = LowBytesMask(k - 16);
+  for (size_t r = 0; r < rows; ++r) {
+    const uint8_t* row = table + r * k;
+    const __m128i lo =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row));
+    const __m128i hi = _mm_and_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + 16)),
+        mask_hi);
+    out[r] = SumHalves(_mm_add_epi64(_mm_sad_epu8(lo, query_lo),
+                                     _mm_sad_epu8(hi, query_hi)));
+  }
+}
+
+#else
+
+void FootruleBlock(const uint8_t* query, const uint8_t* table, size_t rows,
+                   size_t k, uint16_t* out) {
+  FootruleBlockScalar(query, table, rows, k, out);
+}
+
+#endif
 
 int MaxFootrule(size_t k) {
   return static_cast<int>((k * k) / 2);

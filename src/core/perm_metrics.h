@@ -54,6 +54,33 @@ inline int FootruleFromRanks(const uint8_t* a, const uint8_t* b, size_t k) {
   return sum;
 }
 
+/// Readable zero bytes a footrule table must carry past its last row:
+/// the block kernel reads rows with unaligned 16-byte loads, so the
+/// last row's loads may run up to 15 bytes past its end.
+inline constexpr size_t kFootruleTableSlack = 16;
+
+/// Sites a footrule block kernel handles: two 16-byte loads per row.
+inline constexpr size_t kFootruleBlockMaxSites = 32;
+
+/// Footrules of one query against `rows` rank rows of k bytes stored
+/// back to back: out[r] = FootruleFromRanks(query, table + r * k, k).
+/// `query` holds the query's k rank bytes followed by zeros, 32 bytes
+/// in all, and `table` must be followed by kFootruleTableSlack readable
+/// bytes.  k is in [1, kFootruleBlockMaxSites], so every footrule fits
+/// 16 bits.
+///
+/// On x86-64 each row is scored with _mm_sad_epu8 over one 16-byte
+/// load (two when k > 16), masked to its own k bytes; elsewhere this
+/// is FootruleBlockScalar.  Both are exact integer sums, so they agree
+/// bit for bit.
+void FootruleBlock(const uint8_t* query, const uint8_t* table, size_t rows,
+                   size_t k, uint16_t* out);
+
+/// The portable reference for FootruleBlock: one FootruleFromRanks per
+/// row.  Same contract.
+void FootruleBlockScalar(const uint8_t* query, const uint8_t* table,
+                         size_t rows, size_t k, uint16_t* out);
+
 /// Maximum possible footrule value for k sites: floor(k^2 / 2).
 int MaxFootrule(size_t k);
 

@@ -20,16 +20,19 @@
 // therefore bounded by shards x budget, and `truncated[q]` reports
 // whether any shard stopped early.  No shard task reads another's
 // progress, so per-query distance counts are independent of thread
-// count and interleaving.
+// count and interleaving.  The thread that calls RunBatch runs shard
+// tasks too: it waits through util::ThreadPool::Wait(), which takes
+// queued tasks off the pool before it blocks, so an engine of n worker
+// threads runs up to n + 1 shard tasks at once.
 //
 // Allocation behavior: the pool's threads are fixed for the engine's
 // lifetime, so the per-thread index::QueryScratch buffers (kernel score
 // blocks, candidate rankings, bound orderings, the pooled kNN
-// collector) warm up over the first few queries a worker serves; the
-// database-sized transient buffers are then reused allocation-free.
-// Small fixed-size per-query allocations (site-distance vectors, result
-// sets) remain.  The engine itself allocates only the per-batch slot
-// arrays sized by |batch| x |shards|.
+// collector) warm up over the first few queries a worker (or the
+// calling thread) serves; the database-sized transient buffers are
+// then reused allocation-free.  Small fixed-size per-query allocations
+// (site-distance vectors, result sets) remain.  The engine itself
+// allocates only the per-batch slot arrays sized by |batch| x |shards|.
 
 #ifndef DISTPERM_ENGINE_QUERY_ENGINE_H_
 #define DISTPERM_ENGINE_QUERY_ENGINE_H_

@@ -8,19 +8,30 @@
 // observation that only N << k! permutations occur, the index keeps
 // each distinct permutation once, in a table of N inverted-rank rows
 // (one byte per site holding that site's rank, the form the footrule
-// reads), plus one 32-bit table id per point.  At query time the
-// query's own permutation is computed (k metric evaluations), the
-// footrule is computed once per distinct row, and a counting sort over
-// the footrule values (small integers) picks the candidates in
-// increasing (footrule, id) order; reviewing only a fraction f of the
-// database gives the probabilistic search of the original paper.  The
-// index also reports the number of distinct permutations it stores —
-// the quantity this paper counts — and the bytes its table occupies.
+// reads), and the point ids grouped by row in CSR form: N + 1 row
+// offsets and n ids, ascending within each row.  At query time the
+// query's own permutation is computed (k metric evaluations), and the
+// footrule is computed once per distinct row by core::FootruleBlock —
+// one _mm_sad_epu8 per row on x86-64, over a table that carries 16
+// zero bytes of tail slack for the kernel's unaligned loads.  A count
+// of points per footrule value (small integers) fixes the threshold
+// footrule at which the budget is reached.  Only the rows at or under
+// it are walked: their ids are marked in a bitmap of n bits, and one
+// scan of its words yields them by ascending id, each moved into its
+// footrule's next slot.  Selection thus costs O(N + selected + n / 64)
+// instead of a random-access pass over all n ids, and needs no
+// comparison sort.  The candidates come out in increasing
+// (footrule, id) order; reviewing only a fraction f of the database
+// gives the probabilistic search of the original paper.  The index also
+// reports the number of distinct permutations it stores — the quantity
+// this paper counts — and, as IndexBits, the bytes of its table, row
+// offsets and grouped ids.
 
 #ifndef DISTPERM_INDEX_DISTPERM_INDEX_H_
 #define DISTPERM_INDEX_DISTPERM_INDEX_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -73,11 +84,11 @@ class DistPermIndex : public SearchIndex<P> {
                                  : std::min(prefix_length, site_count);
     // Invert each permutation once at build time: entry `site` of a row
     // is the site's rank, or prefix_ for sites absent from a truncated
-    // prefix.  Equal rows are stored once; ids_[i] names point i's row.
+    // prefix.  Equal rows are stored once; ids[i] names point i's row.
     std::unordered_map<std::string, uint32_t> row_of;
     std::string row(site_count, '\0');
     std::vector<double> distances(site_count);
-    ids_.resize(points_.size());
+    std::vector<uint32_t> ids(points_.size());
     for (size_t i = 0; i < points_.size(); ++i) {
       const QueryContext point = points_.MakeRowQuery(i);
       for (size_t j = 0; j < site_count; ++j) {
@@ -95,17 +106,18 @@ class DistPermIndex : public SearchIndex<P> {
       const uint32_t next = static_cast<uint32_t>(row_of.size());
       auto [it, added] = row_of.emplace(row, next);
       if (added) table_.insert(table_.end(), row.begin(), row.end());
-      ids_[i] = it->second;
+      ids[i] = it->second;
     }
-    CountRowPoints();
+    GroupByRow(ids);
   }
 
-  /// Everything the index keeps besides the data itself — the exact
-  /// members search reads, save the per-row point counts, which are
-  /// recomputed from `ids`.  Exported for snapshot persistence and fed
-  /// back through the restore constructor: a restored index answers
-  /// bit-identically to the one that exported, because SearchImpl
-  /// depends on nothing outside this state.
+  /// Everything the index keeps besides the data itself, in the
+  /// per-point form the snapshot format stores; the index keeps the
+  /// same ids grouped by row and rebuilds that grouping on restore.
+  /// Exported for snapshot persistence and fed back through the restore
+  /// constructor: a restored index answers bit-identically to the one
+  /// that exported, because SearchImpl depends on nothing outside this
+  /// state.
   struct State {
     std::vector<P> sites;
     size_t prefix = 0;
@@ -121,8 +133,14 @@ class DistPermIndex : public SearchIndex<P> {
     state.sites = sites();
     state.prefix = prefix_;
     state.fraction = fraction();
-    state.table = table_;
-    state.ids = ids_;
+    state.table.assign(table_.begin(),
+                       table_.end() - core::kFootruleTableSlack);
+    state.ids.resize(row_ids_.size());
+    for (size_t r = 0; r < DistinctPermutationCount(); ++r) {
+      for (uint32_t j = row_start_[r]; j < row_start_[r + 1]; ++j) {
+        state.ids[row_ids_[j]] = static_cast<uint32_t>(r);
+      }
+    }
     return state;
   }
 
@@ -204,57 +222,62 @@ class DistPermIndex : public SearchIndex<P> {
                       std::move(state)) {}
 
   /// Restores an index from previously exported state without paying
-  /// the n x k build-time distance evaluations or rehashing the table.
-  /// The state must match `points` (same point count it was exported
-  /// over); this is checked.  build_distance_computations() reports 0
-  /// for a restored index — restoration computes no distances.
+  /// the n x k build-time distance evaluations or rehashing the table;
+  /// regrouping the ids by row is O(n + N).  The state must match
+  /// `points` (same point count it was exported over); this is checked.
+  /// build_distance_computations() reports 0 for a restored index —
+  /// restoration computes no distances.
   DistPermIndex(PointStore<P> points, State state)
       : SearchIndex<P>(std::move(points)),
         sites_(std::move(state.sites), points_.metric()),
         prefix_(state.prefix),
         table_(std::move(state.table)),
-        ids_(std::move(state.ids)),
         fraction_(state.fraction) {
     DP_CHECK(sites_.size() >= 1 && sites_.size() <= core::kMaxRank64Sites);
     DP_CHECK(prefix_ >= 1 && prefix_ <= sites_.size());
     DP_CHECK(fraction() > 0.0 && fraction() <= 1.0);
     DP_CHECK(table_.size() % sites_.size() == 0);
-    DP_CHECK_MSG(ids_.size() == points_.size(),
+    DP_CHECK_MSG(state.ids.size() == points_.size(),
                  "restored distperm state does not match the data: "
-                     << ids_.size() << " table ids for " << points_.size()
-                     << " points");
-    CountRowPoints();
+                     << state.ids.size() << " table ids for "
+                     << points_.size() << " points");
+    GroupByRow(state.ids);
   }
 
   std::string name() const override {
     return prefix_ == sites_.size() ? "distperm" : "distperm-prefix";
   }
 
-  /// Bits the permutation table occupies: the N distinct k-byte rows,
-  /// one 32-bit id per point, and one 32-bit point count per row.
+  /// Bits the permutation table occupies: the N distinct k-byte rows
+  /// and the kernel's 16-byte tail, N + 1 32-bit row offsets, and one
+  /// 32-bit id per point.
   uint64_t IndexBits() const override {
     return 8 * (table_.size() +
-                sizeof(uint32_t) * (ids_.size() + row_points_.size()));
+                sizeof(uint32_t) * (row_start_.size() + row_ids_.size()));
   }
 
   /// Number of distinct (possibly truncated) permutations stored — the
   /// paper's counted quantity, and the number of table rows.  A rank
   /// row determines its permutation (prefix) and back.
-  size_t DistinctPermutationCount() const {
-    return table_.size() / sites_.size();
-  }
+  size_t DistinctPermutationCount() const { return row_start_.size() - 1; }
 
-  /// The stored permutation (or prefix) of database point i, read back
-  /// from its table row.
-  core::Permutation StoredPermutation(size_t i) const {
-    const uint8_t* ranks = &table_[ids_[i] * sites_.size()];
-    core::Permutation perm(prefix_);
-    for (size_t site = 0; site < sites_.size(); ++site) {
-      if (ranks[site] < prefix_) {
-        perm[ranks[site]] = static_cast<uint8_t>(site);
+  /// The stored permutation (or prefix) of every database point, in id
+  /// order, read back from the table in one walk over the rows.
+  std::vector<core::Permutation> StoredPermutations() const {
+    std::vector<core::Permutation> perms(row_ids_.size());
+    for (size_t r = 0; r < DistinctPermutationCount(); ++r) {
+      const uint8_t* ranks = &table_[r * sites_.size()];
+      core::Permutation perm(prefix_);
+      for (size_t site = 0; site < sites_.size(); ++site) {
+        if (ranks[site] < prefix_) {
+          perm[ranks[site]] = static_cast<uint8_t>(site);
+        }
+      }
+      for (uint32_t j = row_start_[r]; j < row_start_[r + 1]; ++j) {
+        perms[row_ids_[j]] = perm;
       }
     }
-    return perm;
+    return perms;
   }
 
   /// Copies of the sites used by the index, in selection order.
@@ -293,11 +316,12 @@ class DistPermIndex : public SearchIndex<P> {
 
   /// Computes the query permutation, the footrule of each distinct
   /// table row (N work), and from the rows' point counts the footrule
-  /// at which the `budget` is reached.  One pass over the ids then
-  /// counting-sorts every point scoring at most that footrule into its
-  /// footrule's slots, in ascending id order, and the slice is
-  /// verified.  The candidate sequence is identical to fully ordering
-  /// the database by (footrule, id) and taking the first `budget`.
+  /// at which the `budget` is reached.  The points of the rows scoring
+  /// at most that footrule are then placed by ascending id into their
+  /// footrule's slots, the threshold footrule's only up to the budget,
+  /// and the slice is verified.  The candidate sequence is identical to
+  /// fully ordering the database by (footrule, id) and taking the first
+  /// `budget`.
   void ScanByFootrule(const QueryContext& query, size_t budget,
                       SearchContext* context) const {
     QueryStats* stats = context->stats();
@@ -312,7 +336,8 @@ class DistPermIndex : public SearchIndex<P> {
         prefix_ == k ? core::PermutationFromDistances(distances)
                      : core::PermutationPrefixFromDistances(distances,
                                                             prefix_);
-    uint8_t query_ranks[core::kMaxSites];
+    // Zero past k, as FootruleBlock reads it.
+    uint8_t query_ranks[core::kFootruleBlockMaxSites] = {};
     std::fill(query_ranks, query_ranks + k, static_cast<uint8_t>(prefix_));
     for (size_t r = 0; r < query_perm.size(); ++r) {
       query_ranks[query_perm[r]] = static_cast<uint8_t>(r);
@@ -328,13 +353,14 @@ class DistPermIndex : public SearchIndex<P> {
     // slot[f] first counts the points scoring footrule f, then becomes
     // the next free candidate slot of footrule f.
     QueryScratch& scratch = QueryScratch::ForThread();
+    const size_t rows = DistinctPermutationCount();
     std::vector<uint16_t>& row_footrule = scratch.row_footrule;
-    row_footrule.resize(row_points_.size());
+    row_footrule.resize(rows);
+    core::FootruleBlock(query_ranks, table_.data(), rows, k,
+                        row_footrule.data());
     uint32_t slot[kFootruleBuckets] = {};
-    for (size_t r = 0; r < row_points_.size(); ++r) {
-      const int f = core::FootruleFromRanks(query_ranks, &table_[r * k], k);
-      row_footrule[r] = static_cast<uint16_t>(f);
-      slot[f] += row_points_[r];
+    for (size_t r = 0; r < rows; ++r) {
+      slot[row_footrule[r]] += row_start_[r + 1] - row_start_[r];
     }
     // Footrules below the threshold fit the budget whole; the threshold
     // footrule takes its lowest ids up to the budget.
@@ -345,12 +371,30 @@ class DistPermIndex : public SearchIndex<P> {
       if (start + count >= budget) break;
       start += count;
     }
+    // The rows at or under the threshold mark their points, noting each
+    // one's footrule; a scan of the marks then visits them by ascending
+    // id and moves each into its footrule's next slot.
+    std::vector<uint64_t>& marked = scratch.marked;
+    std::vector<uint16_t>& point_footrule = scratch.point_footrule;
+    marked.assign((n + 63) / 64, 0);
+    point_footrule.resize(n);
+    for (size_t r = 0; r < rows; ++r) {
+      const uint16_t f = row_footrule[r];
+      if (f > threshold) continue;
+      for (uint32_t j = row_start_[r]; j < row_start_[r + 1]; ++j) {
+        const uint32_t id = row_ids_[j];
+        marked[id / 64] |= uint64_t{1} << (id % 64);
+        point_footrule[id] = f;
+      }
+    }
     std::vector<uint32_t>& candidates = scratch.candidates;
     candidates.resize(budget);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t f = row_footrule[ids_[i]];
-      if (f < threshold || (f == threshold && slot[f] < budget)) {
-        candidates[slot[f]++] = static_cast<uint32_t>(i);
+    for (size_t word = 0; word < marked.size(); ++word) {
+      for (uint64_t bits = marked[word]; bits != 0; bits &= bits - 1) {
+        const uint32_t id =
+            static_cast<uint32_t>(word * 64 + std::countr_zero(bits));
+        const size_t f = point_footrule[id];
+        if (slot[f] < budget) candidates[slot[f]++] = id;
       }
     }
 
@@ -362,12 +406,22 @@ class DistPermIndex : public SearchIndex<P> {
     }
   }
 
-  /// Recomputes each table row's point count from ids_.
-  void CountRowPoints() {
-    row_points_.assign(DistinctPermutationCount(), 0);
-    for (uint32_t id : ids_) {
-      DP_CHECK(id < row_points_.size());
-      ++row_points_[id];
+  /// Appends the kernel's zero tail to table_ and groups the point ids
+  /// by table row: row r's points are row_ids_[row_start_[r] ..
+  /// row_start_[r + 1]), ascending.  `ids` names each point's row.
+  void GroupByRow(const std::vector<uint32_t>& ids) {
+    const size_t rows = table_.size() / sites_.size();
+    table_.resize(table_.size() + core::kFootruleTableSlack, 0);
+    row_start_.assign(rows + 1, 0);
+    for (uint32_t id : ids) {
+      DP_CHECK(id < rows);
+      ++row_start_[id + 1];
+    }
+    for (size_t r = 0; r < rows; ++r) row_start_[r + 1] += row_start_[r];
+    std::vector<uint32_t> next(row_start_.begin(), row_start_.end() - 1);
+    row_ids_.resize(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      row_ids_[next[ids[i]]++] = static_cast<uint32_t>(i);
     }
   }
 
@@ -375,18 +429,19 @@ class DistPermIndex : public SearchIndex<P> {
   /// footrule lies in [0, kMaxRank64Sites^2].
   static constexpr size_t kFootruleBuckets =
       core::kMaxRank64Sites * core::kMaxRank64Sites + 1;
+  static_assert(core::kMaxRank64Sites <= core::kFootruleBlockMaxSites);
 
   PointStore<P> sites_;  // copies of the sites, in selection order
   size_t prefix_ = 0;
   /// The N distinct inverted permutations, k bytes per row in order of
   /// first use: entry `site` is the site's rank, or prefix_length() for
-  /// sites outside a stored prefix.
+  /// sites outside a stored prefix.  Followed by kFootruleTableSlack
+  /// zero bytes that FootruleBlock's loads may read.
   std::vector<uint8_t> table_;
-  /// Point i's permutation is table row ids_[i].
-  std::vector<uint32_t> ids_;
-  /// Points per table row, derived from ids_; query-time selection
-  /// counts footrules per distinct row instead of per point.
-  std::vector<uint32_t> row_points_;
+  /// Row r's points are row_ids_[row_start_[r] .. row_start_[r + 1]),
+  /// ascending; N + 1 offsets and n ids.
+  std::vector<uint32_t> row_start_;
+  std::vector<uint32_t> row_ids_;
   double fraction_;
 };
 

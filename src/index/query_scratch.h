@@ -4,7 +4,7 @@
 // a fixed worker pool (util::ThreadPool), so the same few threads run
 // millions of queries.  Each index query needs transient buffers — a
 // block of kernel scores, one footrule per distinct permutation and the
-// counting-sorted candidate ids, an array of (lower bound, id) pairs —
+// selected candidate ids, an array of (lower bound, id) pairs —
 // that used to be heap-allocated per call.  QueryScratch keeps one
 // instance of each per thread: buffers grow to the high-water mark of
 // the queries that thread serves and are then reused allocation-free.
@@ -28,10 +28,13 @@ namespace index {
 struct QueryScratch {
   /// Kernel scores for one block of rows (linear scan).
   std::vector<double> distance_block;
-  /// The query's footrule to each distinct table row, and the ids
-  /// selected in (footrule, id) order (distperm index).  The shard's
-  /// table itself is shared read-only by every thread.
+  /// The query's footrule to each distinct table row, a bit per point
+  /// marking the selected ones, each selected point's footrule, and the
+  /// ids selected in (footrule, id) order (distperm index).  The
+  /// shard's table itself is shared read-only by every thread.
   std::vector<uint16_t> row_footrule;
+  std::vector<uint64_t> marked;
+  std::vector<uint16_t> point_footrule;
   std::vector<uint32_t> candidates;
   /// (lower bound, id) verification order (LAESA).
   std::vector<std::pair<double, size_t>> bounds;

@@ -475,7 +475,9 @@ class SearchServer {
         break;
       }
       if (batch.empty()) {
-        batch_answer_bytes = 0;  // a non-search frame ran the batch
+        // A non-search frame ran the batch; the next one starts afresh.
+        batch_cost = 0;
+        batch_answer_bytes = 0;
       } else if (batch.size() > batched && !batch.back().rejected) {
         batch_answer_bytes += AnswerBytes(batch.back().request);
       }

@@ -37,42 +37,44 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mutex_);
+  while (!queue_.empty()) RunFront(lock);
   all_idle_.wait(lock,
                  [this]() { return queue_.empty() && in_flight_ == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_ready_.wait(
-          lock, [this]() { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown with no work left
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
-    }
-    if (instruments_.task_seconds != nullptr) {
-      const auto start = std::chrono::steady_clock::now();
-      task();
-      instruments_.task_seconds->Record(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count());
-    } else {
-      task();
-    }
-    executed_.fetch_add(1, std::memory_order_relaxed);
-    if (instruments_.tasks_executed != nullptr) {
-      instruments_.tasks_executed->Increment();
-    }
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      --in_flight_;
-      if (queue_.empty() && in_flight_ == 0) all_idle_.notify_all();
-    }
+    work_ready_.wait(lock,
+                     [this]() { return shutdown_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // shutdown with no work left
+    RunFront(lock);
   }
+}
+
+void ThreadPool::RunFront(std::unique_lock<std::mutex>& lock) {
+  std::function<void()> task = std::move(queue_.front());
+  queue_.pop_front();
+  ++in_flight_;
+  lock.unlock();
+  if (instruments_.task_seconds != nullptr) {
+    const auto start = std::chrono::steady_clock::now();
+    task();
+    instruments_.task_seconds->Record(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      start)
+            .count());
+  } else {
+    task();
+  }
+  task = nullptr;  // the task's captures die outside the lock
+  executed_.fetch_add(1, std::memory_order_relaxed);
+  if (instruments_.tasks_executed != nullptr) {
+    instruments_.tasks_executed->Increment();
+  }
+  lock.lock();
+  --in_flight_;
+  if (queue_.empty() && in_flight_ == 0) all_idle_.notify_all();
 }
 
 }  // namespace util

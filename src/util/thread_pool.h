@@ -3,8 +3,10 @@
 // The batch query engine submits one task per (query, shard) pair; the
 // pool runs them on a fixed set of workers so thread creation cost is
 // paid once per engine, not once per batch.  Wait() gives batch-barrier
-// semantics: it blocks until every task submitted so far has finished,
-// after which the pool is immediately reusable for the next batch.
+// semantics: it returns once every task submitted so far has finished,
+// after which the pool is immediately reusable for the next batch.  The
+// waiting thread does not sleep while tasks are still queued: it runs
+// them itself, so a pool of n workers runs up to n + 1 tasks at once.
 
 #ifndef DISTPERM_UTIL_THREAD_POOL_H_
 #define DISTPERM_UTIL_THREAD_POOL_H_
@@ -25,8 +27,13 @@ namespace distperm {
 namespace util {
 
 /// Fixed-size FIFO thread pool.  Wait() may be called only from the
-/// owning thread.  Submit() is thread-safe: it may be called from the
-/// owning thread, from any other thread (live-ingest writers schedule
+/// owning thread; it pops and runs queued tasks on that thread, counted
+/// and instrumented like a worker's, and blocks only for the tasks
+/// still in flight once the queue is empty.  A task may therefore run
+/// on the waiting thread as well as on a worker: tasks must not depend
+/// on which thread runs them, and the waiting thread must not hold a
+/// lock a task takes.  Submit() is thread-safe: it may be called from
+/// the owning thread, from any other thread (live-ingest writers schedule
 /// background compactions from arbitrary threads), or from within a
 /// running task.  A task's submissions happen before the task is
 /// counted finished, so Wait() cannot wake until the chained work has
@@ -54,15 +61,16 @@ class ThreadPool {
   /// Enqueues a task for execution on some worker.
   void Submit(std::function<void()> task);
 
-  /// Blocks until every task submitted so far has completed.
+  /// Runs queued tasks on the calling thread until the queue is empty,
+  /// then blocks until every task submitted so far has completed.
   void Wait();
 
   /// Number of worker threads.
   size_t thread_count() const { return workers_.size(); }
 
-  /// Tasks enqueued but not yet picked up by a worker — the pool's
-  /// backlog at this instant.  Takes the pool mutex; meant for gauge
-  /// callbacks and tests, not for hot-path polling.
+  /// Tasks enqueued but not yet picked up by a worker or by Wait() —
+  /// the pool's backlog at this instant.  Takes the pool mutex; meant
+  /// for gauge callbacks and tests, not for hot-path polling.
   size_t queue_depth() const {
     std::unique_lock<std::mutex> lock(mutex_);
     return queue_.size();
@@ -89,6 +97,9 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
+  /// Pops the front task, runs it with `lock` released and counts it;
+  /// returns with `lock` held.  The queue must not be empty.
+  void RunFront(std::unique_lock<std::mutex>& lock);
 
   mutable std::mutex mutex_;
   std::condition_variable work_ready_;   // signalled on Submit / shutdown

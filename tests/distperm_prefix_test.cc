@@ -80,17 +80,19 @@ TEST(DistPermPrefix, StoresPrefixesOnly) {
   EXPECT_EQ(index.name(), "distperm-prefix");
   const metric::Metric<Vector> l2 = L2();
   std::vector<double> distances(index.sites().size());
+  const std::vector<core::Permutation> stored = index.StoredPermutations();
   for (size_t i = 0; i < data.size(); ++i) {
     for (size_t j = 0; j < distances.size(); ++j) {
       distances[j] = l2(index.sites()[j], data[i]);
     }
-    EXPECT_EQ(index.StoredPermutation(i),
-              core::PermutationPrefixFromDistances(distances, 4))
+    EXPECT_EQ(stored[i], core::PermutationPrefixFromDistances(distances, 4))
         << i;
   }
-  // A table row keeps one rank byte per site, prefix or not.
+  // A table row keeps one rank byte per site, prefix or not; then the
+  // 16-byte kernel tail, N + 1 row offsets and one id per point.
   const uint64_t rows = index.DistinctPermutationCount();
-  EXPECT_EQ(index.IndexBits(), 8u * (rows * 10u + 4u * rows + 4u * 300u));
+  EXPECT_EQ(index.IndexBits(),
+            8u * (rows * 10u + 16u + 4u * (rows + 1u) + 4u * 300u));
 }
 
 TEST(DistPermPrefix, PrefixConsistentWithFullIndex) {
@@ -101,9 +103,12 @@ TEST(DistPermPrefix, PrefixConsistentWithFullIndex) {
                                   /*prefix_length=*/3);
   // Same site RNG seed => same sites; the stored prefix must equal the
   // first entries of the full permutation.
+  const std::vector<core::Permutation> full_perms = full.StoredPermutations();
+  const std::vector<core::Permutation> prefixes =
+      truncated.StoredPermutations();
   for (size_t i = 0; i < data.size(); i += 23) {
-    auto full_perm = full.StoredPermutation(i);
-    auto prefix = truncated.StoredPermutation(i);
+    const core::Permutation& full_perm = full_perms[i];
+    const core::Permutation& prefix = prefixes[i];
     ASSERT_EQ(prefix.size(), 3u);
     for (size_t r = 0; r < 3; ++r) {
       EXPECT_EQ(prefix[r], full_perm[r]);

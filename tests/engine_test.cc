@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <string>
 #include <thread>
@@ -144,6 +145,83 @@ TEST(ThreadPool, CountersTrackSubmittedQueuedAndExecutedTasks) {
   EXPECT_EQ(pool.submitted_count(), 4u);
   EXPECT_EQ(pool.executed_count(), 4u);
   EXPECT_EQ(pool.queue_depth(), 0u);
+}
+
+// Parks a pool's only worker on a latch that the last task queued
+// behind it opens, so only a Wait() that runs queued tasks itself can
+// finish the batch.  A watchdog opens the latch after 30 s, so a
+// Wait() that merely sleeps fails the test instead of hanging it.
+struct BlockedWorker {
+  explicit BlockedWorker(util::ThreadPool* pool) : pool(pool) {
+    pool->Submit([this]() {
+      started.store(true);
+      while (!latch.load()) std::this_thread::yield();
+    });
+    while (!started.load()) std::this_thread::yield();
+    watchdog = std::thread([this]() {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!latch.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      latch.store(true);
+    });
+  }
+  ~BlockedWorker() { watchdog.join(); }
+
+  /// Queues `count` tasks that record the thread running them, then one
+  /// that opens the latch.
+  void QueueTasks(size_t count) {
+    ran_on.resize(count);
+    for (size_t i = 0; i < count; ++i) {
+      pool->Submit([this, i]() { ran_on[i] = std::this_thread::get_id(); });
+    }
+    pool->Submit([this]() { latch.store(true); });
+  }
+
+  util::ThreadPool* pool;
+  std::atomic<bool> started{false};
+  std::atomic<bool> latch{false};
+  std::vector<std::thread::id> ran_on;
+  std::thread watchdog;
+};
+
+TEST(ThreadPool, WaitRunsQueuedTasksWhileTheWorkerIsBlocked) {
+  util::ThreadPool pool(1);
+  BlockedWorker blocked(&pool);
+  blocked.QueueTasks(3);
+  pool.Wait();
+  for (const std::thread::id& id : blocked.ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.executed_count(), 5u);
+}
+
+// Tasks the waiting thread runs count in executed_count() and in every
+// instrument, exactly like a worker's.
+TEST(ThreadPool, CallerRunTasksAreCountedAndInstrumented) {
+  obs::MetricsRegistry registry("thread_pool_test");
+  obs::ThreadPoolInstruments instruments;
+  instruments.tasks_submitted = registry.GetCounter("submitted_total");
+  instruments.tasks_executed = registry.GetCounter("executed_total");
+  instruments.task_seconds = registry.GetHistogram("task_seconds");
+  util::ThreadPool pool(1);
+  pool.set_instruments(instruments);
+  for (int round = 1; round <= 3; ++round) {
+    BlockedWorker blocked(&pool);
+    blocked.QueueTasks(6);
+    pool.Wait();
+    for (const std::thread::id& id : blocked.ran_on) {
+      EXPECT_EQ(id, std::this_thread::get_id());
+    }
+    const uint64_t tasks = 8u * static_cast<uint64_t>(round);
+    EXPECT_EQ(pool.submitted_count(), tasks);
+    EXPECT_EQ(pool.executed_count(), tasks);
+    EXPECT_EQ(instruments.tasks_submitted->Value(), tasks);
+    EXPECT_EQ(instruments.tasks_executed->Value(), tasks);
+    EXPECT_EQ(instruments.task_seconds->Snap().count(), tasks);
+  }
 }
 
 TEST(ShardedDatabase, ContiguousSlicingCoversEveryPoint) {

@@ -139,9 +139,7 @@ TEST(FlatPath, DistPermMatchesScalarPathBitExactly) {
                                    /*fraction=*/0.25, prefix);
       EXPECT_EQ(flat.build_distance_computations(),
                 scalar.build_distance_computations());
-      for (size_t i = 0; i < data.size(); ++i) {
-        ASSERT_EQ(flat.StoredPermutation(i), scalar.StoredPermutation(i));
-      }
+      ASSERT_EQ(flat.StoredPermutations(), scalar.StoredPermutations());
       for (const Vector& q : queries) {
         SearchResponse by_flat = flat.Search(SearchRequest<Vector>::Knn(q, 5));
         SearchResponse by_scalar =
@@ -176,10 +174,10 @@ std::vector<uint32_t> ReferenceCandidateOrder(
       full ? static_cast<size_t>(core::MaxFootrule(k))
            : k * index.prefix_length();
   std::vector<std::vector<uint32_t>> buckets(max_footrule + 1);
+  const std::vector<core::Permutation> stored = index.StoredPermutations();
   for (size_t i = 0; i < index.size(); ++i) {
-    core::Permutation stored = index.StoredPermutation(i);
-    const int f = full ? core::SpearmanFootrule(query_perm, stored)
-                       : core::PrefixFootrule(query_perm, stored, k);
+    const int f = full ? core::SpearmanFootrule(query_perm, stored[i])
+                       : core::PrefixFootrule(query_perm, stored[i], k);
     buckets[static_cast<size_t>(f)].push_back(static_cast<uint32_t>(i));
   }
   std::vector<uint32_t> order;

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "core/perm_metrics.h"
 #include "dataset/doc_gen.h"
 #include "dataset/vector_gen.h"
 #include "index/aesa.h"
@@ -159,6 +161,95 @@ TEST(DistPerm, WorksOnSparseDocuments) {
   EXPECT_EQ(index.Search(request).results, reference.Search(request).results);
   EXPECT_GE(index.DistinctPermutationCount(), 1u);
   EXPECT_LE(index.DistinctPermutationCount(), docs.size());
+}
+
+// Random inverted-rank rows as the distperm table stores them: each
+// row holds ranks 0..prefix-1 once and `prefix` at every other site.
+std::vector<uint8_t> RandomRankRows(size_t rows, size_t k, size_t prefix,
+                                    util::Rng* rng) {
+  std::vector<uint8_t> table;
+  std::vector<uint8_t> sites(k);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t site = 0; site < k; ++site) {
+      sites[site] = static_cast<uint8_t>(site);
+    }
+    std::shuffle(sites.begin(), sites.end(), *rng);
+    std::vector<uint8_t> row(k, static_cast<uint8_t>(prefix));
+    for (size_t rank = 0; rank < prefix; ++rank) {
+      row[sites[rank]] = static_cast<uint8_t>(rank);
+    }
+    table.insert(table.end(), row.begin(), row.end());
+  }
+  return table;
+}
+
+// The SAD block kernel and its scalar fallback both equal one
+// FootruleFromRanks per row, for every k the index allows, full rows
+// and prefix rows.  The tail past the last row is filled with junk
+// instead of the index's zeros, so the last row's loads (which run into
+// it) prove the masking.
+TEST(DistPerm, FootruleBlockKernelsMatchFootruleFromRanks) {
+  util::Rng rng(71);
+  constexpr size_t kRows = 37;
+  for (size_t k = 1; k <= core::kMaxRank64Sites; ++k) {
+    for (size_t prefix : {k, (k + 1) / 2, size_t{1}}) {
+      std::vector<uint8_t> table = RandomRankRows(kRows, k, prefix, &rng);
+      table.resize(table.size() + core::kFootruleTableSlack, 0xee);
+      const std::vector<uint8_t> query_row =
+          RandomRankRows(1, k, prefix, &rng);
+      uint8_t query[core::kFootruleBlockMaxSites] = {};
+      std::copy(query_row.begin(), query_row.end(), query);
+      std::vector<uint16_t> sad(kRows), scalar(kRows);
+      core::FootruleBlock(query, table.data(), kRows, k, sad.data());
+      core::FootruleBlockScalar(query, table.data(), kRows, k,
+                                scalar.data());
+      for (size_t r = 0; r < kRows; ++r) {
+        const int want = core::FootruleFromRanks(query, &table[r * k], k);
+        ASSERT_EQ(sad[r], want) << "k " << k << " prefix " << prefix
+                                << " row " << r;
+        ASSERT_EQ(scalar[r], want) << "k " << k << " prefix " << prefix
+                                   << " row " << r;
+      }
+    }
+  }
+}
+
+// Restore then export gives back the exported {table, ids} byte for
+// byte — also for state whose ids are not in row order, which the
+// index regroups by row on restore and scatters back on export.
+TEST(DistPerm, RestoreExportRoundTripsStateByteForByte) {
+  util::Rng rng(73);
+  auto data = dataset::UniformCube(400, 3, &rng);
+  for (size_t prefix : {size_t{0}, size_t{3}}) {
+    util::Rng site_rng(74);
+    DistPermIndex<Vector> built(data, L2(), 9, &site_rng, 0.2, prefix);
+    const DistPermIndex<Vector>::State state = built.ExportState();
+    ASSERT_EQ(state.ids.size(), data.size());
+    ASSERT_EQ(state.table.size(), built.DistinctPermutationCount() * 9);
+    DistPermIndex<Vector> restored(data, L2(), state);
+    const DistPermIndex<Vector>::State again = restored.ExportState();
+    EXPECT_EQ(again.table, state.table);
+    EXPECT_EQ(again.ids, state.ids);
+    EXPECT_EQ(again.prefix, state.prefix);
+    EXPECT_EQ(again.fraction, state.fraction);
+    EXPECT_EQ(again.sites, state.sites);
+    EXPECT_EQ(restored.IndexBits(), built.IndexBits());
+  }
+
+  // A hand-made table of three rows over k = 2 whose ids interleave.
+  std::vector<Vector> few = dataset::UniformCube(6, 2, &rng);
+  DistPermIndex<Vector>::State state;
+  state.sites = {few[0], few[1]};
+  state.prefix = 2;
+  state.fraction = 1.0;
+  state.table = {0, 1, 1, 0, 1, 0};  // row 2 repeats row 1
+  state.ids = {2, 0, 1, 2, 0, 2};
+  ASSERT_TRUE(DistPermIndex<Vector>::ValidateState(state, few.size()).ok());
+  DistPermIndex<Vector> restored(few, L2(), state);
+  EXPECT_EQ(restored.DistinctPermutationCount(), 3u);
+  const DistPermIndex<Vector>::State again = restored.ExportState();
+  EXPECT_EQ(again.table, state.table);
+  EXPECT_EQ(again.ids, state.ids);
 }
 
 TEST(Counters, QueriesLeaveBuildCountAlone) {

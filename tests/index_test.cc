@@ -226,11 +226,13 @@ TEST(DistPerm, StorageIsOneTableRowPerDistinctPermutation) {
   auto data = dataset::UniformCube(100, 2, &rng);
   util::Rng site_rng(19);
   DistPermIndex<Vector> index(data, L2(), 5, &site_rng);
-  // N rows of k rank bytes and a 32-bit point count each, plus one
-  // 32-bit table id per point; in the plane N stays below n.
+  // N rows of k rank bytes and the 16-byte kernel tail, N + 1 32-bit
+  // row offsets, plus one 32-bit id per point; in the plane N stays
+  // below n.
   const uint64_t rows = index.DistinctPermutationCount();
   EXPECT_LT(rows, 100u);
-  EXPECT_EQ(index.IndexBits(), 8u * (rows * 5u + 4u * rows + 4u * 100u));
+  EXPECT_EQ(index.IndexBits(),
+            8u * (rows * 5u + 16u + 4u * (rows + 1u) + 4u * 100u));
 }
 
 TEST(DistPerm, StoredPermutationsMatchFreshComputation) {
@@ -239,8 +241,10 @@ TEST(DistPerm, StoredPermutationsMatchFreshComputation) {
   util::Rng site_rng(21);
   DistPermIndex<Vector> index(data, L2(), 6, &site_rng);
   const metric::Metric<Vector> l2 = L2();
+  const std::vector<core::Permutation> stored = index.StoredPermutations();
+  ASSERT_EQ(stored.size(), data.size());
   for (size_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(index.StoredPermutation(i),
+    EXPECT_EQ(stored[i],
               core::ComputeDistancePermutation(index.sites(), l2, data[i]))
         << i;
   }
@@ -256,10 +260,7 @@ TEST(DistPerm, ExportRestoreRoundTripKeepsPermutations) {
   EXPECT_EQ(restored.IndexBits(), built.IndexBits());
   EXPECT_EQ(restored.DistinctPermutationCount(),
             built.DistinctPermutationCount());
-  for (size_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(restored.StoredPermutation(i), built.StoredPermutation(i))
-        << i;
-  }
+  EXPECT_EQ(restored.StoredPermutations(), built.StoredPermutations());
 }
 
 TEST(DistPerm, DistinctCountMatchesDirectCount) {
@@ -268,8 +269,8 @@ TEST(DistPerm, DistinctCountMatchesDirectCount) {
   util::Rng site_rng(23);
   DistPermIndex<Vector> index(data, L2(), 6, &site_rng);
   std::unordered_set<uint64_t> seen;
-  for (size_t i = 0; i < data.size(); ++i) {
-    seen.insert(core::RankPermutation(index.StoredPermutation(i)));
+  for (const core::Permutation& perm : index.StoredPermutations()) {
+    seen.insert(core::RankPermutation(perm));
   }
   EXPECT_EQ(index.DistinctPermutationCount(), seen.size());
 }

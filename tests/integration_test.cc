@@ -119,10 +119,7 @@ TEST(Integration, PermTableCompressesIndexPermutations) {
   auto data = dataset::UniformCube(5000, 2, &rng);
   util::Rng site_rng(106);
   index::DistPermIndex<Vector> index(data, L2(), 10, &site_rng);
-  std::vector<Permutation> perms;
-  for (size_t i = 0; i < data.size(); ++i) {
-    perms.push_back(index.StoredPermutation(i));
-  }
+  const std::vector<Permutation> perms = index.StoredPermutations();
   auto table = core::PermutationTable::Build(perms);
   EXPECT_EQ(table.distinct(), index.DistinctPermutationCount());
   // d = 2, k = 10: at most N_{2,2}(10) = 916 permutations occur, so the

@@ -320,6 +320,81 @@ TEST(ServerE2E, AdmissionBudgetRejectsWithUnavailable) {
   EXPECT_EQ(ts->server->overload_rejected(), 2u);
 }
 
+// Admission prices each batch on its own: a ping between searches runs
+// the pending batch, and the searches after it start a fresh budget.
+// One write holds [search, ping, search, search] against a 400-point
+// store with a budget of 800, so the two batches cost 400 and
+// 400 + 400 and nothing is rejected.
+TEST(ServerE2E, AdmissionBudgetRestartsAfterANonSearchFrame) {
+  SearchServer<Vector>::Options options;
+  options.max_inflight_distance_budget = 800;
+  auto ts = StartServer("linear-scan", 400, 4, 3, options);
+  ASSERT_NE(ts, nullptr);
+
+  util::Rng rng(19);
+  const std::vector<Vector> probes = dataset::UniformCube(3, 4, &rng);
+  std::string frames[3];
+  for (size_t i = 0; i < 3; ++i) {
+    std::string payload;
+    net::EncodeSearchRequest(&payload,
+                             SearchRequest<Vector>::Knn(probes[i], 3));
+    frames[i] = net::EncodeFrame(net::MessageType::kSearch, payload);
+  }
+  const std::string bytes = frames[0] +
+                            net::EncodeFrame(net::MessageType::kPing, "") +
+                            frames[1] + frames[2];
+
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0) << std::strerror(errno);
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_port = htons(ts->server->port());
+  inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
+  ASSERT_EQ(connect(fd, reinterpret_cast<const sockaddr*>(&address),
+                    sizeof(address)),
+            0)
+      << std::strerror(errno);
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ASSERT_EQ(send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+
+  std::vector<net::MessageType> types;
+  std::vector<WireCode> codes;
+  std::string in;
+  while (types.size() < 4) {
+    char buffer[4096];
+    const ssize_t n = recv(fd, buffer, sizeof(buffer), 0);
+    if (n <= 0) break;
+    in.append(buffer, static_cast<size_t>(n));
+    for (;;) {
+      net::FrameView view;
+      size_t frame_size = 0;
+      util::Status error;
+      const net::FrameParse parse = net::ParseFrame(
+          reinterpret_cast<const uint8_t*>(in.data()), in.size(), &view,
+          &frame_size, &error);
+      ASSERT_NE(parse, net::FrameParse::kError) << error;
+      if (parse == net::FrameParse::kIncomplete) break;
+      types.push_back(view.type);
+      if (view.type == net::MessageType::kSearchResult) {
+        auto response =
+            net::DecodeSearchResponse(view.payload, view.payload_size);
+        ASSERT_TRUE(response.ok()) << response.status();
+        codes.push_back(response.value().status.code);
+      }
+      in.erase(0, frame_size);
+    }
+  }
+  close(fd);
+  ASSERT_EQ(types.size(), 4u);
+  EXPECT_EQ(types[1], net::MessageType::kPong);
+  ASSERT_EQ(codes.size(), 3u);
+  for (const WireCode code : codes) EXPECT_EQ(code, WireCode::kOk);
+  EXPECT_EQ(ts->server->overload_rejected(), 0u);
+}
+
 TEST(ServerE2E, PerConnectionRequestCapRejects) {
   SearchServer<Vector>::Options options;
   options.max_requests_per_connection = 2;
