@@ -3,8 +3,11 @@
 // A DeltaLog holds the writes a LiveDatabase accepted since its serving
 // generation (engine/live_database.h): one writer appends under the
 // store's write mutex, and any number of readers see a consistent
-// prefix without a lock.  ReplicationListener and ReplicationSeed are
-// how a serving layer taps the same write stream to feed replicas.
+// prefix without a lock.  It is also the store's one record of removed
+// ids: each id's removal position, which every reader, the writer and
+// the fold check with the same predicate.  ReplicationListener and
+// ReplicationSeed are how a serving layer taps the same write stream to
+// feed replicas.
 
 #ifndef DISTPERM_ENGINE_DELTA_LOG_H_
 #define DISTPERM_ENGINE_DELTA_LOG_H_
@@ -13,9 +16,14 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "index/search.h"
+#include "util/status.h"
 
 namespace distperm {
 namespace engine {
@@ -26,7 +34,9 @@ namespace engine {
 /// — entry contents (and the lazily allocated chunk they live in) are
 /// published by the release store of the counter, and the chunk
 /// directory itself is a fixed array of atomic pointers, so no read
-/// ever races a reallocation.
+/// ever races a reallocation.  A remove's position is stored for its
+/// target id before that release store too, so a pinned window sees
+/// exactly the removes below its length.
 template <typename P>
 class DeltaLog {
  public:
@@ -41,8 +51,20 @@ class DeltaLog {
   static constexpr size_t kMaxChunks = 4096;
   /// Hard capacity (1M entries); delta_scan_limit caps far earlier.
   static constexpr size_t kCapacity = kChunkSize * kMaxChunks;
+  /// Removal position of an id no remove has retired.
+  static constexpr uint32_t kNever = std::numeric_limits<uint32_t>::max();
+  static_assert(kCapacity < kNever);
 
-  DeltaLog() {
+  /// A log over a generation of `base_size` ids holding at most
+  /// `capacity` (<= kCapacity) entries, so its insert ids stay below
+  /// base_size + capacity.
+  DeltaLog(size_t base_size, size_t capacity)
+      : capacity_(capacity),
+        removed_at_(new std::atomic<uint32_t>[base_size + capacity]) {
+    DP_CHECK(capacity <= kCapacity);
+    for (size_t id = 0; id < base_size + capacity; ++id) {
+      removed_at_[id].store(kNever, std::memory_order_relaxed);
+    }
     for (auto& chunk : chunks_) chunk.store(nullptr, std::memory_order_relaxed);
   }
   ~DeltaLog() {
@@ -61,11 +83,24 @@ class DeltaLog {
     return chunk->entries[i % kChunkSize];
   }
 
-  /// Appends one entry.  Single-writer: the caller must hold the
-  /// database's writer mutex.  False when the hard capacity is reached.
+  size_t capacity() const { return capacity_; }
+
+  /// The ids removed by the first `end` entries, indexed by base id or
+  /// by an insert id this log assigned.
+  index::RemovedIds RemovedIn(size_t end) const {
+    return {removed_at_.get(), end};
+  }
+
+  /// Appends one entry, recording a remove's position for its target.
+  /// Single-writer: the caller must hold the database's writer mutex.
+  /// False when the capacity is reached.
   bool Append(Entry entry) {
     const size_t n = committed_.load(std::memory_order_relaxed);
-    if (n >= kCapacity) return false;
+    if (n >= capacity_) return false;
+    if (entry.is_remove) {
+      removed_at_[entry.id].store(static_cast<uint32_t>(n),
+                                  std::memory_order_relaxed);
+    }
     const size_t c = n / kChunkSize;
     Chunk* chunk = chunks_[c].load(std::memory_order_relaxed);
     if (chunk == nullptr) {
@@ -81,6 +116,8 @@ class DeltaLog {
   struct Chunk {
     std::array<Entry, kChunkSize> entries{};
   };
+  const size_t capacity_;
+  const std::unique_ptr<std::atomic<uint32_t>[]> removed_at_;
   std::atomic<size_t> committed_{0};
   std::array<std::atomic<Chunk*>, kMaxChunks> chunks_;
 };

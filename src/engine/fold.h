@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -48,35 +47,6 @@ struct LiveCompactionStats {
   bool rebalanced = false;
   double seconds = 0.0;
 };
-
-/// Everything a query needs from one pinned delta window: the alive
-/// inserts (in id order) and the removed ids, built in one scan.
-template <typename P>
-struct Overlay {
-  std::vector<const typename DeltaLog<P>::Entry*> inserts;
-  std::unordered_set<size_t> removed;
-  size_t removed_base = 0;  ///< removed ids below the base size
-};
-
-/// The overlay of `log`'s first `end` entries on top of `generation`.
-template <typename P>
-Overlay<P> BuildOverlay(const Generation<P>& generation,
-                        const DeltaLog<P>& log, size_t end) {
-  Overlay<P> overlay;
-  const size_t base_size = generation.size();
-  for (size_t i = 0; i < end; ++i) {
-    const typename DeltaLog<P>::Entry& entry = log.entry(i);
-    if (!entry.is_remove) continue;
-    overlay.removed.insert(entry.id);
-    if (entry.id < base_size) ++overlay.removed_base;
-  }
-  for (size_t i = 0; i < end; ++i) {
-    const typename DeltaLog<P>::Entry& entry = log.entry(i);
-    if (entry.is_remove || overlay.removed.count(entry.id) != 0) continue;
-    overlay.inserts.push_back(&entry);
-  }
-  return overlay;
-}
 
 /// Post-fold id of a surviving pre-fold id, answered on demand in
 /// O(log removals) from the routed shape instead of an O(n) survivor
@@ -114,30 +84,35 @@ struct FoldIdRemap {
 /// before paying to materialize anything beyond the dirty slices,
 /// which is what keeps a skewed fold O(dirty) instead of O(n).
 /// Also emits the FoldIdRemap — everything it needs falls out of the
-/// same walk over the window's `overlay`.
+/// same walk over `log`'s first `end` entries.
 template <typename P>
-void RoutedShape(const Generation<P>& generation, const Overlay<P>& overlay,
-                 std::vector<size_t>* sizes, std::vector<bool>* dirty,
-                 FoldIdRemap* remap) {
+void RoutedShape(const Generation<P>& generation, const DeltaLog<P>& log,
+                 size_t end, std::vector<size_t>* sizes,
+                 std::vector<bool>* dirty, FoldIdRemap* remap) {
   const ShardedDatabase<P>& db = generation.database();
   const size_t shard_count = db.shard_count();
   const size_t base_size = generation.size();
   *sizes = db.ShardSizes();
   dirty->assign(shard_count, false);
   std::vector<size_t> removed_in_shard(shard_count, 0);
-  for (const size_t id : overlay.removed) {
-    if (id >= base_size) continue;  // insert-then-remove in the window
-    const uint32_t s = db.ShardOf(id);
-    --(*sizes)[s];
-    ++removed_in_shard[s];
-    (*dirty)[s] = true;
-    remap->removed_base.push_back(id);
+  const index::RemovedIds removed = log.RemovedIn(end);
+  size_t alive_inserts = 0;
+  for (size_t i = 0; i < end; ++i) {
+    const typename DeltaLog<P>::Entry& entry = log.entry(i);
+    if (entry.is_remove) {
+      if (entry.id >= base_size) continue;  // insert-then-remove
+      const uint32_t s = db.ShardOf(entry.id);
+      --(*sizes)[s];
+      ++removed_in_shard[s];
+      (*dirty)[s] = true;
+      remap->removed_base.push_back(entry.id);
+    } else if (!removed.Contains(entry.id)) {
+      ++(*sizes)[entry.shard];
+      (*dirty)[entry.shard] = true;
+      ++alive_inserts;
+    }
   }
   std::sort(remap->removed_base.begin(), remap->removed_base.end());
-  for (const auto* entry : overlay.inserts) {
-    ++(*sizes)[entry->shard];
-    (*dirty)[entry->shard] = true;
-  }
 
   remap->base_size = base_size;
   remap->old_offsets.resize(shard_count);
@@ -155,40 +130,44 @@ void RoutedShape(const Generation<P>& generation, const Overlay<P>& overlay,
     next_insert_id[s] = remap->new_offsets[s] + db.shard(s).size() -
                         removed_in_shard[s];
   }
-  remap->folded_inserts.reserve(overlay.inserts.size());
-  for (const auto* entry : overlay.inserts) {
-    remap->folded_inserts.emplace(entry->id, next_insert_id[entry->shard]++);
+  remap->folded_inserts.reserve(alive_inserts);
+  for (size_t i = 0; i < end; ++i) {
+    const typename DeltaLog<P>::Entry& entry = log.entry(i);
+    if (entry.is_remove || removed.Contains(entry.id)) continue;
+    remap->folded_inserts.emplace(entry.id, next_insert_id[entry.shard]++);
   }
 }
 
-/// The window's dataset routed into per-shard slices: slice s holds
-/// shard s's base survivors in id order, then the alive inserts
-/// routed to s in arrival order (`overlay` is the window's).  A
-/// non-null `fill` restricts point copying to the flagged shards: an
-/// unflagged shard is clean by construction (no removals, no routed
-/// inserts) and its slice is left empty — the incremental fold passes
-/// its dirty set here so clean shards cost no copies.
+/// The dataset of `log`'s first `end` entries over `generation`,
+/// routed into per-shard slices: slice s holds shard s's base
+/// survivors in id order, then the alive inserts routed to s in
+/// arrival order.  A non-null `fill` restricts point copying to the
+/// flagged shards: an unflagged shard is clean by construction (no
+/// removals, no routed inserts) and its slice is left empty — the
+/// incremental fold passes its dirty set here so clean shards cost no
+/// copies.
 template <typename P>
 std::vector<std::vector<P>> MaterializeRouted(
-    const Generation<P>& generation, const Overlay<P>& overlay,
+    const Generation<P>& generation, const DeltaLog<P>& log, size_t end,
     const std::vector<bool>* fill = nullptr) {
   const ShardedDatabase<P>& db = generation.database();
   std::vector<std::vector<P>> slices(db.shard_count());
+  const index::RemovedIds removed = log.RemovedIn(end);
   for (size_t s = 0; s < db.shard_count(); ++s) {
     if (fill != nullptr && !(*fill)[s]) continue;  // clean: no copies
     const index::PointStore<P>& base = db.shard(s).points();
     const size_t offset = db.shard_offset(s);
     slices[s].reserve(base.size());
     for (size_t i = 0; i < base.size(); ++i) {
-      if (overlay.removed.count(offset + i) == 0) {
-        slices[s].push_back(base.Point(i));
-      }
+      if (!removed.Contains(offset + i)) slices[s].push_back(base.Point(i));
     }
   }
-  for (const auto* entry : overlay.inserts) {
-    DP_CHECK(entry->shard < db.shard_count());
+  for (size_t i = 0; i < end; ++i) {
+    const typename DeltaLog<P>::Entry& entry = log.entry(i);
+    if (entry.is_remove || removed.Contains(entry.id)) continue;
+    DP_CHECK(entry.shard < db.shard_count());
     // Copy: pinned readers keep scanning the log entries.
-    slices[entry->shard].push_back(entry->point);
+    slices[entry.shard].push_back(entry.point);
   }
   return slices;
 }
@@ -233,14 +212,13 @@ util::Result<FoldOutput<P>> Fold(const Generation<P>& base,
 
   // The shape pass is copy-free, so the common skewed fold
   // materializes only the dirty slices.
-  const Overlay<P> overlay = BuildOverlay(base, log, end);
   std::vector<size_t> slice_sizes;
   std::vector<bool> dirty;
-  RoutedShape(base, overlay, &slice_sizes, &dirty, &out.remap);
+  RoutedShape(base, log, end, &slice_sizes, &dirty, &out.remap);
   const bool rebalance =
       std::count(slice_sizes.begin(), slice_sizes.end(), size_t{0}) > 0;
   std::vector<std::vector<P>> slices =
-      MaterializeRouted(base, overlay, rebalance ? nullptr : &dirty);
+      MaterializeRouted(base, log, end, rebalance ? nullptr : &dirty);
   if (rebalance) {
     // Exactly Generation::Build over the concatenated slices.
     slices = ShardedDatabase<P>::SliceData(Concatenate(std::move(slices)),

@@ -23,17 +23,21 @@
 // append, without re-logging, counters or upkeep.  Each entry is
 // routed to the shard that owns it (engine/shard_router.h); the
 // routing travels in the WAL record, so recovery and replicas
-// reproduce it exactly.  A query merges the log into its answer
-// exactly: delta hits are measured (and charged to the query's
-// distance accounting), removed ids are filtered out of the
-// generation's results, and — via the request's initial_radius_bound —
-// the delta's k-th distance caps the generation search's pruning
-// radius.  Every `delta_index_min` writes, the writer covers the new
-// stretch of the window with side runs — exact `laesa:k=4` indexes in
-// a logarithmic stack per shard (engine/side_runs.h) — so the delta leg
-// stops being a flat scan; the uncovered tail stays a scan.  The
-// window is bounded by `delta_scan_limit`: a full buffer pushes back
-// on writers (OutOfRange) instead of degrading readers.
+// reproduce it exactly.  The log also records, per id, the position
+// of the remove that retired it, so "removed in this pin" is one
+// array read against the pinned window's length.  A query merges the
+// log into its answer exactly: delta hits are measured (and charged
+// to the query's distance accounting), every index search skips the
+// pinned window's removed ids itself (so a shard is asked for k
+// results, never k plus spares), and — via the request's
+// initial_radius_bound — the delta's k-th distance caps the
+// generation search's pruning radius.  Every `delta_index_min`
+// writes, the writer covers the new stretch of the window with side
+// runs — exact `laesa:k=4` indexes in a logarithmic stack per shard
+// (engine/side_runs.h) — so the delta leg stops being a flat scan;
+// the uncovered tail stays a scan.  The window is bounded by
+// `delta_scan_limit`: a full buffer pushes back on writers
+// (OutOfRange) instead of degrading readers.
 //
 // Compact() folds base ⊕ delta into generation N+1 (Fold() in
 // engine/fold.h rebuilds only the dirty shards), writes the snapshot,
@@ -62,7 +66,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -130,18 +133,19 @@ class LiveDatabase {
   /// in O(1).  A fold or resync builds its successor aside and installs
   /// it whole.
   struct Writer : State {
-    explicit Writer(std::shared_ptr<const Generation<P>> gen)
-        : State{std::move(gen), std::make_shared<DeltaLog<P>>(),
+    /// A writer over `gen` whose log holds `capacity` entries.
+    Writer(const std::shared_ptr<const Generation<P>>& gen, size_t capacity)
+        : State{gen, std::make_shared<DeltaLog<P>>(gen->size(), capacity),
                 std::make_shared<const SideRuns<P>>()},
-          base_size(this->generation->size()) {}
+          base_size(gen->size()) {}
 
     size_t base_size;
     /// Owning shard of pending insert base_size + j, at index j.
     std::vector<uint32_t> insert_shard;
-    std::unordered_set<size_t> removed;
 
     bool Live(size_t id) const {
-      return id < base_size + insert_shard.size() && removed.count(id) == 0;
+      return id < base_size + insert_shard.size() &&
+             !this->log->RemovedIn(this->log->committed()).Contains(id);
     }
 
     /// Owning shard of a live id: a base id's owner comes from the
@@ -157,9 +161,7 @@ class LiveDatabase {
     /// log's capacity.
     size_t Append(WalOp<P> op) {
       size_t id = static_cast<size_t>(op.id);
-      if (op.is_remove) {
-        removed.insert(id);
-      } else {
+      if (!op.is_remove) {
         id = base_size + insert_shard.size();
         insert_shard.push_back(op.shard);
       }
@@ -232,12 +234,14 @@ class LiveDatabase {
     }
     /// Entries of the pinned delta window.
     size_t delta_entries() const { return delta_end_; }
-    /// Live points in this view: base survivors plus alive inserts.
+    /// Live points in this view: the base plus the window's inserts,
+    /// less its removes (each retired exactly one live id).
     size_t live_size() const {
-      const Overlay<P> overlay =
-          BuildOverlay(*state_->generation, *state_->log, delta_end_);
-      return state_->generation->size() - overlay.removed_base +
-             overlay.inserts.size();
+      size_t size = state_->generation->size();
+      for (size_t i = 0; i < delta_end_; ++i) {
+        state_->log->entry(i).is_remove ? --size : ++size;
+      }
+      return size;
     }
     /// The view's dataset in compaction order — the concatenation of
     /// MaterializeSlices() in shard order.  Compacting this exact view
@@ -254,9 +258,8 @@ class LiveDatabase {
     /// the store's (spec, seed) is the full-rebuild reference an
     /// incremental compaction must match bit-for-bit.
     std::vector<std::vector<P>> MaterializeSlices() const {
-      return MaterializeRouted(
-          *state_->generation,
-          BuildOverlay(*state_->generation, *state_->log, delta_end_));
+      return MaterializeRouted(*state_->generation, *state_->log,
+                               delta_end_);
     }
 
     /// The point behind a live id in this view — how a serving layer
@@ -264,22 +267,22 @@ class LiveDatabase {
     /// removed or never-assigned ids.
     util::Result<P> ResolvePoint(size_t id) const {
       const DeltaLog<P>& log = *state_->log;
-      const P* pending = nullptr;
-      for (size_t i = 0; i < delta_end_; ++i) {
-        const typename DeltaLog<P>::Entry& entry = log.entry(i);
-        if (entry.id != id) continue;
-        if (entry.is_remove) {
-          return util::Status::NotFound(
-              "LiveDatabase: id " + std::to_string(id) +
-              " was removed in this view");
-        }
-        pending = &entry.point;
-      }
-      if (pending != nullptr) return *pending;
       const ShardedDatabase<P>& db = state_->generation->database();
+      // The window assigned fewer than delta_end_ insert ids.
+      if (id < db.size() + delta_end_ &&
+          log.RemovedIn(delta_end_).Contains(id)) {
+        return util::Status::NotFound("LiveDatabase: id " +
+                                      std::to_string(id) +
+                                      " was removed in this view");
+      }
       if (id < db.size()) {
         const uint32_t s = db.ShardOf(id);
         return db.shard(s).points().Point(id - db.shard_offset(s));
+      }
+      // Pending insert base + j sits at log position j or later.
+      for (size_t i = id - db.size(); i < delta_end_; ++i) {
+        const typename DeltaLog<P>::Entry& entry = log.entry(i);
+        if (!entry.is_remove && entry.id == id) return entry.point;
       }
       return util::Status::NotFound(
           "LiveDatabase: no point with id " + std::to_string(id));
@@ -389,8 +392,8 @@ class LiveDatabase {
       // exact behavior (and zero copies) of the non-live engine path.
       return engine.RunBatch(state.generation->database(), batch);
     }
-    const Overlay<P> overlay =
-        BuildOverlay(*state.generation, *state.log, snapshot.delta_end_);
+    const DeltaLog<P>& log = *state.log;
+    const size_t end = snapshot.delta_end_;
     const size_t query_count = batch.size();
 
     // Trace bookkeeping: traced queries get a delta-leg span, and the
@@ -417,21 +420,14 @@ class LiveDatabase {
       if (!rejected[q].ok()) continue;
       std::chrono::steady_clock::time_point delta_t0{};
       if (spec.collect_trace) delta_t0 = std::chrono::steady_clock::now();
-      delta[q] = state.side->Search(spec, overlay, metric_);
-      if (spec.mode != index::SearchMode::kRange) {
-        // k delta hits in hand (k >= 1 once validated): their k-th
-        // distance bounds the merged k-th distance.
-        if (delta[q].results.size() == spec.k) {
-          adjusted[q].initial_radius_bound =
-              std::min(adjusted[q].initial_radius_bound,
-                       delta[q].results.back().distance);
-        }
-        if (overlay.removed_base > 0) {
-          // Over-fetch: up to removed_base of the generation's nearest
-          // may be filtered out, so ask for that many spares — the k
-          // best survivors are then always present in the partial.
-          adjusted[q].k = spec.k + overlay.removed_base;
-        }
+      delta[q] = state.side->Search(spec, log, end, metric_);
+      // k delta hits in hand (k >= 1 once validated): their k-th
+      // distance bounds the merged k-th distance.
+      if (spec.mode != index::SearchMode::kRange &&
+          delta[q].results.size() == spec.k) {
+        adjusted[q].initial_radius_bound =
+            std::min(adjusted[q].initial_radius_bound,
+                     delta[q].results.back().distance);
       }
       if (spec.collect_trace) {
         delta_times[q] = {Seconds(live_start, delta_t0),
@@ -440,12 +436,11 @@ class LiveDatabase {
       }
     }
 
+    // The shards skip the window's removed base ids inside the search.
+    const index::RemovedIds removed = log.RemovedIn(end);
     BatchOutput out =
-        engine.RunBatch(state.generation->database(), adjusted);
+        engine.RunBatch(state.generation->database(), adjusted, &removed);
 
-    const auto is_removed = [&overlay](size_t id) {
-      return overlay.removed.count(id) != 0;
-    };
     const double engine_offset =
         any_trace ? Seconds(live_start, out.batch_start) : 0.0;
     for (size_t q = 0; q < query_count; ++q) {
@@ -455,9 +450,8 @@ class LiveDatabase {
         continue;
       }
       if (!out.statuses[q].ok()) continue;
-      index::MergeDeltaResults(&out.results[q], is_removed,
-                               std::move(delta[q].results), batch[q].mode,
-                               batch[q].k);
+      index::MergeDeltaResults(&out.results[q], std::move(delta[q].results),
+                               batch[q].mode, batch[q].k);
       const uint64_t delta_cost = delta[q].distance_computations;
       out.per_query_distance_computations[q] += delta_cost;
       out.stats.distance_computations += delta_cost;
@@ -605,7 +599,8 @@ class LiveDatabase {
       if (!opened.ok()) return opened.status();
       next_wal = std::move(opened).value();
     }
-    InstallWriterLocked(Writer(std::move(generation)), std::move(next_wal));
+    InstallWriterLocked(Writer(generation, delta_scan_limit_),
+                        std::move(next_wal));
     remove_clock_.fetch_add(1, std::memory_order_relaxed);
     if (env_ != nullptr && old_generation != new_generation) {
       env_->DeleteFile(StorePath(WalFileName(old_generation)));
@@ -703,8 +698,9 @@ class LiveDatabase {
         next_wal = std::move(opened).value();
       }
 
-      Writer next(std::move(fold.generation));
       const size_t len = state->log->committed();
+      // The carried tail may exceed the limit only after a replay did.
+      Writer next(fold.generation, std::max(delta_scan_limit_, len - end));
       std::unordered_map<size_t, size_t> tail_map;  // old id -> new id
       std::vector<std::string> carried;  // re-encoded tail, for OnRotate
       for (size_t i = end; i < len; ++i) {
@@ -904,7 +900,7 @@ class LiveDatabase {
         auto_compact_threshold_(live.auto_compact_threshold),
         delta_index_min_(live.delta_index_min),
         build_threads_(options.build_threads),
-        writer_(std::move(generation)) {
+        writer_(generation, delta_scan_limit_) {
     TrackGeneration(writer_.generation);
     published_generation_.store(writer_.generation->number(),
                                 std::memory_order_relaxed);
@@ -976,6 +972,14 @@ class LiveDatabase {
           DP_RETURN_IF_ERROR(
               env->TruncateFile(wal_path, contents.value().valid_bytes));
         }
+        const size_t replayed = contents.value().records.size();
+        if (replayed > db->writer_.log->capacity()) {
+          // A store reopened with a smaller delta_scan_limit replays
+          // the longer window it logged under the old one.
+          db->writer_ = Writer(db->writer_.generation,
+                               std::min(replayed, DeltaLog<P>::kCapacity));
+          db->state_.store(std::make_shared<const State>(db->writer_));
+        }
         for (const storage::WalRecord& record : contents.value().records) {
           auto op = DecodeWalRecord<P>(record.payload);
           if (!op.ok()) return op.status();
@@ -1046,7 +1050,7 @@ class LiveDatabase {
       return util::Status::IoError("recovery: " + valid.message() +
                                    " — the log does not match the snapshot");
     }
-    if (writer_.log->committed() >= DeltaLog<P>::kCapacity) {
+    if (writer_.log->committed() >= writer_.log->capacity()) {
       return util::Status::OutOfRange(
           "recovery: delta log capacity exceeded during replay");
     }
@@ -1140,8 +1144,8 @@ class LiveDatabase {
     const size_t committed = writer_.log->committed();
     if (committed - writer_.side->covers() < delta_index_min_) return;
     writer_.side = SideRuns<P>::Extend(*writer_.side, *writer_.log,
-                                       committed, writer_.removed, metric_,
-                                       seed_, shard_count_);
+                                       committed, metric_, seed_,
+                                       shard_count_);
     if (side_points_built_ != nullptr) {
       side_points_built_->Add(writer_.side->points_built());
     }

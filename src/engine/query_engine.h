@@ -152,9 +152,12 @@ class QueryEngine {
   /// the duration of the call.  The caller chooses the snapshot: the
   /// live-ingest path pins one generation and passes its database here,
   /// giving the batch a frozen view while writers and compactions
-  /// proceed.
+  /// proceed.  `removed` (null: nothing removed) is the live view's
+  /// removal record over `db`'s ids: each shard task skips the removed
+  /// ids of its slice inside the search.
   BatchOutput RunBatch(const ShardedDatabase<P>& db,
-                       const std::vector<QuerySpec<P>>& batch) {
+                       const std::vector<QuerySpec<P>>& batch,
+                       const index::RemovedIds* removed = nullptr) {
     const size_t query_count = batch.size();
     const size_t shard_count = db.shard_count();
     BatchOutput out;
@@ -210,11 +213,11 @@ class QueryEngine {
         const auto submit =
             stamp_submits ? std::chrono::steady_clock::now() : start;
         TaskTiming* timing = slot_for(q, s);
-        pool_.Submit([this, &db, &batch, &partials, &tasks_left,
+        pool_.Submit([this, &db, &batch, removed, &partials, &tasks_left,
                       &latencies, start, submit, timing, shard_count, q,
                       s]() {
-          RunShardTask(db, batch, partials, tasks_left, latencies, start,
-                       submit, timing, shard_count, q, s);
+          RunShardTask(db, batch, removed, partials, tasks_left, latencies,
+                       start, submit, timing, shard_count, q, s);
         });
       }
     }
@@ -352,14 +355,16 @@ class QueryEngine {
     }
   }
 
-  /// One (query, shard) task: searches the shard, maps local ids to
-  /// global ids, stores the partial, and stamps the query latency when
-  /// it is the last of the query's tasks to finish.  When metrics or a
-  /// trace slot want timing, the task additionally reads the clock on
-  /// entry/exit — around the search, never inside it, so instrumented
-  /// results stay bit-identical.
+  /// One (query, shard) task: searches the shard (skipping its slice's
+  /// `removed` ids), maps local ids to global ids, stores the partial,
+  /// and stamps the query latency when it is the last of the query's
+  /// tasks to finish.  When metrics or a trace slot want timing, the
+  /// task additionally reads the clock on entry/exit — around the
+  /// search, never inside it, so instrumented results stay
+  /// bit-identical.
   void RunShardTask(const ShardedDatabase<P>& db,
                     const std::vector<QuerySpec<P>>& batch,
+                    const index::RemovedIds* removed,
                     std::vector<index::SearchResponse>& partials,
                     std::vector<PaddedCounter>& tasks_left,
                     std::vector<double>& latencies,
@@ -376,8 +381,13 @@ class QueryEngine {
       }
       if (timing != nullptr) timing->start = Seconds(start, task_start);
     }
-    index::SearchResponse response = db.shard(s).Search(batch[q]);
     const size_t offset = db.shard_offset(s);
+    index::RemovedIds shard_removed;  // local ids start at the offset
+    if (removed != nullptr) {
+      shard_removed = {removed->removed_at + offset, removed->end};
+    }
+    index::SearchResponse response = db.shard(s).Search(
+        batch[q], removed != nullptr ? &shard_removed : nullptr);
     for (index::SearchResult& r : response.results) r.id += offset;
     partials[q * shard_count + s] = std::move(response);
     if (timed) {

@@ -8,23 +8,18 @@
 // no larger than it (a binary counter), so a covered insert is rebuilt
 // O(log window) times in all.  Range and kNN search decompose over
 // runs, so the answers stay exact.  A stack is immutable once built and
-// shares its untouched runs with its predecessor; entry pointers stay
-// valid because DeltaLog chunks never move and whoever holds a stack
-// also holds the log it covers.
+// shares its untouched runs with its predecessor.
 
 #ifndef DISTPERM_ENGINE_SIDE_RUNS_H_
 #define DISTPERM_ENGINE_SIDE_RUNS_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "engine/delta_log.h"
-#include "engine/fold.h"
 #include "engine/query.h"
 #include "engine/sharded_database.h"
 #include "index/index.h"
@@ -71,26 +66,22 @@ class SideRuns {
   size_t points_built() const { return points_built_; }
 
   /// `previous` extended to cover `log`'s first `committed` entries:
-  /// the inserts in [previous.covers(), committed) still alive (not in
-  /// `removed`) are routed by their shard tag, and each of the
-  /// `shard_count` shards that received some gets one new run, which
-  /// absorbs the stack's trailing runs no larger than itself.  Every
-  /// other run carries over by shared_ptr.  `seed` is the store's;
-  /// runs draw from the stream seed + 1, distinct from the base
-  /// shards'.
+  /// the inserts in [previous.covers(), committed) still alive there
+  /// are routed by their shard tag, and each of the `shard_count`
+  /// shards that received some gets one new run, which absorbs the
+  /// stack's trailing runs no larger than itself.  Every other run
+  /// carries over by shared_ptr.  `seed` is the store's; runs draw from
+  /// the stream seed + 1, distinct from the base shards'.
   static std::shared_ptr<const SideRuns> Extend(
       const SideRuns& previous, const DeltaLog<P>& log, size_t committed,
-      const std::unordered_set<size_t>& removed,
       const metric::Metric<P>& metric, uint64_t seed, size_t shard_count) {
     auto next = std::make_shared<SideRuns>();
     next->covers_ = committed;
-    next->uncovered_id_ = previous.uncovered_id_;
+    const index::RemovedIds removed = log.RemovedIn(committed);
     std::vector<std::vector<const Entry*>> fresh(shard_count);
     for (size_t i = previous.covers_; i < committed; ++i) {
       const Entry& entry = log.entry(i);
-      if (entry.is_remove) continue;
-      next->uncovered_id_ = entry.id + 1;
-      if (removed.count(entry.id) != 0) continue;
+      if (entry.is_remove || removed.Contains(entry.id)) continue;
       DP_CHECK(entry.shard < shard_count);
       fresh[entry.shard].push_back(&entry);
     }
@@ -104,72 +95,73 @@ class SideRuns {
       auto& runs = next->shards_[s];
       size_t keep = runs.size();
       size_t size = fresh[s].size();
-      while (keep > 0 && runs[keep - 1]->entries.size() <= size) {
-        size += runs[--keep]->entries.size();
+      while (keep > 0 && runs[keep - 1]->ids.size() <= size) {
+        size += runs[--keep]->ids.size();
       }
       auto run = std::make_shared<Run>();
-      run->entries.reserve(size);
+      std::vector<P> points;
+      points.reserve(size);
+      run->ids.reserve(size);
       for (size_t r = keep; r < runs.size(); ++r) {
-        for (const Entry* entry : runs[r]->entries) {
-          if (removed.count(entry->id) == 0) run->entries.push_back(entry);
+        const Run& absorbed = *runs[r];
+        for (size_t j = 0; j < absorbed.ids.size(); ++j) {
+          if (removed.Contains(absorbed.ids[j])) continue;
+          points.push_back(absorbed.index->points().Point(j));
+          run->ids.push_back(absorbed.ids[j]);
         }
       }
-      run->entries.insert(run->entries.end(), fresh[s].begin(),
-                          fresh[s].end());
+      for (const Entry* entry : fresh[s]) {
+        points.push_back(entry->point);
+        run->ids.push_back(entry->id);
+      }
       runs.resize(keep);
-      std::vector<P> points;
-      points.reserve(run->entries.size());
-      for (const Entry* entry : run->entries) points.push_back(entry->point);
       next->points_built_ += points.size();
       auto built = ShardedDatabase<P>::CreateShard(
           kSideRunSpec, seed + 1, s,
           index::PointStore<P>(std::move(points), metric));
-      // On failure (a point the spec cannot index) the index stays null
-      // and queries scan the run's entries flat.
-      if (built.ok()) run->index = std::move(built).value();
+      DP_CHECK(built.ok());  // laesa indexes any non-empty point set
+      run->index = std::move(built).value();
       runs.push_back(std::move(run));
     }
     return next;
   }
 
-  /// The delta leg of `spec` over a pinned window this stack covers a
-  /// prefix of (`overlay` is the window's): the uncovered tail flat,
-  /// then every run.  The tail goes first, so its hits already bound
-  /// the runs' kNN searches.  The hit set is the flat scan's whatever
-  /// the stack's shape — the runs are exact and the collector's
-  /// (distance, id) tie-break is order-independent — so only the
-  /// distance count depends on the stack.
-  DeltaHits Search(const QuerySpec<P>& spec, const Overlay<P>& overlay,
-                   const metric::Metric<P>& metric) const {
+  /// The delta leg of `spec` over the pinned window of `log`'s first
+  /// `end` entries, which this stack covers a prefix of: the alive
+  /// inserts of the uncovered tail [covers(), end) flat, then every
+  /// run, whose searches skip the inserts removed by `end`.  The tail
+  /// goes first, so its hits already bound the runs' kNN searches.  The
+  /// hit set is the flat scan's whatever the stack's shape — the runs
+  /// are exact and the collector's (distance, id) tie-break is
+  /// order-independent — so only the distance count depends on the
+  /// stack.
+  DeltaHits Search(const QuerySpec<P>& spec, const DeltaLog<P>& log,
+                   size_t end, const metric::Metric<P>& metric) const {
     DeltaHits out;
     const bool range = spec.mode == index::SearchMode::kRange;
     index::KnnCollector collector(spec.k);
     const auto offer = [&](size_t id, double d) {
       range ? out.results.push_back({id, d}) : collector.Offer(id, d);
     };
-    const auto scan = [&](const Entry* entry) {
-      const double d = metric(spec.point, entry->point);
+    const auto scan = [&](size_t id, const P& point) {
+      const double d = metric(spec.point, point);
       ++out.distance_computations;
       if (spec.mode == index::SearchMode::kKnn || d <= spec.radius) {
-        offer(entry->id, d);
+        offer(id, d);
       }
     };
-    // The alive inserts are in id order, and the uncovered ones are
-    // exactly those from uncovered_id_ on.
-    const auto tail = std::lower_bound(
-        overlay.inserts.begin(), overlay.inserts.end(), uncovered_id_,
-        [](const Entry* entry, size_t id) { return entry->id < id; });
-    for (auto it = tail; it != overlay.inserts.end(); ++it) scan(*it);
-    // Upper bound on covered entries filtered below (an insert removed
-    // after its run was built): every such id is a removed non-base id.
-    // Requesting k + this many from a run guarantees its k nearest
-    // alive entries survive the filter, which keeps the runs' kNN exact.
-    const size_t want = spec.k + overlay.removed.size() - overlay.removed_base;
+    index::RemovedIds removed = log.RemovedIn(end);
+    for (size_t i = covers_; i < end; ++i) {
+      const Entry& entry = log.entry(i);
+      if (!entry.is_remove && !removed.Contains(entry.id)) {
+        scan(entry.id, entry.point);
+      }
+    }
     QuerySpec<P> request =
         range ? QuerySpec<P>::Range(spec.point, spec.radius)
         : spec.mode == index::SearchMode::kKnnWithinRadius
-            ? QuerySpec<P>::KnnWithinRadius(spec.point, want, spec.radius)
-            : QuerySpec<P>::Knn(spec.point, want);
+            ? QuerySpec<P>::KnnWithinRadius(spec.point, spec.k, spec.radius)
+            : QuerySpec<P>::Knn(spec.point, spec.k);
     for (const auto& runs : shards_) {
       for (const auto& run : runs) {
         // Once k hits are in hand, their k-th distance bounds every
@@ -177,22 +169,21 @@ class SideRuns {
         if (!range && collector.size() == spec.k) {
           request.initial_radius_bound = collector.Radius();
         }
-        if (run->index != nullptr) {
-          index::SearchResponse resp = run->index->Search(request);
-          if (resp.status.ok()) {
-            out.distance_computations += resp.stats.distance_computations;
-            for (const index::SearchResult& r : resp.results) {
-              const Entry* entry = run->entries[r.id];
-              if (overlay.removed.count(entry->id) == 0) {
-                offer(entry->id, r.distance);
-              }
-            }
-            continue;
+        removed.ids = run->ids.data();
+        index::SearchResponse resp = run->index->Search(request, &removed);
+        if (!resp.status.ok()) {
+          // The run rejected the request (an inserted point with a NaN
+          // coordinate can make the carried bound NaN): measure the
+          // run's alive points flat.
+          const index::PointStore<P>& points = run->index->points();
+          for (size_t j = 0; j < run->ids.size(); ++j) {
+            if (!removed.Contains(j)) scan(run->ids[j], points.Point(j));
           }
+          continue;
         }
-        // No index, or its search failed: measure the alive entries.
-        for (const Entry* entry : run->entries) {
-          if (overlay.removed.count(entry->id) == 0) scan(entry);
+        out.distance_computations += resp.stats.distance_computations;
+        for (const index::SearchResult& r : resp.results) {
+          offer(run->ids[r.id], r.distance);
         }
       }
     }
@@ -202,20 +193,17 @@ class SideRuns {
 
  private:
   struct Run {
-    /// kSideRunSpec index over `entries`'s points, local id j =
-    /// entries[j]; null when the build failed.
+    /// kSideRunSpec index over the points of the inserts routed to the
+    /// run's shard that were alive when the run was built, in arrival
+    /// (= id) order.
     std::unique_ptr<index::SearchIndex<P>> index;
-    /// Inserts routed to the run's shard that were alive when the run
-    /// was built, in arrival (= id) order.  Inserts removed later are
-    /// filtered at query time against the pinned overlay, and dropped
-    /// when a newer run absorbs this one.
-    std::vector<const Entry*> entries;
+    /// The store id of each local id.  Inserts removed after the build
+    /// are skipped inside the run's search, by the pinned window's
+    /// removal record, and dropped when a newer run absorbs this one.
+    std::vector<size_t> ids;
   };
 
   size_t covers_ = 0;
-  /// Id of the first insert at or past covers_: insert ids grow with
-  /// log position, so every insert with a smaller id is covered.
-  size_t uncovered_id_ = 0;
   size_t points_built_ = 0;
   /// Per shard, its runs oldest (and largest) first.
   std::vector<std::vector<std::shared_ptr<const Run>>> shards_;

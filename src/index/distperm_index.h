@@ -398,9 +398,11 @@ class DistPermIndex : public SearchIndex<P> {
       }
     }
 
+    // A removed candidate keeps its slot but is never measured.
     for (size_t v = 0; v < budget; ++v) {
       if (context->StopAfterBudget()) return;
       const size_t id = candidates[v];
+      if (context->Removed(id)) continue;
       context->Emit(id, this->QueryDist(query, id, stats));
       ++stats->candidates_verified;
     }

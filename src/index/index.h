@@ -66,8 +66,10 @@ class SearchIndex {
   /// NaN query coordinates, a query dimension other than the stored
   /// points', out-of-range candidate fraction) — a rejected request
   /// costs zero metric evaluations.  The response's stats cover exactly
-  /// this call.
-  SearchResponse Search(const SearchRequest<P>& request) const {
+  /// this call.  The search answers as if the `removed` points were
+  /// absent.
+  SearchResponse Search(const SearchRequest<P>& request,
+                        const RemovedIds* removed = nullptr) const {
     SearchResponse response;
     response.status = ValidateRequest(request, points_.dim());
     if (!response.status.ok()) return response;
@@ -80,7 +82,7 @@ class SearchIndex {
     SearchContext context(request.mode, request.radius,
                           request.max_distance_computations,
                           &response.stats, collector,
-                          request.initial_radius_bound);
+                          request.initial_radius_bound, removed);
     SearchImpl(request, points_.MakeQuery(request.point), &context);
     response.results = context.TakeResults();
     response.truncated = context.truncated();

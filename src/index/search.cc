@@ -24,15 +24,8 @@ void SortResults(std::vector<SearchResult>* results) {
 }
 
 void MergeDeltaResults(std::vector<SearchResult>* base,
-                       const std::function<bool(size_t)>& is_removed,
                        std::vector<SearchResult> delta_hits,
                        SearchMode mode, size_t k) {
-  size_t kept = 0;
-  for (size_t i = 0; i < base->size(); ++i) {
-    if (is_removed((*base)[i].id)) continue;
-    (*base)[kept++] = (*base)[i];
-  }
-  base->resize(kept);
   base->insert(base->end(), delta_hits.begin(), delta_hits.end());
   SortResults(base);
   if (mode != SearchMode::kRange && base->size() > k) base->resize(k);

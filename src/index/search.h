@@ -16,9 +16,9 @@
 #define DISTPERM_INDEX_SEARCH_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <string>
 #include <utility>
@@ -74,19 +74,35 @@ const char* SearchModeName(SearchMode mode);
 
 /// Delta-merge hook for live stores (engine::LiveDatabase).  A live
 /// query runs in two legs: the pinned generation's index search (whose
-/// SearchContext prunes against the delta's k-th distance through
-/// initial_radius_bound — any k delta hits upper-bound the merged k-th
-/// distance, so the cap is exact) and a linear scan of the pinned delta
-/// window.  This folds the two legs together: drops every base result
-/// whose id the delta removed, appends the already-verified delta hits,
-/// restores canonical (distance, id) order, and re-trims the kNN modes
-/// to k.  `base` results keep generation ids; delta hits carry their
+/// SearchContext skips the window's removed ids and prunes against the
+/// delta's k-th distance through initial_radius_bound — any k delta
+/// hits upper-bound the merged k-th distance, so the cap is exact) and
+/// the delta leg over the window's alive inserts.  This folds the two
+/// legs together: appends the already-verified delta hits, restores
+/// canonical (distance, id) order, and re-trims the kNN modes to k.
+/// `base` results keep generation ids; delta hits carry their
 /// delta-assigned ids — disjoint by construction, so the merged order
 /// is well defined.
 void MergeDeltaResults(std::vector<SearchResult>* base,
-                       const std::function<bool(size_t)>& is_removed,
                        std::vector<SearchResult> delta_hits,
                        SearchMode mode, size_t k);
+
+/// The ids a live store removed as of one pinned delta window, as plain
+/// data (engine::DeltaLog owns the array).  Id i's removal position —
+/// the log position of the remove that retired it, UINT32_MAX if none
+/// did — is removed_at[ids[i]] when `ids` is set (a side run's scattered
+/// insert ids), else removed_at[i]; i is removed iff it is below `end`,
+/// the window's length.
+struct RemovedIds {
+  const std::atomic<uint32_t>* removed_at = nullptr;
+  size_t end = 0;
+  const size_t* ids = nullptr;
+
+  bool Contains(size_t i) const {
+    const size_t slot = ids != nullptr ? ids[i] : i;
+    return removed_at[slot].load(std::memory_order_relaxed) < end;
+  }
+};
 
 /// One query: a mode, a point, and the mode's parameters, plus optional
 /// execution knobs.  Construct with the factories (Knn, Range,
@@ -337,21 +353,25 @@ class KnnCollector {
 /// initial_radius_bound, so every index's pruning — block-min score
 /// filtering, ball pruning, lower-bound elimination — starts from the
 /// best k-th distance known before the search.  The cap applies only to
-/// the kNN modes: a range search must report every in-range point.
+/// the kNN modes: a range search must report every in-range point.  Emit
+/// drops a live store's removed ids, so the kNN radius is the k-th
+/// distance over live points and every index's pruning stays exact.
 class SearchContext {
  public:
   /// `collector` must be non-null for the kNN modes (it is pooled from
   /// QueryScratch by SearchIndex::Search) and is unused for kRange.
-  /// `initial_bound` is the request's initial_radius_bound.
+  /// `initial_bound` is the request's initial_radius_bound.  `removed`
+  /// (null: nothing is removed) names the ids to drop.
   SearchContext(SearchMode mode, double radius, uint64_t budget,
                 QueryStats* stats, KnnCollector* collector,
-                double initial_bound)
+                double initial_bound, const RemovedIds* removed = nullptr)
       : mode_(mode),
         radius_(radius),
         budget_(budget),
         initial_bound_(initial_bound),
         stats_(stats),
-        collector_(collector) {}
+        collector_(collector),
+        removed_(removed) {}
 
   SearchContext(const SearchContext&) = delete;
   SearchContext& operator=(const SearchContext&) = delete;
@@ -359,8 +379,15 @@ class SearchContext {
   /// Where implementations charge their metric evaluations.
   QueryStats* stats() const { return stats_; }
 
-  /// Offers a verified (id, true distance) pair to the result set.
+  /// True iff `id` was removed; an index may skip it unmeasured.
+  bool Removed(size_t id) const {
+    return removed_ != nullptr && removed_->Contains(id);
+  }
+
+  /// Offers a verified (id, true distance) pair to the result set; a
+  /// removed id is dropped.
   void Emit(size_t id, double distance) {
+    if (Removed(id)) return;
     switch (mode_) {
       case SearchMode::kRange:
         if (distance <= radius_) range_results_.push_back({id, distance});
@@ -424,6 +451,7 @@ class SearchContext {
   const double initial_bound_;
   QueryStats* const stats_;
   KnnCollector* const collector_;
+  const RemovedIds* const removed_;
   std::vector<SearchResult> range_results_;
   bool truncated_ = false;
 };

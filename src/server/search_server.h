@@ -286,6 +286,24 @@ class SearchServer {
     std::string reject_message;
   };
 
+  /// The search frames one ProcessFrames pass has coalesced and not yet
+  /// answered, with their admission cost and the answer bytes they owe.
+  /// Flush() answers them and resets all three together.
+  struct PendingBatch {
+    explicit PendingBatch(SearchServer* server) : server(server) {}
+
+    void Flush(net::Connection* conn) {
+      server->ExecuteSearchBatch(conn, &items);
+      cost = 0;
+      answer_bytes = 0;
+    }
+
+    SearchServer* const server;
+    std::vector<BatchItem> items;
+    uint64_t cost = 0;
+    size_t answer_bytes = 0;
+  };
+
   /// Evenly spaced ids over the initial snapshot; removed ids (holes)
   /// are skipped, and fewer than two surviving sites disable the cache.
   void SampleCacheSites() {
@@ -441,15 +459,15 @@ class SearchServer {
   /// Parses complete frames from the connection's read buffer until it
   /// is empty or the answers queued and owed pass kMaxWriteBacklog; the
   /// first frame is always taken, so a pass under the cap makes
-  /// progress.  Returns false when the connection must close (protocol
-  /// error); the unparsed rest of the buffer is then dropped.
+  /// progress.  Consecutive search frames coalesce into one batch,
+  /// which is answered before any other frame runs, so answers keep
+  /// the frames' order.  Returns false when the connection must close
+  /// (protocol error); the unparsed rest of the buffer is then dropped.
   bool ProcessFrames(net::Connection* conn) {
-    std::vector<BatchItem> batch;
-    uint64_t batch_cost = 0;
-    size_t batch_answer_bytes = 0;
+    PendingBatch pending(this);
     bool keep = true;
     for (;;) {
-      if (conn->pending_write_bytes() + batch_answer_bytes >
+      if (conn->pending_write_bytes() + pending.answer_bytes >
           kMaxWriteBacklog) {
         break;
       }
@@ -461,28 +479,21 @@ class SearchServer {
           conn->read_size(), &view, &frame_size, &error);
       if (parse == net::FrameParse::kIncomplete) break;
       if (parse == net::FrameParse::kError) {
-        ExecuteSearchBatch(conn, &batch);
+        pending.Flush(conn);
         SendError(conn, net::WireStatus::FromStatus(error));
         Count(&decode_errors_, obs_decode_errors_);
         keep = false;
         break;
       }
-      const size_t batched = batch.size();
-      const bool frame_ok = DispatchFrame(conn, view, &batch, &batch_cost);
+      if (view.type != net::MessageType::kSearch) pending.Flush(conn);
+      const bool frame_ok = DispatchFrame(conn, view, &pending);
       conn->Consume(frame_size);
       if (!frame_ok) {
         keep = false;
         break;
       }
-      if (batch.empty()) {
-        // A non-search frame ran the batch; the next one starts afresh.
-        batch_cost = 0;
-        batch_answer_bytes = 0;
-      } else if (batch.size() > batched && !batch.back().rejected) {
-        batch_answer_bytes += AnswerBytes(batch.back().request);
-      }
     }
-    ExecuteSearchBatch(conn, &batch);
+    pending.Flush(conn);
     if (!keep) conn->Consume(conn->read_size());
     return keep;
   }
@@ -498,19 +509,19 @@ class SearchServer {
     return kFixedBytes + std::min<size_t>(request.k, kMaxWriteBacklog) * 16;
   }
 
+  /// Answers one frame.  A search frame joins `pending`; every other
+  /// frame finds it already flushed.
   bool DispatchFrame(net::Connection* conn, const net::FrameView& view,
-                     std::vector<BatchItem>* batch, uint64_t* batch_cost) {
+                     PendingBatch* pending) {
     switch (view.type) {
-      case net::MessageType::kPing: {
-        ExecuteSearchBatch(conn, batch);
+      case net::MessageType::kPing:
         conn->Queue(net::EncodeFrame(net::MessageType::kPong, ""));
         return true;
-      }
       case net::MessageType::kSearch: {
         auto decoded = net::DecodeSearchRequest<P>(view.payload,
                                                    view.payload_size);
         if (!decoded.ok()) {
-          ExecuteSearchBatch(conn, batch);
+          pending->Flush(conn);
           SendError(conn, net::WireStatus::FromStatus(decoded.status()));
           Count(&decode_errors_, obs_decode_errors_);
           return false;
@@ -518,12 +529,12 @@ class SearchServer {
         BatchItem item;
         item.request = std::move(decoded.value().request);
         item.no_cache = decoded.value().no_cache;
-        Admit(&item, batch->size(), batch_cost);
-        batch->push_back(std::move(item));
+        Admit(&item, pending);
+        if (!item.rejected) pending->answer_bytes += AnswerBytes(item.request);
+        pending->items.push_back(std::move(item));
         return true;
       }
       case net::MessageType::kInsert: {
-        ExecuteSearchBatch(conn, batch);
         net::WireInsertResponse response;
         if (options_.read_only) {
           response.status = net::WireStatus::Unavailable(
@@ -554,7 +565,6 @@ class SearchServer {
         return true;
       }
       case net::MessageType::kRemove: {
-        ExecuteSearchBatch(conn, batch);
         net::WireStatus response;
         if (options_.read_only) {
           response = net::WireStatus::Unavailable(
@@ -578,20 +588,13 @@ class SearchServer {
             net::EncodeFrame(net::MessageType::kRemoveResult, payload));
         return true;
       }
-      case net::MessageType::kCatchUpHandshake: {
-        ExecuteSearchBatch(conn, batch);
+      case net::MessageType::kCatchUpHandshake:
         return HandleCatchUpHandshake(conn, view);
-      }
-      case net::MessageType::kFetchSnapshot: {
-        ExecuteSearchBatch(conn, batch);
+      case net::MessageType::kFetchSnapshot:
         return HandleFetchSnapshot(conn, view);
-      }
-      case net::MessageType::kStreamWal: {
-        ExecuteSearchBatch(conn, batch);
+      case net::MessageType::kStreamWal:
         return HandleStreamWal(conn, view);
-      }
       default: {
-        ExecuteSearchBatch(conn, batch);
         SendError(conn,
                   {net::WireCode::kInvalidArgument,
                    "unexpected client frame type " +
@@ -605,7 +608,8 @@ class SearchServer {
   /// Admission: per-connection batch cap, then the distance budget.
   /// The first request of a batch is always admitted (progress
   /// guarantee); after that, estimated cost must fit the budget.
-  void Admit(BatchItem* item, size_t batch_size, uint64_t* batch_cost) {
+  void Admit(BatchItem* item, PendingBatch* pending) {
+    const size_t batch_size = pending->items.size();
     if (batch_size >= options_.max_requests_per_connection) {
       item->rejected = true;
       item->reject_message =
@@ -622,7 +626,7 @@ class SearchServer {
           estimate, item->request.max_distance_computations);
     }
     if (options_.max_inflight_distance_budget > 0 && batch_size > 0 &&
-        *batch_cost + estimate > options_.max_inflight_distance_budget) {
+        pending->cost + estimate > options_.max_inflight_distance_budget) {
       item->rejected = true;
       item->reject_message =
           "admission: distance budget exhausted (estimated " +
@@ -631,7 +635,7 @@ class SearchServer {
       Count(&overloads_, obs_overload_);
       return;
     }
-    *batch_cost += estimate;
+    pending->cost += estimate;
   }
 
   void ExecuteSearchBatch(net::Connection* conn,

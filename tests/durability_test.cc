@@ -103,8 +103,8 @@ TEST(DeltaLog, AppendsAcrossChunkBoundaries) {
   // kChunkSize is the lazily-allocated block size: the boundary entry,
   // the one before it, and the first of the next chunk must all read
   // back intact, for several chunks' worth of appends.
-  DeltaLog<std::string> log;
   const size_t n = DeltaLog<std::string>::kChunkSize * 3 + 5;
+  DeltaLog<std::string> log(/*base_size=*/0, /*capacity=*/n);
   for (size_t i = 0; i < n; ++i) {
     ASSERT_TRUE(log.Append({i % 7 == 0, i, 0, "entry-" + std::to_string(i)}));
     ASSERT_EQ(log.committed(), i + 1);
@@ -114,12 +114,16 @@ TEST(DeltaLog, AppendsAcrossChunkBoundaries) {
     EXPECT_EQ(entry.is_remove, i % 7 == 0) << i;
     EXPECT_EQ(entry.id, i) << i;
     EXPECT_EQ(entry.point, "entry-" + std::to_string(i)) << i;
+    // The remove at position i retires id i for every window that
+    // includes it, and for no window that stops before it.
+    EXPECT_EQ(log.RemovedIn(n).Contains(i), i % 7 == 0) << i;
+    EXPECT_FALSE(log.RemovedIn(i).Contains(i)) << i;
   }
 }
 
 TEST(DeltaLog, ExactChunkMultipleThenOneMore) {
-  DeltaLog<std::string> log;
   const size_t boundary = DeltaLog<std::string>::kChunkSize;
+  DeltaLog<std::string> log(/*base_size=*/0, /*capacity=*/boundary + 1);
   for (size_t i = 0; i < boundary; ++i) {
     ASSERT_TRUE(log.Append({false, i, 0, "x"}));
   }
@@ -314,6 +318,15 @@ TEST(Durability, ReplayIsIdempotentAcrossRepeatedOpens) {
     EXPECT_EQ(live.value()->Pin().Materialize(), view) << reopen;
     EXPECT_EQ(live.value()->delta_entries(), 11u) << reopen;
   }
+  // Reopened under a delta_scan_limit below the logged window, the
+  // store still replays all of it; new writes then push back.
+  auto narrowed = LiveDatabase<Vector>::Open(
+      {}, L2(), 2,
+      WithWal("vp-tree:delta_scan_limit=8,delta_index_min=0", dir), 5);
+  ASSERT_TRUE(narrowed.ok()) << narrowed.status();
+  EXPECT_EQ(narrowed.value()->Pin().Materialize(), view);
+  EXPECT_EQ(narrowed.value()->Insert({0.5, 0.5, 0.5}).status().code(),
+            util::StatusCode::kOutOfRange);
 }
 
 TEST(Durability, WritesAfterRecoveryChainCorrectly) {

@@ -118,7 +118,7 @@ TEST(Fold, RebuildsOnlyTheDirtyShardAndSharesTheRest) {
 
   // Inserts routed to one shard, base removes inside that shard, and an
   // insert removed again inside the window.
-  DeltaLog<Vector> log;
+  DeltaLog<Vector> log(base->size(), DeltaLog<Vector>::kChunkSize);
   size_t next_id = base->size();
   std::vector<size_t> inserted;
   for (int i = 0; i < 30; ++i) {
@@ -154,8 +154,7 @@ TEST(Fold, RebuildsOnlyTheDirtyShardAndSharesTheRest) {
   }
 
   auto reference = ShardedDatabase<Vector>::BuildFromRegistrySliced(
-      MaterializeRouted(*base, BuildOverlay(*base, log, end)), L2(), kSpec,
-      kSeed);
+      MaterializeRouted(*base, log, end), L2(), kSpec, kSeed);
   ASSERT_TRUE(reference.ok()) << reference.status();
   ExpectSameAnswers(new_db, reference.value(), &rng);
 
@@ -172,7 +171,7 @@ TEST(Fold, AnEmptiedSliceRebalancesEveryShard) {
   const ShardedDatabase<Vector>& old_db = base->database();
   constexpr uint32_t kEmptied = 1;
 
-  DeltaLog<Vector> log;
+  DeltaLog<Vector> log(base->size(), DeltaLog<Vector>::kChunkSize);
   size_t next_id = base->size();
   for (int i = 0; i < 6; ++i) {
     AppendInsert(&log, &next_id, 3, RandomPoint(&rng));
@@ -200,8 +199,8 @@ TEST(Fold, AnEmptiedSliceRebalancesEveryShard) {
 
   // The rebalance rebuilds uniformly over the concatenated slices.
   auto reference = ShardedDatabase<Vector>::BuildFromRegistry(
-      Concatenate(MaterializeRouted(*base, BuildOverlay(*base, log, end))),
-      L2(), kShards, kSpec, kSeed);
+      Concatenate(MaterializeRouted(*base, log, end)), L2(), kShards, kSpec,
+      kSeed);
   ASSERT_TRUE(reference.ok()) << reference.status();
   ExpectSameAnswers(new_db, reference.value(), &rng);
 

@@ -15,9 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -167,12 +170,14 @@ TEST(LiveIngest, IdleStoreMatchesPlainEngineBitForBit) {
 }
 
 // Inserted points are served exactly (linear delta scan) no matter how
-// approximate the base index is; removed points vanish; both survive
-// compaction, where ids are remapped but the points stay.
+// approximate the base index is; removed points vanish in every mode,
+// skipped inside the search; both survive compaction, where ids are
+// remapped but the points stay.
 TEST(LiveIngest, InsertRemoveVisibilityAcrossEverySpec) {
   QueryEngine<Vector> engine(1);
   util::Rng rng(402);
   auto data = dataset::UniformCube(40, 2, &rng);
+  const std::vector<size_t> removed_base = {0, 7, 13, 22, 31};
   for (const std::string& spec : index::Registry<Vector>::Global().Names()) {
     auto live_result = LiveDatabase<Vector>::Open(data, L2(), 2, spec, 11);
     ASSERT_TRUE(live_result.ok()) << spec;
@@ -199,18 +204,55 @@ TEST(LiveIngest, InsertRemoveVisibilityAcrossEverySpec) {
           << spec;
     }
 
-    // Removing a pending insert and a base point hides both at once.
+    // Removing a pending insert and base points hides them at once, in
+    // every mode.  Each query verifies every candidate (fraction 1), so
+    // the distperm specs answer exactly too, and every spec must match
+    // brute force over the view's own dataset.
+    const auto before = live.Pin();
     ASSERT_TRUE(live.Remove(inserted_ids[2]).ok()) << spec;
-    ASSERT_TRUE(live.Remove(0).ok()) << spec;
-    out = live.RunBatch(engine, live.Pin(),
-                        {QuerySpec<Vector>::Knn(probe, 5),
-                         QuerySpec<Vector>::Knn(data[0], live.size())});
-    ASSERT_TRUE(out.all_ok()) << spec;
-    for (const SearchResult& r : out.results[0]) {
-      EXPECT_NE(r.id, inserted_ids[2]) << spec;
+    for (const size_t id : removed_base) {
+      ASSERT_TRUE(live.Remove(id).ok()) << spec;
     }
-    for (const SearchResult& r : out.results[1]) {
-      EXPECT_NE(r.id, 0u) << spec;
+    const auto after = live.Pin();
+    util::Rng query_rng(412);
+    std::vector<QuerySpec<Vector>> batch = MixedVectorBatch(2, &query_rng);
+    batch.push_back(QuerySpec<Vector>::Knn(probe, 5));
+    batch.push_back(QuerySpec<Vector>::Knn(data[0], after.live_size()));
+    batch.push_back(QuerySpec<Vector>::Range(data[0], 0.5));
+    batch.push_back(QuerySpec<Vector>::KnnWithinRadius(data[7], 6, 0.4));
+    for (QuerySpec<Vector>& query : batch) query.WithCandidateFraction(1.0);
+    out = live.RunBatch(engine, after, batch);
+    ASSERT_TRUE(out.all_ok()) << spec;
+    const std::vector<Vector> view_data = after.Materialize();
+    auto brute = FreshAnswers(view_data, L2(), 1, "linear-scan", 0, batch);
+    for (size_t q = 0; q < batch.size(); ++q) {
+      for (const SearchResult& r : out.results[q]) {
+        EXPECT_NE(r.id, inserted_ids[2]) << spec << " query " << q;
+        EXPECT_EQ(std::find(removed_base.begin(), removed_base.end(), r.id),
+                  removed_base.end())
+            << spec << " query " << q << " returned removed id " << r.id;
+      }
+      EXPECT_EQ(Fingerprint(out.results[q], SnapshotResolver<Vector>(after)),
+                Fingerprint(brute.results[q], DatasetResolver(view_data)))
+          << spec << " query " << q;
+    }
+    if (spec.rfind("distperm", 0) == 0) {
+      // A removed candidate keeps its place in the verified set but is
+      // never measured: against the same generation before the removes,
+      // each query pays one distance less per removed base point, and
+      // the delta leg one less for the removed insert.
+      auto unremoved = live.RunBatch(engine, before, batch);
+      ASSERT_TRUE(unremoved.all_ok()) << spec;
+      for (size_t q = 0; q < batch.size(); ++q) {
+        EXPECT_EQ(unremoved.per_query_distance_computations[q] -
+                      out.per_query_distance_computations[q],
+                  removed_base.size() + 1)
+            << spec << " query " << q;
+      }
+      EXPECT_EQ(unremoved.stats.candidates_verified -
+                    out.stats.candidates_verified,
+                removed_base.size() * batch.size())
+          << spec;
     }
 
     // Double-remove and unknown ids are NotFound, at zero cost.
@@ -221,7 +263,7 @@ TEST(LiveIngest, InsertRemoveVisibilityAcrossEverySpec) {
     ASSERT_TRUE(live.Compact().ok()) << spec;
     EXPECT_EQ(live.generation_number(), 2u);
     EXPECT_EQ(live.delta_entries(), 0u);
-    EXPECT_EQ(live.size(), data.size() - 1 + 4);
+    EXPECT_EQ(live.size(), data.size() - removed_base.size() + 4);
     auto snapshot = live.Pin();
     auto resolve = SnapshotResolver<Vector>(snapshot);
     out = live.RunBatch(engine, live.Pin(), {QuerySpec<Vector>::Knn(probe, 4)});
@@ -239,7 +281,9 @@ TEST(LiveIngest, InsertRemoveVisibilityAcrossEverySpec) {
         EXPECT_NEAR(p[0], 2.0, 0.05) << spec;
       }
       EXPECT_NE(p, (Vector{2.02, 1.98})) << spec;  // the removed insert
-      EXPECT_NE(p, data[0]) << spec;               // the removed base point
+      for (const size_t id : removed_base) {
+        EXPECT_NE(p, data[id]) << spec;  // the removed base points
+      }
     }
   }
 }
@@ -421,6 +465,142 @@ TEST(LiveIngest, BudgetAndTruncationAccountingUnchangedByDeltaPath) {
   EXPECT_FALSE(out.statuses[2].ok());
   EXPECT_EQ(out.per_query_distance_computations[2], 0u);
   EXPECT_EQ(out.stats.latency.count, 2u);
+}
+
+// Removed ids are skipped inside the search, so a live kNN asks each
+// shard for k results however many ids the window removed.  Removing
+// the 64 base points farthest from a query leaves its 10-NN cost
+// exactly where the same generation puts it with no removes; asking
+// for k + 64 results instead would make every shard search wider.
+TEST(LiveIngest, RemovesFarFromAKnnLeaveItsDistanceCountUnchanged) {
+  util::Rng rng(417);
+  auto data = dataset::UniformCube(2000, 4, &rng);
+  const Vector query(4, 0.5);
+  std::vector<size_t> farthest(data.size());
+  for (size_t i = 0; i < farthest.size(); ++i) farthest[i] = i;
+  std::sort(farthest.begin(), farthest.end(), [&](size_t a, size_t b) {
+    return L2()(query, data[a]) > L2()(query, data[b]);
+  });
+  farthest.resize(64);
+  const std::vector<QuerySpec<Vector>> batch = {
+      QuerySpec<Vector>::Knn(query, 10)};
+  for (const std::string spec : {"vp-tree", "laesa:k=4"}) {
+    auto live_result = LiveDatabase<Vector>::Open(data, L2(), 4, spec, 31);
+    ASSERT_TRUE(live_result.ok()) << spec;
+    auto& live = *live_result.value();
+    QueryEngine<Vector> engine(1);
+    auto unremoved = live.RunBatch(engine, live.Pin(), batch);
+    for (const size_t id : farthest) ASSERT_TRUE(live.Remove(id).ok());
+    auto removed = live.RunBatch(engine, live.Pin(), batch);
+    ASSERT_TRUE(unremoved.all_ok()) << spec;
+    ASSERT_TRUE(removed.all_ok()) << spec;
+    EXPECT_EQ(removed.results, unremoved.results) << spec;
+    EXPECT_EQ(removed.per_query_distance_computations[0],
+              unremoved.per_query_distance_computations[0])
+        << spec;
+  }
+}
+
+// Readers holding pins taken at several window positions race one
+// writer that inserts and removes (base ids, covered and uncovered
+// inserts).  Every pin keeps answering, in every mode, exactly like
+// brute force over its own Materialize(), every id it returns still
+// resolves in it, and its dataset keeps the size its entries imply: a
+// remove committed after a pin never leaks in, and one committed
+// before it is never returned.
+TEST(LiveIngest, PinnedReadersRacingRemovesMatchBruteForce) {
+  util::Rng rng(418);
+  auto data = dataset::UniformCube(300, 3, &rng);
+  auto live_result = LiveDatabase<Vector>::Open(
+      data, L2(), 3, "vp-tree:delta_index_min=16", 37);
+  ASSERT_TRUE(live_result.ok()) << live_result.status();
+  auto& live = *live_result.value();
+
+  constexpr size_t kReaders = 2;
+  constexpr size_t kPhases = 4;
+  constexpr size_t kOpsPerPhase = 60;
+  std::atomic<size_t> phase{0};
+  std::atomic<bool> done{false};
+  std::vector<std::atomic<size_t>> seen(kReaders);
+  for (auto& s : seen) s.store(0);
+  std::atomic<size_t> verified{0};
+
+  // A failed assertion leaves `write` early; `done` is set regardless,
+  // so the readers still stop.
+  const auto write = [&]() {
+    util::Rng writer_rng(419);
+    std::vector<size_t> alive(data.size());
+    for (size_t i = 0; i < alive.size(); ++i) alive[i] = i;
+    for (size_t p = 0; p < kPhases; ++p) {
+      for (size_t op = 0; op < kOpsPerPhase; ++op) {
+        if (writer_rng.NextBounded(100) < 40) {
+          Vector point = {writer_rng.NextDouble(), writer_rng.NextDouble(),
+                          writer_rng.NextDouble()};
+          auto id = live.Insert(std::move(point));
+          ASSERT_TRUE(id.ok()) << id.status();
+          alive.push_back(id.value());
+        } else {
+          const size_t pick = writer_rng.NextBounded(alive.size());
+          ASSERT_TRUE(live.Remove(alive[pick]).ok());
+          alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(pick));
+        }
+        if (op % 16 == 0) std::this_thread::yield();
+      }
+      // Hold the next phase's writes until every reader pinned this one.
+      phase.store(p + 1);
+      for (size_t r = 0; r < kReaders; ++r) {
+        while (seen[r].load() < p + 1) std::this_thread::yield();
+      }
+    }
+  };
+  std::thread writer([&]() {
+    write();
+    done.store(true);
+  });
+
+  std::vector<std::thread> readers;
+  for (size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r]() {
+      util::Rng reader_rng(420 + r);
+      QueryEngine<Vector> engine(2);
+      std::deque<LiveDatabase<Vector>::Snapshot> pins;
+      for (bool last = false; !last;) {
+        last = done.load();
+        const size_t at = phase.load();
+        pins.push_back(live.Pin());
+        seen[r].store(at);
+        if (pins.size() > 3) pins.pop_front();
+        Vector point = {reader_rng.NextDouble(), reader_rng.NextDouble(),
+                        reader_rng.NextDouble()};
+        const std::vector<QuerySpec<Vector>> batch = {
+            QuerySpec<Vector>::Knn(point, 7),
+            QuerySpec<Vector>::Range(point, 0.3),
+            QuerySpec<Vector>::KnnWithinRadius(point, 5, 0.4)};
+        for (const auto& pin : pins) {
+          // EXPECT, not ASSERT: a reader that left early would hold
+          // the writer at its next phase forever.
+          auto got = live.RunBatch(engine, pin, batch);
+          EXPECT_TRUE(got.all_ok());
+          const std::vector<Vector> view = pin.Materialize();
+          // live_size() counts the window's entries, not the removal
+          // record: a remove leaking in from past the pin shows here.
+          EXPECT_EQ(view.size(), pin.live_size());
+          auto brute = FreshAnswers(view, L2(), 1, "linear-scan", 0, batch);
+          for (size_t q = 0; q < batch.size(); ++q) {
+            EXPECT_EQ(
+                Fingerprint(got.results[q], SnapshotResolver<Vector>(pin)),
+                Fingerprint(brute.results[q], DatasetResolver(view)))
+                << "window " << pin.delta_entries() << " query " << q;
+          }
+          verified.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& reader : readers) reader.join();
+  EXPECT_GE(verified.load(), kReaders * kPhases);
+  EXPECT_EQ(live.delta_entries(), kPhases * kOpsPerPhase);
 }
 
 TEST(LiveIngest, SpecKnobsParseAndValidate) {
@@ -880,10 +1060,10 @@ TEST(LiveIngest, SideRunUpkeepIsLogarithmicInDepth) {
 // writes and a store scanning its whole window flat run the same
 // script, and at every publication their range, kNN and
 // kNN-within-radius answers are bit-identical.  The script removes
-// delta inserts a run already covers, so queries filter covered
-// entries (side_spare over-fetch across several runs) and merges drop
-// them; base removes make the generation leg over-fetch too.  The runs
-// may only save distance computations, never add them.
+// delta inserts a run already covers, so the runs' searches skip
+// entries removed after the run was built, across several runs; base
+// removes make the generation leg skip removed ids too.  The runs may
+// only save distance computations, never add them.
 TEST(LiveIngest, SideRunsAnswerLikeTheFlatScanAtEveryPublication) {
   QueryEngine<Vector> engine(1);
   constexpr size_t kDim = 3;
